@@ -68,7 +68,14 @@ from .gps import (
     mfailure_from_ready,
     ready_to_trace_collapse,
 )
-from .hkc import HkcReport, hkc_check, in_congruence, preorder_check, saturate
+from .hkc import (
+    HkcReport,
+    hkc_check,
+    in_congruence,
+    naive_bisim,
+    preorder_check,
+    saturate,
+)
 from .lts import (
     TAU,
     FormatError,
@@ -103,7 +110,6 @@ from .moore import (
     det_output,
     det_step,
     moore_partition_classes,
-    naive_bisim,
     reachable_machine,
 )
 

@@ -18,11 +18,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .brzozowski import brzozowski_minimize, equiv_via_minimization
+from .brzozowski import brzozowski_minimize
 from .decorations import DecoratedLts, decorate
-from .hkc import hkc_check
+from .hkc import hkc_check, naive_bisim
 from .lts import TAU, Lts, StateSet
-from .moore import DEFAULT_CAP, CapExceeded, naive_bisim, reachable_machine
+from .moore import DEFAULT_CAP, CapExceeded, reachable_machine
 
 ALGORITHMS = ("oracle", "naive", "hkc", "brzozowski")
 

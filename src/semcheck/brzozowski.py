@@ -12,7 +12,7 @@ decides.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 from .decorations import (
     TOP,
@@ -25,7 +25,7 @@ from .decorations import (
     join_outputs,
 )
 from .lts import StateSet
-from .moore import DEFAULT_CAP, CapExceeded, MooreMachine
+from .moore import DEFAULT_CAP, MooreMachine, explore
 
 #: A reversal state: one output coordinate per (reachable) base state.
 FunctionState = Tuple[Output, ...]
@@ -137,28 +137,10 @@ def reverse_determinize_moore(m: MooreMachine, init: int,
 def explicit_reversal(lazy: LazyReversal, cap: int, stage: str) -> MooreMachine:
     """Materialise the reachable part of a lazy reversal breadth-first
     (labels in alphabet order); raises :class:`CapExceeded` naming ``stage``."""
-    index: Dict[Tuple, int] = {}
-    states: List[FunctionState] = []
-
-    def intern(s: FunctionState) -> int:
-        k = lazy.state_key(s)
-        if k not in index:
-            if len(states) >= cap:
-                raise CapExceeded(stage, len(states))
-            index[k] = len(states)
-            states.append(s)
-        return index[k]
-
-    intern(lazy.initial)
-    steps: List[Dict[EffLabel, int]] = []
-    i = 0
-    while i < len(states):
-        s = states[i]
-        steps.append({label: intern(lazy.step(s, label)) for label in lazy.alphabet})
-        i += 1
+    states, steps, _ = explore([lazy.initial], lazy.step, lazy.state_key,
+                               lazy.alphabet, cap, stage)
     outputs = [lazy.output(s) for s in states]
-    return MooreMachine(lazy.semantics, lazy.alphabet, outputs, steps, [0],
-                        list(states))
+    return MooreMachine(lazy.semantics, lazy.alphabet, outputs, steps, [0], states)
 
 
 def brzozowski_minimize(d: DecoratedLts, inits: StateSet,

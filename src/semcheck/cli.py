@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 import time
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from .bench import decide, default_cases, gen_chain, gen_cycles, gen_interleave, run_matrix
 from .brzozowski import brzozowski_minimize
@@ -25,9 +25,9 @@ from .decorations import (
     render_output,
 )
 from .gps import GPS_SEMANTICS, gps_equiv
-from .hkc import hkc_check, preorder_check
-from .lts import FormatError, Gps, Lts, format_lts, parse_gps, parse_lts
-from .moore import DEFAULT_CAP, CapExceeded, naive_bisim
+from .hkc import hkc_check, naive_bisim, preorder_check
+from .lts import FormatError, Lts, format_lts, parse_gps, parse_lts
+from .moore import DEFAULT_CAP, CapExceeded
 
 EXIT_HOLDS, EXIT_FAILS, EXIT_ERROR = 0, 1, 2
 
@@ -49,67 +49,66 @@ def _render_detstate(state, lts: Lts) -> str:
     return "{" + ",".join(lts.state_name(x) for x in sorted(state)) + "}"
 
 
-def _emit(report: dict, summary: str) -> None:
+def _timed(fn, *args):
+    """``fn(*args)`` and the milliseconds it took."""
+    t0 = time.perf_counter()
+    result = fn(*args)
+    return result, (time.perf_counter() - t0) * 1000.0
+
+
+def _emit(args, result, algorithm: str, ms: float, summary: str,
+          states: Optional[int] = None, pairs: Optional[int] = None,
+          **extra) -> None:
+    """Print the JSON report on stdout and the summary on stderr; ``extra``
+    keys whose value is not None are appended to the report."""
+    report = {
+        "schema": 1, "result": result, "semantics": args.sem,
+        "algorithm": algorithm,
+        "stats": {"states": states, "pairs": pairs, "time_ms": ms},
+    }
+    report.update((k, v) for k, v in extra.items() if v is not None)
     print(json.dumps(report, indent=2))
     print(summary, file=sys.stderr)
+
+
+def _labels(word) -> Optional[List[str]]:
+    return None if word is None else [render_eff_label(l) for l in word]
 
 
 def cmd_equiv(args) -> int:
     lts = parse_lts(_read_source(args.file))
     left, right = _resolve_set(lts, args.left), _resolve_set(lts, args.right)
-    d = decorate(lts, args.sem)
-    t0 = time.perf_counter()
-    counterexample: Optional[Tuple] = None
-    witness = None
-    states = pairs = None
+    d = decorate(lts, args.sem, args.cap)
+    states = relation = witness = counterexample = None
     if args.algo == "naive":
-        equal, payload = naive_bisim(d, left, right, args.cap)
-        if equal:
-            pairs = len(payload)
-            witness = [[_render_detstate(l, lts), _render_detstate(r, lts)]
-                       for l, r in payload]
-        else:
-            counterexample = payload
+        (equal, payload), ms = _timed(naive_bisim, d, left, right, args.cap)
+        relation, counterexample = (payload, None) if equal else (None, payload)
     elif args.algo == "hkc":
-        rep = hkc_check(d, left, right, args.cap)
-        equal, pairs = rep.equal, len(rep.relation)
-        if equal:
-            witness = [[_render_detstate(l, lts), _render_detstate(r, lts)]
-                       for l, r in rep.relation]
-        else:
-            counterexample = rep.counterexample
+        rep, ms = _timed(hkc_check, d, left, right, args.cap)
+        equal, relation, counterexample = rep.equal, rep.relation, rep.counterexample
     else:  # brzozowski
-        equal, states, _ = decide(d, "brzozowski", left, right, args.cap)
-    ms = (time.perf_counter() - t0) * 1000.0
-    report = {
-        "schema": 1, "result": equal, "semantics": args.sem,
-        "algorithm": args.algo,
-        "stats": {"states": states, "pairs": pairs, "time_ms": ms},
-    }
-    if counterexample is not None:
-        report["counterexample"] = [render_eff_label(l) for l in counterexample]
-    if witness is not None:
-        report["witness"] = witness
+        (equal, states, _), ms = _timed(decide, d, "brzozowski", left, right, args.cap)
+    if equal and relation is not None:
+        witness = [[_render_detstate(l, lts), _render_detstate(r, lts)]
+                   for l, r in relation]
     verdict = "equivalent" if equal else "not equivalent"
-    _emit(report, f"{verdict} under {args.sem} ({args.algo}, {ms:.1f} ms)")
+    _emit(args, equal, args.algo, ms,
+          f"{verdict} under {args.sem} ({args.algo}, {ms:.1f} ms)",
+          states=states, pairs=None if relation is None else len(relation),
+          counterexample=_labels(counterexample),
+          witness=witness)
     return EXIT_HOLDS if equal else EXIT_FAILS
 
 
 def cmd_preorder(args) -> int:
     lts = parse_lts(_read_source(args.file))
     x, y = lts.resolve_state(args.left), lts.resolve_state(args.right)
-    d = decorate(lts, args.sem)
-    rep = preorder_check(d, args.sem, x, y, args.cap)
-    report = {
-        "schema": 1, "result": rep.equal, "semantics": args.sem,
-        "algorithm": "hkc",
-        "stats": {"states": None, "pairs": len(rep.relation),
-                  "time_ms": rep.wall_time * 1000.0},
-    }
-    if rep.counterexample is not None:
-        report["counterexample"] = [render_eff_label(l) for l in rep.counterexample]
+    d = decorate(lts, args.sem, args.cap)
+    rep, ms = _timed(preorder_check, d, args.sem, x, y, args.cap)
     rel = "below" if rep.equal else "not below"
-    _emit(report, f"{args.left} {rel} {args.right} in the {args.sem} preorder")
+    _emit(args, rep.equal, "hkc", ms,
+          f"{args.left} {rel} {args.right} in the {args.sem} preorder",
+          pairs=len(rep.relation), counterexample=_labels(rep.counterexample))
     return EXIT_HOLDS if rep.equal else EXIT_FAILS
 
 
@@ -118,10 +117,8 @@ def cmd_minimize(args) -> int:
     inits = _resolve_set(lts, args.init)
     if not inits:
         raise ValueError("--init needs at least one state")
-    d = decorate(lts, args.sem)
-    t0 = time.perf_counter()
-    intermediate, minimal = brzozowski_minimize(d, inits, args.cap)
-    ms = (time.perf_counter() - t0) * 1000.0
+    d = decorate(lts, args.sem, args.cap)
+    (intermediate, minimal), ms = _timed(brzozowski_minimize, d, inits, args.cap)
     machine = {
         "states": minimal.n_states,
         "intermediate_states": intermediate.n_states,
@@ -131,33 +128,24 @@ def cmd_minimize(args) -> int:
         "steps": [{render_eff_label(l): row[l] for l in minimal.alphabet}
                   for row in minimal.steps],
     }
-    report = {
-        "schema": 1, "result": machine, "semantics": args.sem,
-        "algorithm": "brzozowski",
-        "stats": {"states": minimal.n_states, "pairs": None, "time_ms": ms},
-    }
-    _emit(report, f"minimal machine: {minimal.n_states} states "
-                  f"(intermediate {intermediate.n_states}, {ms:.1f} ms)")
+    _emit(args, machine, "brzozowski", ms,
+          f"minimal machine: {minimal.n_states} states "
+          f"(intermediate {intermediate.n_states}, {ms:.1f} ms)",
+          states=minimal.n_states)
     return EXIT_HOLDS
 
 
 def cmd_gps_equiv(args) -> int:
     g = parse_gps(_read_source(args.file))
     x, y = g.resolve_state(args.left), g.resolve_state(args.right)
-    t0 = time.perf_counter()
-    equal, word = gps_equiv(g, args.sem, x, y)
+    (equal, word), ms = _timed(gps_equiv, g, args.sem, x, y)
     if equal and args.with_trace and args.sem != "g_trace":
-        equal, word = gps_equiv(g, "g_trace", x, y)
-    ms = (time.perf_counter() - t0) * 1000.0
-    report = {
-        "schema": 1, "result": equal, "semantics": args.sem,
-        "algorithm": "span",
-        "stats": {"states": g.n_states, "pairs": None, "time_ms": ms},
-    }
-    if word is not None:
-        report["counterexample"] = list(word)
+        (equal, word), trace_ms = _timed(gps_equiv, g, "g_trace", x, y)
+        ms += trace_ms
     verdict = "equivalent" if equal else "not equivalent"
-    _emit(report, f"{verdict} under {args.sem} (exact rational arithmetic)")
+    _emit(args, equal, "span", ms,
+          f"{verdict} under {args.sem} (exact rational arithmetic)",
+          states=g.n_states, counterexample=None if word is None else list(word))
     return EXIT_HOLDS if equal else EXIT_FAILS
 
 
@@ -263,13 +251,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (FormatError, ValueError, KeyError) as exc:
-        print(f"semcheck: error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except CapExceeded as exc:
-        print(f"semcheck: error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (FormatError, ValueError, KeyError, CapExceeded, OSError) as exc:
         print(f"semcheck: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

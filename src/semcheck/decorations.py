@@ -255,31 +255,37 @@ def _must_rows(lts: Lts, div: StateSet) -> Dict[Tuple[int, str], Union[StateSet,
 
 def _must_outputs(lts: Lts, div: StateSet,
                   rows: Dict[Tuple[int, str], Union[StateSet, Top]]) -> List[Output]:
+    """Must outputs: TOP on diverging states, the refusal family on stable
+    ones, and on unstable convergent states the join over their
+    tau-successors, whose tau-graph is acyclic.  Computed in post-order with
+    an explicit stack, so long tau-chains need no deep recursion."""
     full = full_mask(lts.alphabet)
-    memo: Dict[int, Output] = {}
-
-    def out(x: int) -> Output:
-        if x in memo:
-            return memo[x]
-        if x in div:
-            v = Output("top_or_family", TOP)
-        else:
+    memo: Dict[int, Output] = {x: Output("top_or_family", TOP) for x in div}
+    for root in range(lts.n_states):
+        stack = [root]
+        while stack:
+            x = stack[-1]
+            if x in memo:
+                stack.pop()
+                continue
             taus = lts.successors(x, TAU)
+            pending = [y for y in taus if y not in memo]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
             if taus:
                 # Unstable but convergent: acceptance is decided after the
                 # internal steps resolve.
-                v = join_all("top_or_family", (out(y) for y in taus))
+                memo[x] = join_all("top_or_family", (memo[y] for y in taus))
             else:
                 enabled = 0
                 for i, a in enumerate(lts.alphabet):
                     r = rows.get((x, a), frozenset())
                     if r is TOP or r:
                         enabled |= 1 << i
-                v = Output("top_or_family", frozenset(submasks(full & ~enabled)))
-        memo[x] = v
-        return v
-
-    return [out(x) for x in range(lts.n_states)]
+                memo[x] = Output("top_or_family", frozenset(submasks(full & ~enabled)))
+    return [memo[x] for x in range(lts.n_states)]
 
 
 def decorate(lts: Lts, semantics: str, cap: int = 1_000_000) -> DecoratedLts:

@@ -1,8 +1,10 @@
-"""Equivalence checking by bisimulation up to congruence.
+"""Equivalence checking by product walks, plain and up to congruence.
 
-Works on the determinised machine of a decorated LTS without building it:
-candidate state-set pairs are discharged when they already lie in the
-congruence closure of the relation collected so far, which prunes the search
+Both back ends are one breadth-first walk over pairs of determinised states
+(``product_walk``) that never builds the determinised machine; they differ
+only in which pairs they skip.  The naive walk skips pairs it has already
+related.  The congruence check skips pairs that already lie in the
+congruence closure of the pairs collected so far, which prunes the search
 exponentially on systems whose subset construction blows up.  The closure is
 computed by saturating a set with the collected pairs (join a pair's other
 component whenever one component is dominated) until a fixpoint.
@@ -10,9 +12,9 @@ component whenever one component is dominated) until a fixpoint.
 
 from __future__ import annotations
 
-import time
+import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .decorations import TOP, DecoratedLts, EffLabel
 from .moore import DEFAULT_CAP, CapExceeded, DetState, det_output, det_step
@@ -56,60 +58,98 @@ def in_congruence(pairs: Sequence[Tuple[DetState, DetState]],
     return saturate(pairs, left) == saturate(pairs, right)
 
 
+Pair = Tuple[DetState, DetState]
+
+
+def product_walk(d: DecoratedLts, left: DetState, right: DetState, cap: float,
+                 prune: Callable[[Pair, List[Pair], List[Pair], int], bool]
+                 ) -> Tuple[bool, List[Pair], int, Optional[Tuple[EffLabel, ...]]]:
+    """Breadth-first walk over pairs of determinised states from ``(left, right)``.
+
+    Pairs are dequeued first-in-first-out.  A pair for which
+    ``prune(pair, relation, todo, qi)`` holds is skipped (``todo[qi:]`` are
+    the pairs still waiting); any other must agree on its output, joins the
+    relation and pushes its successor pairs in alphabet order.  Returns
+    ``(equal, relation, pairs_processed, counterexample)``; the counterexample
+    is the discovery path of the first pair found to disagree.  Raises
+    :class:`CapExceeded` once more than ``cap`` distinct pairs would be
+    discovered."""
+    todo: List[Pair] = [(left, right)]
+    parent: Dict[Pair, Optional[Tuple[Pair, EffLabel]]] = {todo[0]: None}
+    relation: List[Pair] = []
+    qi = 0
+    while qi < len(todo):
+        pair = todo[qi]
+        qi += 1
+        if prune(pair, relation, todo, qi):
+            continue
+        l, r = pair
+        if det_output(d, l) != det_output(d, r):
+            word: List[EffLabel] = []
+            node = parent[pair]
+            while node is not None:
+                pair, label = node
+                word.append(label)
+                node = parent[pair]
+            return False, relation, qi, tuple(reversed(word))
+        for label in d.eff_alphabet:
+            succ = (det_step(d, l, label), det_step(d, r, label))
+            if succ not in parent:
+                if len(parent) >= cap:
+                    raise CapExceeded("pair exploration", len(parent))
+                parent[succ] = (pair, label)
+            todo.append(succ)
+        relation.append(pair)
+    return True, relation, qi, None
+
+
+def naive_bisim(d: DecoratedLts, left: DetState, right: DetState,
+                cap: int = DEFAULT_CAP):
+    """Breadth-first bisimulation on the determinised machine.
+
+    Returns ``(True, relation)`` where ``relation`` lists the processed state
+    pairs in discovery order, or ``(False, word)`` with a distinguishing word.
+    At most ``cap`` distinct pairs are discovered."""
+    seen: Set[Pair] = set()
+
+    def already_related(pair: Pair, relation, todo, qi) -> bool:
+        if pair in seen:
+            return True
+        seen.add(pair)
+        return False
+
+    equal, relation, _, word = product_walk(d, left, right, cap, already_related)
+    return (True, relation) if equal else (False, word)
+
+
 @dataclass
 class HkcReport:
     """Outcome of a congruence-based equivalence check."""
 
     equal: bool
-    relation: List[Tuple[DetState, DetState]]
+    relation: List[Pair]
     pairs_processed: int
     counterexample: Optional[Tuple[EffLabel, ...]]
-    wall_time: float
 
 
 def hkc_check(d: DecoratedLts, left: DetState, right: DetState,
               cap: int = DEFAULT_CAP) -> HkcReport:
     """Decide determinised equality of ``left`` and ``right``.
 
+    The naive walk, pruned by congruence: a pair is skipped when it lies in
+    the congruence closure of the relation and the pairs still waiting.
     Pairs are processed first-in-first-out and successors pushed in alphabet
     order, so the relation returned for a fixed input is reproducible.  On
-    failure the counterexample word distinguishes the two behaviours."""
-    t0 = time.perf_counter()
+    failure the counterexample word distinguishes the two behaviours.  At
+    most ``cap`` pairs are processed, pruned ones included; each processed
+    pair discovers at most one pair per label, so the walk needs no bound of
+    its own."""
+    def up_to_congruence(pair: Pair, relation, todo, qi) -> bool:
+        if qi > cap:
+            raise CapExceeded("pair exploration", qi)
+        return in_congruence(relation + todo[qi:], *pair)
 
-    def key(s: DetState):
-        return ("TOP",) if s is TOP else s
-
-    todo: List[Tuple[DetState, DetState]] = [(left, right)]
-    parent: Dict[Tuple, Optional[Tuple]] = {(key(left), key(right)): None}
-    relation: List[Tuple[DetState, DetState]] = []
-    processed = 0
-    qi = 0
-    while qi < len(todo):
-        l, r = todo[qi]
-        qi += 1
-        processed += 1
-        if processed > cap:
-            raise CapExceeded("pair exploration", processed)
-        basis = relation + todo[qi:]
-        if in_congruence(basis, l, r):
-            continue
-        if det_output(d, l) != det_output(d, r):
-            word: List[EffLabel] = []
-            node = parent[(key(l), key(r))]
-            while node is not None:
-                prev, label = node
-                word.append(label)
-                node = parent[prev]
-            return HkcReport(False, relation, processed,
-                             tuple(reversed(word)), time.perf_counter() - t0)
-        for label in d.eff_alphabet:
-            nl, nr = det_step(d, l, label), det_step(d, r, label)
-            k = (key(nl), key(nr))
-            if k not in parent:
-                parent[k] = ((key(l), key(r)), label)
-            todo.append((nl, nr))
-        relation.append((l, r))
-    return HkcReport(True, relation, processed, None, time.perf_counter() - t0)
+    return HkcReport(*product_walk(d, left, right, math.inf, up_to_congruence))
 
 
 def preorder_check(d: DecoratedLts, semantics: str, x: int, y: int,

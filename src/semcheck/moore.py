@@ -3,15 +3,16 @@
 A decorated system determinises into a Moore machine whose states are sets of
 base states (plus an absorbing TOP under must testing): outputs join pointwise
 and steps are unions of rows.  This module provides lazy evaluation of that
-machine (``det_output`` / ``det_step`` / ``behavior``), explicit construction
-of its reachable part, a naive bisimulation check on it, and partition
-refinement to its coarsest quotient.
+machine (``det_output`` / ``det_step`` / ``behavior``), the interning search
+(``explore``) that builds the reachable part of it and of the reversal
+machines, and partition refinement to the coarsest quotient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, FrozenSet, Hashable, Iterable, List, Optional,
+                    Sequence, Tuple, Union)
 
 from .decorations import (
     TOP,
@@ -105,77 +106,44 @@ class MooreMachine:
         return self.outputs[q]
 
 
+def explore(inits: Sequence[object], step: Callable[[object, EffLabel], object],
+            key: Callable[[object], Hashable], alphabet: Sequence[EffLabel],
+            cap: int, stage: str) -> Tuple[List[object], List[Dict[EffLabel, int]], List[int]]:
+    """First-in-first-out interning search over ``step`` from ``inits``.
+
+    States are numbered in discovery order, successors taken in alphabet
+    order; two states with the same ``key`` are one.  Returns the stored
+    states, one step row per state and the indices of ``inits``.  Raises
+    :class:`CapExceeded` naming ``stage`` once more than ``cap`` states would
+    be stored."""
+    index: Dict[Hashable, int] = {}
+    states: List[object] = []
+
+    def intern(s: object) -> int:
+        k = key(s)
+        if k not in index:
+            if len(states) >= cap:
+                raise CapExceeded(stage, len(states))
+            index[k] = len(states)
+            states.append(s)
+        return index[k]
+
+    init_idx = [intern(s) for s in inits]
+    steps: List[Dict[EffLabel, int]] = []
+    for s in states:  # the list grows while it is walked: that is the queue
+        steps.append({label: intern(step(s, label)) for label in alphabet})
+    return states, steps, init_idx
+
+
 def reachable_machine(d: DecoratedLts, inits: Sequence[DetState],
                       cap: int = DEFAULT_CAP) -> MooreMachine:
     """Breadth-first construction of the determinised machine reachable from
     ``inits`` (labels explored in alphabet order).  Raises :class:`CapExceeded`
     once more than ``cap`` states would be materialised."""
-    index: Dict[object, int] = {}
-    keys: List[DetState] = []
-    order: List[DetState] = []
-
-    def intern(s: DetState) -> int:
-        k = ("TOP",) if s is TOP else s
-        if k not in index:
-            if len(keys) >= cap:
-                raise CapExceeded("determinisation", len(keys))
-            index[k] = len(keys)
-            keys.append(s)
-            order.append(s)
-        return index[k]
-
-    init_idx = [intern(s) for s in inits]
-    steps: List[Dict[EffLabel, int]] = []
-    i = 0
-    while i < len(order):
-        s = order[i]
-        row = {}
-        for label in d.eff_alphabet:
-            row[label] = intern(det_step(d, s, label))
-        steps.append(row)
-        i += 1
+    keys, steps, init_idx = explore(inits, lambda s, a: det_step(d, s, a),
+                                    lambda s: s, d.eff_alphabet, cap, "determinisation")
     outputs = [det_output(d, s) for s in keys]
     return MooreMachine(d.semantics, d.eff_alphabet, outputs, steps, init_idx, keys)
-
-
-def naive_bisim(d: DecoratedLts, left: DetState, right: DetState,
-                cap: int = DEFAULT_CAP):
-    """Breadth-first bisimulation on the determinised machine.
-
-    Returns ``(True, relation)`` where ``relation`` lists the processed state
-    pairs in discovery order, or ``(False, word)`` with a distinguishing word.
-    """
-    def key(s: DetState):
-        return ("TOP",) if s is TOP else s
-
-    start = (left, right)
-    seen = {(key(left), key(right))}
-    queue: List[Tuple[DetState, DetState]] = [start]
-    parent: Dict[Tuple, Optional[Tuple]] = {(key(left), key(right)): None}
-    relation: List[Tuple[DetState, DetState]] = []
-    qi = 0
-    while qi < len(queue):
-        l, r = queue[qi]
-        qi += 1
-        if det_output(d, l) != det_output(d, r):
-            word: List[EffLabel] = []
-            node = parent[(key(l), key(r))]
-            while node is not None:
-                prev, label = node
-                word.append(label)
-                node = parent[prev]
-            return False, tuple(reversed(word))
-        relation.append((l, r))
-        for label in d.eff_alphabet:
-            nl, nr = det_step(d, l, label), det_step(d, r, label)
-            k = (key(nl), key(nr))
-            if k not in seen:
-                if len(seen) >= cap:
-                    raise CapExceeded("pair exploration", len(seen))
-                seen.add(k)
-                parent[k] = ((key(l), key(r)), label)
-                queue.append((nl, nr))
-    return True, relation
 
 
 def moore_partition_classes(machine: MooreMachine) -> Tuple[int, ...]:

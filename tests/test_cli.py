@@ -73,6 +73,27 @@ def test_equiv_reads_stdin(capsys, monkeypatch):
     assert payload["result"] is True
 
 
+
+def test_equiv_must_on_long_tau_chain(capsys, tmp_path):
+    n = 1000
+    lines = [f"lts {n}", "alphabet a b"]
+    lines += [f"{i} tau {i + 1}" for i in range(n - 1)]
+    lines += [f"{n - 1} a {n - 1}", f"{n - 1} b 0"]
+    f = tmp_path / "tau-chain.lts"
+    f.write_text("\n".join(lines) + "\n")
+    code, payload, _ = run_cli(capsys, "equiv", "--sem", "must", str(f), "0", str(n - 1))
+    assert code == 0
+    assert payload["result"] is True
+
+
+def test_equiv_cap_bounds_pfutures_decoration(capsys):
+    # the trace-class construction behind pfutures builds 57 states here,
+    # while hkc needs only 41 pairs
+    code, _, err = run_cli(capsys, "equiv", "--sem", "pfutures", "--cap", "50",
+                           fx("pf-pq"), "p0", "q0")
+    assert code == 2
+    assert "determinisation" in err
+
 # -- preorder ----------------------------------------------------------------
 
 
