@@ -1,0 +1,82 @@
+"""Regression guard for the tau layer.
+
+Closures, weak rows, divergence and convergence are the ground the may and
+must decorations stand on, and each can be computed in several equivalent
+ways.  This test reduces them, and the may/must rows and outputs built from
+them, on a seeded corpus of tau-rich systems to one canonical text and pins
+its sha256, so any change in what the tau primitives return shows up here.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import itertools
+import random
+
+from semcheck import (
+    TAU,
+    TOP,
+    Lts,
+    converges_on,
+    decorate,
+    divergent_states,
+    random_lts,
+    render_output,
+    tau_closure,
+    weak_successors,
+)
+
+from conftest import load_lts
+
+PINNED_SHA256 = "1b72d2b5b3c425312f5562b40c8c5b00a5b91ea3200b8968fe66e3ee2eb248e0"
+
+FIXTURES = ("must-x", "must-y", "must-xy", "brz-must")
+
+
+def tau_rich_lts(seed: int) -> Lts:
+    """1-12 states, 1-3 labels, visible edge density 0.2, tau density 0.25."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 12)
+    labels = ("a", "b", "c")[: rng.randint(1, 3)]
+    t = {}
+    for x in range(n):
+        for lab in labels + (TAU,):
+            density = 0.25 if lab == TAU else 0.2
+            ys = frozenset(y for y in range(n) if rng.random() < density)
+            if ys:
+                t[(x, lab)] = ys
+    return Lts(n, labels, t)
+
+
+def _set(s) -> str:
+    return "TOP" if s is TOP else repr(tuple(sorted(s)))
+
+
+def _tau_lines(name: str, lts: Lts):
+    div = divergent_states(lts)
+    words = [w for k in range(3) for w in itertools.product(lts.alphabet, repeat=k)]
+    may, must = decorate(lts, "may"), decorate(lts, "must")
+    for x in range(lts.n_states):
+        yield f"{name} {x} closure {_set(tau_closure(lts, x))} div {x in div}"
+        yield f"{name} {x} weak " + " ".join(
+            f"{a}:{_set(weak_successors(lts, x, a))}" for a in lts.alphabet)
+        yield f"{name} {x} conv " + "".join(
+            "1" if converges_on(lts, x, w) else "0" for w in words)
+        for d in (may, must):
+            yield f"{name} {x} {d.semantics} " + " ".join(
+                f"{a}:{_set(d.row(x, a))}" for a in lts.alphabet) + (
+                " out " + render_output(d.output(x), lts.alphabet))
+
+
+def _corpus():
+    for seed in range(1000):
+        yield f"rich{seed}", tau_rich_lts(seed)
+    for seed in range(1000):
+        yield f"random{seed}", random_lts(seed)
+    for name in FIXTURES:
+        yield name, load_lts(name)
+
+
+def test_tau_layer_matches_pinned_digest():
+    text = "\n".join(line for name, lts in _corpus() for line in _tau_lines(name, lts))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SHA256
