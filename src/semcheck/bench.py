@@ -22,7 +22,7 @@ from .brzozowski import brzozowski_minimize
 from .decorations import DecoratedLts, decorate
 from .hkc import hkc_check, naive_bisim
 from .lts import TAU, Lts, StateSet
-from .moore import DEFAULT_CAP, CapExceeded, reachable_machine
+from .moore import DEFAULT_CAP, CapExceeded, MooreMachine, reachable_machine
 
 ALGORITHMS = ("oracle", "naive", "hkc", "brzozowski")
 
@@ -140,7 +140,11 @@ def oracle_equal(d: DecoratedLts, left: StateSet, right: StateSet,
     word of length < N decides equality.  Words are walked depth layer by
     depth layer; a layer adding no new state pair can only repeat outputs
     already compared, so the walk stops there."""
-    m = reachable_machine(d, [left, right], cap)
+    return _words_agree(reachable_machine(d, [left, right], cap))
+
+
+def _words_agree(m: MooreMachine) -> bool:
+    """The word walk of :func:`oracle_equal` on a built joint machine."""
     n = m.n_states
     seen: set = set()
     frontier = {(m.inits[0], m.inits[1])}
@@ -209,7 +213,7 @@ def decide(d: DecoratedLts, algorithm: str, left: StateSet, right: StateSet,
     """Run one algorithm; returns (equal, states, pairs) where applicable."""
     if algorithm == "oracle":
         m = reachable_machine(d, [left, right], cap)
-        return oracle_equal(d, left, right, cap), m.n_states, None
+        return _words_agree(m), m.n_states, None
     if algorithm == "naive":
         ok, witness = naive_bisim(d, left, right, cap)
         return ok, None, (len(witness) if ok else None)

@@ -156,16 +156,40 @@ def cmd_gen(args) -> int:
     return EXIT_HOLDS
 
 
+def _check_spec(spec) -> None:
+    """Raise ``ValueError`` unless a bench spec has the shape ``cmd_bench``
+    reads: an object whose ``cases`` list holds objects with string ``file``,
+    ``left`` and ``right``, with optional string lists ``semantics`` and
+    ``algorithms`` and an optional positive int ``cap``."""
+    if not isinstance(spec, dict):
+        raise ValueError("bench spec must be a JSON object")
+    cases = spec.get("cases")
+    if not isinstance(cases, list) or not all(
+            isinstance(c, dict) and all(isinstance(c.get(k), str)
+                                        for k in ("file", "left", "right"))
+            for c in cases):
+        raise ValueError("bench spec 'cases' must be a list of objects with "
+                         "string 'file', 'left' and 'right'")
+    for key in ("semantics", "algorithms"):
+        value = spec.get(key, [])
+        if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+            raise ValueError(f"bench spec '{key}' must be a list of strings")
+    cap = spec.get("cap", DEFAULT_CAP)
+    if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
+        raise ValueError("bench spec 'cap' must be a positive integer")
+
+
 def cmd_bench(args) -> int:
     if args.spec:
         spec = json.loads(_read_source(args.spec))
+        _check_spec(spec)
         from .bench import BenchCase
         cases = []
         for c in spec["cases"]:
             lts = parse_lts(_read_source(c["file"]))
             cases.append(BenchCase(c.get("name", c["file"]), lts,
-                                   _resolve_set(lts, str(c["left"])),
-                                   _resolve_set(lts, str(c["right"]))))
+                                   _resolve_set(lts, c["left"]),
+                                   _resolve_set(lts, c["right"])))
         semantics = spec.get("semantics", ["trace", "may", "must"])
         algorithms = spec.get("algorithms",
                               ["oracle", "naive", "hkc", "brzozowski"])

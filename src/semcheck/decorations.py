@@ -39,7 +39,7 @@ from .lts import (
     initial_actions,
     labels_of,
     mask_of,
-    submasks,
+    tau_closure,
     weak_successors,
 )
 
@@ -246,46 +246,22 @@ def _must_rows(lts: Lts, div: StateSet) -> Dict[Tuple[int, str], Union[StateSet,
     for x in range(lts.n_states):
         for a in lts.alphabet:
             ws = weak_successors(lts, x, a)
-            if x in div or any(y in div for y in ws):
+            if x in div or not ws.isdisjoint(div):
                 rows[(x, a)] = TOP
             elif ws:
                 rows[(x, a)] = ws
     return rows
 
 
-def _must_outputs(lts: Lts, div: StateSet,
-                  rows: Dict[Tuple[int, str], Union[StateSet, Top]]) -> List[Output]:
-    """Must outputs: TOP on diverging states, the refusal family on stable
-    ones, and on unstable convergent states the join over their
-    tau-successors, whose tau-graph is acyclic.  Computed in post-order with
-    an explicit stack, so long tau-chains need no deep recursion."""
-    full = full_mask(lts.alphabet)
-    memo: Dict[int, Output] = {x: Output("top_or_family", TOP) for x in div}
-    for root in range(lts.n_states):
-        stack = [root]
-        while stack:
-            x = stack[-1]
-            if x in memo:
-                stack.pop()
-                continue
-            taus = lts.successors(x, TAU)
-            pending = [y for y in taus if y not in memo]
-            if pending:
-                stack.extend(pending)
-                continue
-            stack.pop()
-            if taus:
-                # Unstable but convergent: acceptance is decided after the
-                # internal steps resolve.
-                memo[x] = join_all("top_or_family", (memo[y] for y in taus))
-            else:
-                enabled = 0
-                for i, a in enumerate(lts.alphabet):
-                    r = rows.get((x, a), frozenset())
-                    if r is TOP or r:
-                        enabled |= 1 << i
-                memo[x] = Output("top_or_family", frozenset(submasks(full & ~enabled)))
-    return [memo[x] for x in range(lts.n_states)]
+def _must_outputs(lts: Lts, div: StateSet) -> List[Output]:
+    """Must outputs: TOP on diverging states; on every other state the join
+    of the refusal families of the stable states in its tau-closure (a
+    convergent state's tau-graph is acyclic, so there is at least one)."""
+    refusals = {y: fail_sets(lts, y)
+                for y in range(lts.n_states) if not lts.successors(y, TAU)}
+    return [Output("top_or_family", TOP if x in div else frozenset().union(
+                *(refusals[y] for y in tau_closure(lts, x) if y in refusals)))
+            for x in range(lts.n_states)]
 
 
 def decorate(lts: Lts, semantics: str, cap: int = 1_000_000) -> DecoratedLts:
@@ -340,16 +316,15 @@ def decorate(lts: Lts, semantics: str, cap: int = 1_000_000) -> DecoratedLts:
                             tuple(outputs), dict(relabelled.transitions))
 
     if semantics == "may":
-        weak = {(x, a): weak_successors(lts, x, a)
-                for x in range(n) for a in alphabet if weak_successors(lts, x, a)}
+        weak = {(x, a): ws for x in range(n) for a in alphabet
+                if (ws := weak_successors(lts, x, a))}
         outputs = [Output("bit", 1)] * n
         return DecoratedLts(semantics, n, alphabet, alphabet, tuple(outputs), weak)
 
     # must
     div = divergent_states(lts)
-    rows = _must_rows(lts, div)
-    outputs = _must_outputs(lts, div, rows)
-    return DecoratedLts(semantics, n, alphabet, alphabet, tuple(outputs), rows)
+    return DecoratedLts(semantics, n, alphabet, alphabet,
+                        tuple(_must_outputs(lts, div)), _must_rows(lts, div))
 
 
 # ---------------------------------------------------------------------------

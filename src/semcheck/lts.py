@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
 
 TAU = "tau"
 
@@ -117,6 +118,10 @@ class Lts:
             return int(token)
         raise ValueError(f"unknown state {token!r}")
 
+    @cached_property
+    def _tau(self) -> "TauPass":
+        return _tau_pass(self)
+
 
 @dataclass
 class Gps:
@@ -204,6 +209,19 @@ def _parse_state(tok: str, n: int, ln: int) -> int:
     return int(tok)
 
 
+def _parse_names(toks: List[str], n: int, ln: int,
+                 names: Optional[Tuple[str, ...]]) -> Tuple[str, ...]:
+    """The state names on a ``names`` line; ``names`` is what an earlier
+    ``names`` line gave, if any."""
+    if len(toks) - 1 != n:
+        raise FormatError(f"expected {n} names, got {len(toks) - 1}", ln)
+    if names is not None:
+        raise FormatError("duplicate 'names' line", ln)
+    if len(set(toks[1:])) != n:
+        raise FormatError("repeated state name", ln)
+    return tuple(toks[1:])
+
+
 def parse_lts(text: str) -> Lts:
     """Parse the LTS text format; raise :class:`FormatError` with a line number
     on any violation (unknown labels, out-of-range states, bad header)."""
@@ -218,11 +236,7 @@ def parse_lts(text: str) -> Lts:
                 raise FormatError("duplicate 'final' line", ln)
             finals = frozenset(_parse_state(t, n, ln) for t in toks[1:])
         elif toks[0] == "names":
-            if len(toks) - 1 != n:
-                raise FormatError(f"expected {n} names, got {len(toks) - 1}", ln)
-            if names is not None:
-                raise FormatError("duplicate 'names' line", ln)
-            names = tuple(toks[1:])
+            names = _parse_names(toks, n, ln, names)
         else:
             if len(toks) != 3:
                 raise FormatError("expected '<src> <label> <dst>'", ln)
@@ -244,9 +258,7 @@ def parse_gps(text: str) -> Gps:
     trans: Dict[Tuple[int, str], Dict[int, Fraction]] = {}
     for ln, toks in lines[2:]:
         if toks[0] == "names":
-            if len(toks) - 1 != n:
-                raise FormatError(f"expected {n} names, got {len(toks) - 1}", ln)
-            names = tuple(toks[1:])
+            names = _parse_names(toks, n, ln, names)
             continue
         if len(toks) != 4:
             raise FormatError("expected '<src> <label> <p>/<q> <dst>'", ln)
@@ -316,30 +328,92 @@ def disjoint_union(a: Lts, b: Lts) -> Lts:
 
 # ---------------------------------------------------------------------------
 # tau-aware primitives
+#
+# Every tau-derived fact comes from one Tarjan walk over the tau graph, run
+# once per system and cached on it.  Tarjan finishes each strongly connected
+# component after every component it tau-reaches, so a component's closure,
+# divergence and weak rows are joins over components already finished.
 # ---------------------------------------------------------------------------
+
+class TauPass(NamedTuple):
+    """Per-state tau-closures and weak rows (shared by the members of a tau
+    strongly connected component), and the set of divergent states."""
+
+    closure: Tuple[StateSet, ...]
+    weak: Tuple[Dict[str, StateSet], ...]
+    divergent: StateSet
+
+
+def _tau_pass(lts: Lts) -> TauPass:
+    n = lts.n_states
+    succ = [sorted(lts.successors(x, TAU)) for x in range(n)]
+    index: Dict[int, int] = {}
+    low: Dict[int, int] = {}
+    stack: List[int] = []
+    comp_of = [-1] * n           # -1 while a state is on the Tarjan stack
+    comps: List[List[int]] = []  # in the order Tarjan finishes them
+    below: List[set] = []        # each component's tau-successor components
+    closure: List[StateSet] = []
+    divergent: List[bool] = []
+
+    for root in range(n):
+        if root in index:
+            continue
+        work = [(root, 0)]  # (state, position of its next tau-successor)
+        while work:
+            v, i = work.pop()
+            if i == 0:
+                index[v] = low[v] = len(index)
+                stack.append(v)
+            else:  # back from the tree edge to succ[v][i - 1]
+                low[v] = min(low[v], low[succ[v][i - 1]])
+            for j in range(i, len(succ[v])):
+                w = succ[v][j]
+                if w not in index:
+                    work += [(v, j + 1), (w, 0)]
+                    break
+                if comp_of[w] < 0:
+                    low[v] = min(low[v], index[w])
+            else:
+                if low[v] == index[v]:
+                    c = len(comps)
+                    comp: List[int] = []
+                    while not comp or comp[-1] != v:
+                        comp.append(stack.pop())
+                        comp_of[comp[-1]] = c
+                    succs = {comp_of[y] for w in comp for y in succ[w]} - {c}
+                    comps.append(comp)
+                    below.append(succs)
+                    closure.append(frozenset(comp).union(*(closure[d] for d in succs)))
+                    # a tau-cycle: size >= 2, or a tau self-loop
+                    divergent.append(len(comp) >= 2 or comp[0] in succ[comp[0]]
+                                     or any(divergent[d] for d in succs))
+
+    # Weak rows need the closures of strong successors, which may lie in
+    # components finished later, so they are built in a second loop.
+    weak: List[Dict[str, StateSet]] = []
+    for comp, succs in zip(comps, below):
+        row = {}
+        for a in lts.alphabet:
+            parts = [closure[comp_of[z]] for w in comp for z in lts.successors(w, a)]
+            parts += [weak[d][a] for d in succs]
+            row[a] = parts[0] if len(parts) == 1 else frozenset().union(*parts)
+        weak.append(row)
+    return TauPass(tuple(closure[comp_of[x]] for x in range(n)),
+                   tuple(weak[comp_of[x]] for x in range(n)),
+                   frozenset(x for x in range(n) if divergent[comp_of[x]]))
+
 
 def tau_closure(lts: Lts, x: int) -> StateSet:
     """States reachable from ``x`` by zero or more tau steps."""
-    seen = {x}
-    stack = [x]
-    while stack:
-        y = stack.pop()
-        for z in lts.successors(y, TAU):
-            if z not in seen:
-                seen.add(z)
-                stack.append(z)
-    return frozenset(seen)
+    return lts._tau.closure[x]
 
 
 def weak_successors(lts: Lts, x: int, label: str) -> StateSet:
     """Weak transition targets: tau* label tau* from ``x``."""
     if label == TAU or label not in lts.alphabet:
         raise ValueError(f"label {label!r} not in the visible alphabet")
-    out: set = set()
-    for y in tau_closure(lts, x):
-        for z in lts.successors(y, label):
-            out.update(tau_closure(lts, z))
-    return frozenset(out)
+    return lts._tau.weak[x][label]
 
 
 def divergent_states(lts: Lts) -> StateSet:
@@ -347,67 +421,7 @@ def divergent_states(lts: Lts) -> StateSet:
 
     tau-cycles are found as strongly connected components of the tau graph
     that contain a tau edge (size >= 2, or a tau self-loop)."""
-    succ = {x: sorted(lts.successors(x, TAU)) for x in range(lts.n_states)}
-    index: Dict[int, int] = {}
-    low: Dict[int, int] = {}
-    on_stack: set = set()
-    stack: List[int] = []
-    cyclic: set = set()
-    counter = 0
-
-    for root in range(lts.n_states):
-        if root in index:
-            continue
-        work = [(root, iter(succ[root]))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(succ[w])))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                if len(comp) >= 2 or comp[0] in succ[comp[0]]:
-                    cyclic.update(comp)
-
-    # Backward closure: everything that tau-reaches a cyclic state diverges.
-    preds: Dict[int, List[int]] = {x: [] for x in range(lts.n_states)}
-    for x, ys in succ.items():
-        for y in ys:
-            preds[y].append(x)
-    out = set(cyclic)
-    frontier = list(cyclic)
-    while frontier:
-        y = frontier.pop()
-        for x in preds[y]:
-            if x not in out:
-                out.add(x)
-                frontier.append(x)
-    return frozenset(out)
+    return lts._tau.divergent
 
 
 def diverges(lts: Lts, x: int) -> bool:
@@ -419,23 +433,13 @@ def converges_on(lts: Lts, x: int, word: Iterable[str]) -> bool:
     """Convergence along a visible word: ``x`` converges on the empty word iff
     it does not diverge, and on ``a w`` iff it converges on the empty word and
     every weak a-successor converges on ``w``."""
-    word = tuple(word)
     div = divergent_states(lts)
-    memo: Dict[Tuple[int, int], bool] = {}
-
-    def conv(y: int, i: int) -> bool:
-        key = (y, i)
-        if key not in memo:
-            if y in div:
-                memo[key] = False
-            elif i == len(word):
-                memo[key] = True
-            else:
-                memo[key] = all(conv(z, i + 1)
-                                for z in weak_successors(lts, y, word[i]))
-        return memo[key]
-
-    return conv(x, 0)
+    frontier = {x}
+    for a in word:
+        if not frontier.isdisjoint(div):
+            return False
+        frontier = set().union(*(weak_successors(lts, y, a) for y in frontier))
+    return frontier.isdisjoint(div)
 
 
 def initial_actions(lts: Lts, x: int) -> int:

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+import semcheck.bench as bench
 from semcheck import (
     ALGORITHMS,
     BenchCase,
@@ -110,6 +111,22 @@ def test_oracle_agrees_with_hkc_on_random_systems():
         d = decorate(lts, "trace")
         want = oracle_equal(d, s(0), s(1))
         assert hkc_check(d, s(0), s(1)).equal == want, seed
+
+
+def test_oracle_decision_builds_the_joint_machine_once(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return reachable_machine(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "reachable_machine", counting)
+    must = load_lts("must-xy")
+    d = decorate(must, "must")
+    equal, states, _ = decide(d, "oracle", s(must.resolve_state("x")),
+                              s(must.resolve_state("y")))
+    assert equal and states is not None
+    assert len(calls) == 1
 
 
 # -- decide and the matrix ---------------------------------------------------

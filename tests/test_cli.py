@@ -216,6 +216,20 @@ def test_malformed_input_is_exit_two(capsys, tmp_path):
     assert "line 3" in err
 
 
+@pytest.mark.parametrize("spec", [
+    {"cases": 5},
+    [1, 2],
+    {"cases": [{"file": fx("ct-w"), "left": "w0", "right": "w0p"}], "cap": "big"},
+    {"cases": [{"file": 3, "left": "0", "right": "1"}]},
+])
+def test_malformed_bench_spec_is_exit_two(capsys, tmp_path, spec):
+    sf = tmp_path / "spec.json"
+    sf.write_text(json.dumps(spec))
+    code, _, err = run_cli(capsys, "bench", "--spec", str(sf))
+    assert code == 2
+    assert "semcheck: error:" in err
+
+
 def test_cap_exhaustion_is_exit_two(capsys):
     code, _, err = run_cli(capsys, "equiv", "--sem", "failure", "--algo",
                            "naive", "--cap", "2", fx("fail-pq"), "p0", "q0")

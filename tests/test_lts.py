@@ -92,6 +92,19 @@ def test_parse_rejects_wrong_name_count():
         parse_lts("lts 2\nalphabet a\nnames only_one\n")
 
 
+@pytest.mark.parametrize("text", [
+    "lts 2\nalphabet a\nnames x y\nnames u v\n",
+    "lts 2\nalphabet a\nnames x x\n",
+    "gps 2\nalphabet a\nnames x y\nnames u v\n",
+    "gps 2\nalphabet a\nnames x x\n",
+])
+def test_parse_rejects_second_names_line_and_repeated_names(text):
+    parse = parse_gps if text.startswith("gps") else parse_lts
+    with pytest.raises(FormatError) as exc:
+        parse(text)
+    assert exc.value.line == text.count("\n")
+
+
 def test_parse_reports_line_numbers():
     text = "lts 2\nalphabet a\n# fine so far\n0 a 1\nbogus line here extra\n"
     with pytest.raises(FormatError) as exc:
@@ -201,6 +214,11 @@ def test_converges_on_words():
     assert not converges_on(lts, x, ("b",))
     assert not converges_on(lts, x3, ("b",))
     assert not converges_on(lts, x4, ())
+
+
+def test_converges_on_long_word():
+    lts = parse_lts("lts 2\nalphabet a\n0 a 0\n0 tau 1\n1 a 1\n")
+    assert converges_on(lts, 0, "a" * 5000)
 
 
 # -- readiness and refusal ---------------------------------------------------
