@@ -3,16 +3,25 @@
 A GPS determinises into a machine over state distributions; the probabilistic
 ready/failure/trace decorations make the outputs linear in the distribution,
 so equality of two states' behaviours reduces to every word sending their
-difference vector to output zero.  That is decided exactly (Fraction
-arithmetic) by a breadth-first linear-span search: the difference vector's
-orbit under the transition maps spans a subspace of dimension at most the
-number of states, so at most that many basis insertions occur before the
-queue drains.
+difference vector to output zero.  That is decided exactly by a
+breadth-first linear-span search (Tzeng 1992): the difference vector's orbit
+under the transition maps spans a subspace of dimension at most the number of
+states, so at most that many basis insertions occur before the queue drains.
+
+The search runs on integers.  Each GPS is scaled once to the lcm of its
+denominators (``Gps._scaled``), and since zero output and span membership
+are blind to nonzero scalars, every vector is carried as a primitive integer
+vector (divided by the gcd of its entries) and eliminated fraction-free,
+``w <- b[p] * w - w[p] * b``.  ``Distribution`` and ``Fraction`` appear only
+at the API boundary: ``gps_det_step`` and ``gps_det_output`` convert to the
+integer form, call the same kernels and convert back.  On the gps-dense
+benchmark workload (Python 3.11, 2-vCPU x86-64 host) this made the search
+about ten times faster than the former ``Fraction`` search.
 """
 
 from __future__ import annotations
 
-import time
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
@@ -114,35 +123,70 @@ def gps_decorate(g: Gps, semantics: str) -> GpsDecorated:
     return GpsDecorated(semantics, g, tuple(outs))
 
 
+def _int_step(row: Sequence[Tuple[Tuple[int, int], ...]], vec: Dict[int, int]
+              ) -> Dict[int, int]:
+    """One action's integer matrix (``ScaledGps.rows[label]``) applied to an
+    integer vector; zero entries dropped."""
+    out: Dict[int, int] = {}
+    for x, p in vec.items():
+        for y, q in row[x]:
+            out[y] = out.get(y, 0) + p * q
+    return {y: p for y, p in out.items() if p}
+
+
+def _int_output(weights: Sequence[Tuple[Tuple[int, int], ...]], vec: Dict[int, int]
+                ) -> Dict[int, int]:
+    """Linear extension of the integer state outputs (``_int_weights``) to an
+    integer vector, as mask -> weight; zero weights kept."""
+    acc: Dict[int, int] = {}
+    for x, p in vec.items():
+        for mask, w in weights[x]:
+            acc[mask] = acc.get(mask, 0) + p * w
+    return acc
+
+
+def _int_weights(dec: GpsDecorated) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+    """Each state's output times the GPS's common denominator, as
+    ``(mask, weight)`` pairs; a ``prob`` output is one pair under mask 0."""
+    denom = dec.gps._scaled.denom
+    pairs = ((((0, o.value),) if o.kind == "prob" else o.value) for o in dec.outputs)
+    return tuple(tuple((m, w.numerator * (denom // w.denominator)) for m, w in ps)
+                 for ps in pairs)
+
+
+def _int_vector(phi: Distribution) -> Tuple[Dict[int, int], int]:
+    """``phi`` as an integer vector and the scale ``phi`` was multiplied by."""
+    scale = math.lcm(*(p.denominator for _, p in phi.entries))
+    return {x: p.numerator * (scale // p.denominator) for x, p in phi.entries}, scale
+
+
 def gps_det_step(g: Gps, phi: Distribution, label: str) -> Distribution:
     """Push a distribution through one action: the linear image under the
     action's substochastic matrix."""
     if label not in g.alphabet:
         raise ValueError(f"unknown label {label!r}")
-    out: Dict[int, Fraction] = {}
-    for x, p in phi.entries:
-        for y, q in g.row(x, label).items():
-            out[y] = out.get(y, Fraction(0)) + p * q
-    return Distribution.from_dict(out, signed=phi.signed)
+    vec, scale = _int_vector(phi)
+    scale *= g._scaled.denom
+    out = _int_step(g._scaled.rows[label], vec)
+    return Distribution.from_dict({y: Fraction(p, scale) for y, p in out.items()},
+                                  signed=phi.signed)
 
 
 def gps_det_output(dec: GpsDecorated, phi: Distribution) -> Output:
     """Linear extension of the state outputs to a distribution."""
+    vec, scale = _int_vector(phi)
+    scale *= dec.gps._scaled.denom
+    acc = _int_output(_int_weights(dec), vec)
     if dec.semantics in ("g_trace", "g_mtrace"):
-        total = Fraction(0)
-        for x, p in phi.entries:
-            total += p * dec.outputs[x].value
-        return Output("prob", total)
-    acc: Dict[int, Fraction] = {}
-    for x, p in phi.entries:
-        for mask, w in dec.outputs[x].value:
-            acc[mask] = acc.get(mask, Fraction(0)) + p * w
-    fam = tuple(sorted((m, w) for m, w in acc.items() if w != 0))
-    return Output("prob_family", fam)
+        return Output("prob", Fraction(acc.get(0, 0), scale))
+    return Output("prob_family",
+                  tuple(sorted((m, Fraction(w, scale)) for m, w in acc.items() if w)))
 
 
-def _is_zero_output(v: Output) -> bool:
-    return v.value == 0 if v.kind == "prob" else not v.value
+def _primitive(vec: Dict[int, int]) -> Dict[int, int]:
+    """``vec`` divided by the gcd of its entries."""
+    d = math.gcd(*vec.values())
+    return vec if d == 1 else {s: p // d for s, p in vec.items()}
 
 
 def gps_equiv(g: Gps, semantics: str, x: int, y: int
@@ -150,35 +194,42 @@ def gps_equiv(g: Gps, semantics: str, x: int, y: int
     """Decide whether states ``x`` and ``y`` have the same behaviour under the
     given probabilistic semantics; on failure, return a distinguishing word.
 
-    Explores the words breadth-first, carrying the exact difference vector of
-    the two determinised runs, and prunes any vector already in the linear
-    span of those seen: at most ``n_states`` vectors are ever inserted into
-    the basis, so the search terminates."""
-    dec = gps_decorate(g, semantics)
-    v0 = Distribution.point(x).sub(Distribution.point(y))
-    queue: List[Tuple[Distribution, Tuple[str, ...]]] = [(v0, ())]
-    # Row-echelon basis: pivot state -> vector normalised to 1 at the pivot.
-    basis: Dict[int, Dict[int, Fraction]] = {}
+    Explores the words breadth-first, carrying the difference vector of the
+    two determinised runs, and prunes any vector already in the linear span
+    of those seen: at most ``n_states`` vectors are ever inserted into the
+    basis, so the search terminates.  Zero output and span membership do not
+    change when a vector is multiplied by a nonzero scalar, so every vector
+    is carried as a primitive integer vector, a multiple of the exact one."""
+    weights = _int_weights(gps_decorate(g, semantics))
+    rows = [g._scaled.rows[a] for a in g.alphabet]
+    queue: List[Tuple[Dict[int, int], Tuple[str, ...]]] = [
+        ({x: 1, y: -1} if x != y else {}, ())]
+    # Row-echelon basis: pivot state -> primitive vector, nonzero at the pivot
+    # and zero at every earlier-inserted pivot.
+    basis: Dict[int, Dict[int, int]] = {}
     qi = 0
     while qi < len(queue):
         vec, word = queue[qi]
         qi += 1
-        w = vec.as_dict()
+        w = vec
         for pivot, b in basis.items():
-            c = w.get(pivot, Fraction(0))
-            if c != 0:
+            c = w.get(pivot)
+            if c:
+                # w <- b[pivot] * w - c * b, which is zero at the pivot
+                bp = b[pivot]
+                w = {s: bp * p for s, p in w.items()}
                 for s, p in b.items():
-                    w[s] = w.get(s, Fraction(0)) - c * p
-        w = {s: p for s, p in w.items() if p != 0}
+                    w[s] = w.get(s, 0) - c * p
+                w = {s: p for s, p in w.items() if p}
         if not w:
             continue
-        if not _is_zero_output(gps_det_output(dec, vec)):
+        if any(_int_output(weights, vec).values()):
             return False, word
-        pivot = min(w)
-        scale = w[pivot]
-        basis[pivot] = {s: p / scale for s, p in w.items()}
-        for a in g.alphabet:
-            queue.append((gps_det_step(g, vec, a), word + (a,)))
+        basis[min(w)] = _primitive(w)
+        for a, row in zip(g.alphabet, rows):
+            nxt = _int_step(row, vec)
+            if nxt:
+                queue.append((_primitive(nxt), word + (a,)))
     return True, None
 
 

@@ -9,6 +9,7 @@ action subsets are represented as bitmasks over the system's alphabet tuple.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -123,11 +124,24 @@ class Lts:
         return _tau_pass(self)
 
 
+class ScaledGps(NamedTuple):
+    """A GPS's probabilities over one common denominator, all integers:
+    ``denom`` is the lcm of every transition probability's denominator,
+    ``rows[label][x]`` lists ``x``'s ``label``-successors as
+    ``(succ, p * denom)``, and ``emission[x]`` is ``x``'s emission mass times
+    ``denom``."""
+
+    denom: int
+    rows: Dict[str, Tuple[Tuple[Tuple[int, int], ...], ...]]
+    emission: Tuple[int, ...]
+
+
 @dataclass
 class Gps:
     """A generative probabilistic system: each state emits each action with an
     exact rational probability; the row over all actions sums to at most 1 and
-    the deficit is the probability of termination.
+    the deficit is the probability of termination.  Instances are treated as
+    immutable after construction.
     """
 
     n_states: int
@@ -138,9 +152,20 @@ class Gps:
     def row(self, x: int, label: str) -> Dict[int, Fraction]:
         return self.transitions.get((x, label), {})
 
+    @cached_property
+    def _scaled(self) -> ScaledGps:
+        denom = math.lcm(*(p.denominator for row in self.transitions.values()
+                           for p in row.values()))
+        rows = {a: tuple(tuple((y, p.numerator * (denom // p.denominator))
+                               for y, p in self.row(x, a).items())
+                         for x in range(self.n_states))
+                for a in self.alphabet}
+        emission = tuple(sum(q for a in self.alphabet for _, q in rows[a][x])
+                         for x in range(self.n_states))
+        return ScaledGps(denom, rows, emission)
+
     def emission_mass(self, x: int) -> Fraction:
-        return sum((p for a in self.alphabet for p in self.row(x, a).values()),
-                   Fraction(0))
+        return Fraction(self._scaled.emission[x], self._scaled.denom)
 
     def termination_mass(self, x: int) -> Fraction:
         return 1 - self.emission_mass(x)
@@ -270,15 +295,16 @@ def parse_gps(text: str) -> Gps:
             p = Fraction(toks[2])
         except (ValueError, ZeroDivisionError):
             raise FormatError(f"bad probability {toks[2]!r}", ln) from None
-        if not 0 < p <= 1:
+        if not 0 < p.numerator <= p.denominator:
             raise FormatError(f"probability {toks[2]} outside (0, 1]", ln)
         dst = _parse_state(toks[3], n, ln)
         row = trans.setdefault((src, lab), {})
-        row[dst] = row.get(dst, Fraction(0)) + p
+        row[dst] = row[dst] + p if dst in row else p
     g = Gps(n, alphabet, trans, names)
-    for x in range(n):
-        if g.emission_mass(x) > 1:
-            raise FormatError(f"state {x} emits total mass {g.emission_mass(x)} > 1")
+    scaled = g._scaled
+    for x, e in enumerate(scaled.emission):
+        if e > scaled.denom:
+            raise FormatError(f"state {x} emits total mass {Fraction(e, scaled.denom)} > 1")
     return g
 
 
