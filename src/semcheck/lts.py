@@ -336,7 +336,9 @@ def format_gps(g: Gps) -> str:
 
 def disjoint_union(a: Lts, b: Lts) -> Lts:
     """Place two systems side by side (states of ``b`` shifted by ``a.n_states``).
-    Alphabets must agree; names are kept when both systems carry them."""
+    Alphabets must agree; names are kept when both systems carry them, and a
+    name of ``b`` already in use takes primes (``x'``, ``x''``, ...) until it
+    is free."""
     if a.alphabet != b.alphabet:
         raise ValueError("alphabet mismatch in disjoint union")
     trans = dict(a.transitions)
@@ -348,7 +350,14 @@ def disjoint_union(a: Lts, b: Lts) -> Lts:
             y + a.n_states for y in (b.finals or ()))
     names = None
     if a.names is not None and b.names is not None:
-        names = a.names + b.names
+        taken = set(a.names)
+        renamed = []
+        for name in b.names:
+            while name in taken:
+                name += "'"
+            taken.add(name)
+            renamed.append(name)
+        names = a.names + tuple(renamed)
     return Lts(a.n_states + b.n_states, a.alphabet, trans, finals, names)
 
 

@@ -153,7 +153,7 @@ def moore_partition_classes(machine: MooreMachine) -> Tuple[int, ...]:
         ids: Dict[object, int] = {}
         return tuple(ids.setdefault(s, len(ids)) for s in sig)
 
-    blocks = renumber([repr(o) for o in machine.outputs])
+    blocks = renumber(machine.outputs)
     while True:
         sig = [(blocks[q],
                 tuple(blocks[machine.steps[q][a]] for a in machine.alphabet))

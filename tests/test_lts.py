@@ -178,6 +178,17 @@ def test_disjoint_union_shifts_second_component():
     assert u.resolve_state("x") == 0
 
 
+def test_disjoint_union_renames_clashing_names():
+    a = load_lts("must-x")
+    u = disjoint_union(a, a)
+    assert u.names[:6] == a.names
+    assert u.resolve_state("x'") == 6
+    assert u.resolve_state("x5'") == 11
+    assert parse_lts(format_lts(u)) == u
+    # a primed name the first system already has takes one more prime
+    b = parse_lts("lts 2\nalphabet a\nnames x x'\n")
+    assert disjoint_union(b, b).names == ("x", "x'", "x''", "x'''")
+
 # -- tau machinery -----------------------------------------------------------
 
 

@@ -7,6 +7,7 @@ import pytest
 from semcheck import (
     TOP,
     CapExceeded,
+    MooreMachine,
     Output,
     VariantMismatch,
     behavior,
@@ -166,6 +167,14 @@ def test_moore_partition_separates_by_output():
     m = reachable_machine(d, [frozenset({0}), frozenset({2})])
     classes = moore_partition_classes(m)
     assert classes[0] != classes[1]
+
+
+def test_moore_partition_seeds_blocks_by_equal_outputs():
+    # Equal frozensets built in different orders can print differently.
+    a, b = frozenset([8, 0, 2]), frozenset([0, 2, 8])
+    m = MooreMachine("failure", ("a",), [Output("family", a), Output("family", b)],
+                     [{"a": 0}, {"a": 1}], [0])
+    assert moore_partition_classes(m) == (0, 0)
 
 
 # -- spectrum coarsenings ----------------------------------------------------
