@@ -145,13 +145,15 @@ def _int_output(weights: Sequence[Tuple[Tuple[int, int], ...]], vec: Dict[int, i
     return acc
 
 
-def _int_weights(dec: GpsDecorated) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
-    """Each state's output times the GPS's common denominator, as
-    ``(mask, weight)`` pairs; a ``prob`` output is one pair under mask 0."""
-    denom = dec.gps._scaled.denom
-    pairs = ((((0, o.value),) if o.kind == "prob" else o.value) for o in dec.outputs)
-    return tuple(tuple((m, w.numerator * (denom // w.denominator)) for m, w in ps)
-                 for ps in pairs)
+def _int_weights(dec: GpsDecorated
+                 ) -> Tuple[Tuple[Tuple[Tuple[int, int], ...], ...], int]:
+    """Each state's output as ``(mask, weight)`` pairs, a ``prob`` output
+    being one pair under mask 0, with every weight multiplied by the lcm of
+    the weights' denominators; and that lcm."""
+    pairs = [((0, o.value),) if o.kind == "prob" else o.value for o in dec.outputs]
+    scale = math.lcm(*(w.denominator for ps in pairs for _, w in ps))
+    return tuple(tuple((m, w.numerator * (scale // w.denominator)) for m, w in ps)
+                 for ps in pairs), scale
 
 
 def _int_vector(phi: Distribution) -> Tuple[Dict[int, int], int]:
@@ -175,8 +177,9 @@ def gps_det_step(g: Gps, phi: Distribution, label: str) -> Distribution:
 def gps_det_output(dec: GpsDecorated, phi: Distribution) -> Output:
     """Linear extension of the state outputs to a distribution."""
     vec, scale = _int_vector(phi)
-    scale *= dec.gps._scaled.denom
-    acc = _int_output(_int_weights(dec), vec)
+    weights, wscale = _int_weights(dec)
+    acc = _int_output(weights, vec)
+    scale *= wscale
     if dec.semantics in ("g_trace", "g_mtrace"):
         return Output("prob", Fraction(acc.get(0, 0), scale))
     return Output("prob_family",
@@ -200,7 +203,7 @@ def gps_equiv(g: Gps, semantics: str, x: int, y: int
     basis, so the search terminates.  Zero output and span membership do not
     change when a vector is multiplied by a nonzero scalar, so every vector
     is carried as a primitive integer vector, a multiple of the exact one."""
-    weights = _int_weights(gps_decorate(g, semantics))
+    weights, _ = _int_weights(gps_decorate(g, semantics))
     rows = [g._scaled.rows[a] for a in g.alphabet]
     queue: List[Tuple[Dict[int, int], Tuple[str, ...]]] = [
         ({x: 1, y: -1} if x != y else {}, ())]

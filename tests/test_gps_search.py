@@ -1,9 +1,8 @@
 """Regression guard and differential check for the probabilistic span search.
 
 ``gps_equiv`` explores words breadth-first and prunes difference vectors
-already in the span of those seen; its verdict and counterexample word depend
-on that order, on the pivot rule and on where the output test sits.  The
-digest test reduces (verdict, word) over a seeded corpus to one canonical
+already in the span of those seen; its counterexample word depends on that
+order and on what it prunes.  The digest test reduces (verdict, word) over a seeded corpus to one canonical
 text and pins its sha256, so any change to what the search returns shows up
 here.  The other tests recompute runs and outputs from ``Gps.row`` with plain
 ``Fraction`` arithmetic, independently of the library's linear maps.
@@ -21,6 +20,7 @@ from semcheck import (
     GPS_SEMANTICS,
     Distribution,
     Gps,
+    GpsDecorated,
     Output,
     full_mask,
     gps_decorate,
@@ -132,6 +132,15 @@ def test_det_step_and_output_on_random_walks():
             a = rng.choice(g.alphabet)
             phi, vec = gps_det_step(g, phi, a), _step(g, vec, a)
             assert phi.as_dict() == vec and phi.signed == signed, (seed, a)
+
+
+def test_det_output_takes_weights_of_any_denominator():
+    g = random_gps(3)
+    outputs = tuple(Output("prob", Fraction(x + 1, 7)) for x in range(g.n_states))
+    dec = GpsDecorated("g_mtrace", g, outputs)
+    phi = Distribution.from_dict({0: Fraction(1, 3), g.n_states - 1: Fraction(1, 5)})
+    expected = Fraction(1, 21) + Fraction(g.n_states, 35)
+    assert gps_det_output(dec, phi) == Output("prob", expected)
 
 
 def test_gps_equiv_agrees_with_word_enumeration():
