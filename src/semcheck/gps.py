@@ -176,10 +176,10 @@ def gps_det_step(g: Gps, phi: Distribution, label: str) -> Distribution:
 
 def gps_det_output(dec: GpsDecorated, phi: Distribution) -> Output:
     """Linear extension of the state outputs to a distribution."""
-    vec, scale = _int_vector(phi)
+    vec, vscale = _int_vector(phi)
     weights, wscale = _int_weights(dec)
     acc = _int_output(weights, vec)
-    scale *= wscale
+    scale = vscale * wscale
     if dec.semantics in ("g_trace", "g_mtrace"):
         return Output("prob", Fraction(acc.get(0, 0), scale))
     return Output("prob_family",
