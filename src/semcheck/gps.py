@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .decorations import Output, VariantMismatch
 from .lts import Gps, full_mask, submasks
@@ -204,7 +204,6 @@ def gps_equiv(g: Gps, semantics: str, x: int, y: int
     change when a vector is multiplied by a nonzero scalar, so every vector
     is carried as a primitive integer vector, a multiple of the exact one."""
     weights, _ = _int_weights(gps_decorate(g, semantics))
-    rows = [g._scaled.rows[a] for a in g.alphabet]
     queue: List[Tuple[Dict[int, int], Tuple[str, ...]]] = [
         ({x: 1, y: -1} if x != y else {}, ())]
     # Row-echelon basis: pivot state -> primitive vector, nonzero at the pivot
@@ -229,7 +228,7 @@ def gps_equiv(g: Gps, semantics: str, x: int, y: int
         if any(_int_output(weights, vec).values()):
             return False, word
         basis[min(w)] = _primitive(w)
-        for a, row in zip(g.alphabet, rows):
+        for a, row in g._scaled.rows.items():  # in alphabet order
             nxt = _int_step(row, vec)
             if nxt:
                 queue.append((_primitive(nxt), word + (a,)))
