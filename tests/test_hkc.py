@@ -2,18 +2,25 @@
 
 from __future__ import annotations
 
+import math
+import random
+
 import pytest
 
 from semcheck import (
+    SEMANTICS,
     TOP,
     CapExceeded,
     behavior,
     decorate,
+    gen_interleave,
     hkc_check,
     in_congruence,
     preorder_check,
+    random_lts,
     saturate,
 )
+from semcheck.hkc import product_walk
 
 from conftest import load_lts
 
@@ -138,3 +145,74 @@ def test_preorder_rejects_other_semantics():
         preorder_check(d, "trace", 0, 1)
     with pytest.raises(ValueError):
         preorder_check(d, "may", 0, 1)   # system decorated for trace
+
+
+# -- reference walk ----------------------------------------------------------
+
+
+def _reference_saturate(pairs, z):
+    """The congruence closure by its definition: sweep the pairs until no
+    component dominated by ``z`` adds anything to it."""
+    def leq(a, b):
+        return b is TOP or (a is not TOP and a <= b)
+
+    changed = True
+    while changed:
+        changed = False
+        for u, v in pairs:
+            for p, q in ((u, v), (v, u)):
+                if leq(p, z) and not leq(q, z):
+                    z = TOP if q is TOP else z | q
+                    changed = True
+    return z
+
+
+def _reference_hkc(d, left, right):
+    """HKC with the prune rule spelt out: skip a pair when its two sides
+    saturate to the same set over the relation and the pairs still queued."""
+    def prune(pair, relation, todo, qi):
+        live = relation + todo[qi:]
+        return _reference_saturate(live, pair[0]) == _reference_saturate(live, pair[1])
+
+    return product_walk(d, left, right, math.inf, prune)
+
+
+def _assert_matches_reference(d, left, right, rep):
+    equal, relation, processed, word = _reference_hkc(d, left, right)
+    assert (rep.equal, rep.relation, rep.pairs_processed, rep.counterexample) == \
+        (equal, relation, processed, word), (d.semantics, left, right)
+
+
+def test_hkc_matches_reference_congruence_walk():
+    checked = 0
+    for seed in range(300):
+        lts = random_lts(seed)
+        rng = random.Random(seed)
+        starts = [frozenset(rng.sample(range(lts.n_states),
+                                       rng.randint(1, min(3, lts.n_states))))
+                  for _ in range(4)]
+        for tag in SEMANTICS:
+            try:
+                d = decorate(lts, tag)
+            except ValueError:  # language needs final states
+                continue
+            for left, right in zip(starts[::2], starts[1::2]):
+                _assert_matches_reference(d, left, right, hkc_check(d, left, right))
+                checked += 1
+        for sem in ("may", "must"):
+            d = decorate(lts, sem)
+            for x in range(lts.n_states):
+                for y in range(lts.n_states):
+                    joined = frozenset({x, y})
+                    other = frozenset({y}) if sem == "may" else frozenset({x})
+                    _assert_matches_reference(d, joined, other,
+                                              preorder_check(d, sem, x, y))
+    assert checked > 1000
+    # A pair pruned only because a later copy of itself is still queued must
+    # get a real check when that copy comes up.
+    lts = gen_interleave(200)
+    d = decorate(lts, "must")
+    x, y = frozenset({lts.resolve_state("x")}), frozenset({lts.resolve_state("y")})
+    rep = hkc_check(d, x, y)
+    _assert_matches_reference(d, x, y, rep)
+    assert rep.pairs_processed == 405
