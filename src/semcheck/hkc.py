@@ -5,60 +5,168 @@ Both back ends are one breadth-first walk over pairs of determinised states
 only in which pairs they skip.  The naive walk skips pairs it has already
 related.  The congruence check skips pairs that already lie in the
 congruence closure of the pairs collected so far, which prunes the search
-exponentially on systems whose subset construction blows up.  The closure is
-computed by saturating a set with the collected pairs (join a pair's other
-component whenever one component is dominated) until a fixpoint.
+exponentially on systems whose subset construction blows up.
+
+The closure is Horn-clause propagation (Dowling & Gallier 1984): each pair
+``(u, v)`` is the two rules ``u => v`` and ``v => u``, and saturating a set
+fires every rule whose premise it covers until none adds anything.
+``Generators`` keeps one index of those rules for a whole check: every rule
+waits on one premise state, and when that state joins the set being
+saturated the rule either fires or moves to a premise state still missing.
+A saturation therefore touches only the rules of states it reaches, and the
+index is updated as pairs are queued and dequeued instead of being rebuilt
+for every pair.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from .decorations import TOP, DecoratedLts, EffLabel
 from .moore import DEFAULT_CAP, CapExceeded, DetState, det_output, det_step
 
-
-def _leq(a: DetState, b: DetState) -> bool:
-    """Set inclusion extended with an absorbing top element."""
-    if b is TOP:
-        return True
-    if a is TOP:
-        return False
-    return a <= b
+Pair = Tuple[DetState, DetState]
 
 
-def _join(a: DetState, b: DetState) -> DetState:
-    if a is TOP or b is TOP:
-        return TOP
-    return a | b
+def _covers(z: DetState, goal: DetState) -> bool:
+    """Whether ``goal`` lies below ``z``, with TOP above every set."""
+    return z is TOP or (goal is not TOP and goal <= z)
 
 
-def saturate(pairs: Sequence[Tuple[DetState, DetState]], z: DetState) -> DetState:
+def _mask(states) -> int:
+    m = 0
+    for x in states:
+        m |= 1 << x
+    return m
+
+
+class Generators:
+    """A multiset of pairs, indexed as the Horn rules of their congruence.
+
+    Each distinct pair ``(u, v)`` contributes ``u => v`` and ``v => u``; both
+    fire only while the pair's multiplicity is positive.  A rule sits in the
+    watch list of one of its premise states, or among the unconditional rules
+    if its premise is empty; premises are tested as bitmasks.  A rule with a
+    TOP premise fires only from TOP, where nothing is left to add, and a rule
+    whose conclusion lies inside its premise adds nothing, so neither is
+    indexed.  A TOP conclusion makes the saturated set TOP."""
+
+    def __init__(self, pairs: Iterable[Pair] = ()):
+        # pair -> [multiplicity, parked rules], the cell of the pair's rules
+        self._live: Dict[Pair, list] = {}
+        self._watch: Dict[int, List[tuple]] = {}
+        self._unconditional: List[tuple] = []
+        for pair in pairs:
+            self.add(pair)
+
+    def add(self, pair: Pair) -> None:
+        cell = self._live.get(pair)
+        if cell is None:
+            cell = self._live[pair] = [0, []]
+            u, v = pair
+            for premise, conclusion in ((u, v), (v, u)):
+                if premise is TOP or _covers(premise, conclusion):
+                    continue
+                cell[1].append((_mask(premise), conclusion,
+                                0 if conclusion is TOP else _mask(conclusion), cell))
+        if not cell[0]:
+            # back to life: index the rules a closure parked while it was dead
+            for rule in cell[1]:
+                if rule[0]:
+                    self._watch.setdefault(rule[0].bit_length() - 1, []).append(rule)
+                else:
+                    self._unconditional.append(rule)
+            cell[1].clear()
+        cell[0] += 1
+
+    def remove(self, pair: Pair) -> None:
+        self._live[pair][0] -= 1
+
+    def __contains__(self, pair: Pair) -> bool:
+        cell = self._live.get(pair)
+        return cell is not None and cell[0] > 0
+
+    def close(self, z: DetState, goal: Optional[DetState] = None) -> DetState:
+        """The least set above ``z`` closed under the live rules; with a
+        ``goal``, stop as soon as the set covers it."""
+        if z is TOP or (goal is not None and _covers(z, goal)):
+            return z
+        # 0 never stops the walk early: an empty goal is covered before it
+        wanted = 0 if goal is None or goal is TOP else _mask(goal)
+        acc: Set[int] = set(z)
+        unreached = ~_mask(acc)
+        queue = list(acc)
+
+        def join(conclusion, cmask) -> bool:
+            """Join a fired rule's conclusion into ``acc``; whether to stop."""
+            nonlocal unreached
+            if conclusion is TOP:
+                return True
+            new = conclusion - acc
+            acc.update(new)
+            queue.extend(new)
+            unreached &= ~cmask
+            return wanted != 0 and not wanted & unreached
+
+        live = []
+        for rule in self._unconditional:
+            cell = rule[3]
+            (live if cell[0] else cell[1]).append(rule)
+        self._unconditional = live
+        for _, conclusion, cmask, _ in live:
+            if join(conclusion, cmask):
+                return TOP if conclusion is TOP else frozenset(acc)
+        watch = self._watch
+        while queue:
+            rules = watch.get(queue.pop())
+            if not rules:
+                continue
+            kept = []
+            for i, rule in enumerate(rules):
+                pmask, conclusion, cmask, cell = rule
+                if not cell[0]:
+                    cell[1].append(rule)   # parked until the pair is queued again
+                    continue
+                missing = pmask & unreached
+                if missing:
+                    # watch the highest premise state not reached yet
+                    w = missing.bit_length() - 1
+                    moved = watch.get(w)
+                    if moved is None:
+                        watch[w] = [rule]
+                    else:
+                        moved.append(rule)
+                    continue
+                kept.append(rule)
+                if join(conclusion, cmask):
+                    kept.extend(rules[i + 1:])
+                    rules[:] = kept
+                    return TOP if conclusion is TOP else frozenset(acc)
+            rules[:] = kept
+        return frozenset(acc)
+
+
+def saturate(pairs: Iterable[Pair], z: DetState,
+             goal: Optional[DetState] = None) -> DetState:
     """Least fixpoint of widening ``z`` by the given pairs: whenever one
-    component of a pair is dominated by ``z``, join in the other component."""
-    changed = True
-    while changed:
-        changed = False
-        for u, v in pairs:
-            if _leq(u, z) and not _leq(v, z):
-                z = _join(z, v)
-                changed = True
-            if _leq(v, z) and not _leq(u, z):
-                z = _join(z, u)
-                changed = True
-    return z
+    component of a pair is dominated by ``z``, join in the other component.
+
+    ``pairs`` is a sequence of pairs or a live :class:`Generators` index.
+    With a ``goal``, the widening stops as soon as it covers ``goal``, so the
+    result covers ``goal`` exactly when the fixpoint does."""
+    gens = pairs if isinstance(pairs, Generators) else Generators(pairs)
+    return gens.close(z, goal)
 
 
-def in_congruence(pairs: Sequence[Tuple[DetState, DetState]],
-                  left: DetState, right: DetState) -> bool:
+def in_congruence(pairs: Iterable[Pair], left: DetState, right: DetState) -> bool:
     """Whether ``(left, right)`` lies in the congruence closure of ``pairs``
     (both sides saturate to the same set)."""
-    return saturate(pairs, left) == saturate(pairs, right)
+    gens = Generators(pairs)
+    return saturate(gens, left) == saturate(gens, right)
 
 
-Pair = Tuple[DetState, DetState]
 
 
 def product_walk(d: DecoratedLts, left: DetState, right: DetState, cap: float,
@@ -144,10 +252,23 @@ def hkc_check(d: DecoratedLts, left: DetState, right: DetState,
     most ``cap`` pairs are processed, pruned ones included; each processed
     pair discovers at most one pair per label, so the walk needs no bound of
     its own."""
+    gens = Generators()
+    queued = related = 0   # todo[:queued] and relation[:related] are in gens
+
     def up_to_congruence(pair: Pair, relation, todo, qi) -> bool:
+        nonlocal queued, related
         if qi > cap:
             raise CapExceeded("pair exploration", qi)
-        return in_congruence(relation + todo[qi:], *pair)
+        for p in todo[queued:]:
+            gens.add(p)
+        for p in relation[related:]:
+            gens.add(p)
+        queued, related = len(todo), len(relation)
+        gens.remove(pair)   # dequeued: the live pairs are relation + todo[qi:]
+        if pair in gens:
+            return True
+        l, r = pair
+        return _covers(saturate(gens, l, r), r) and _covers(saturate(gens, r, l), l)
 
     return HkcReport(*product_walk(d, left, right, math.inf, up_to_congruence))
 

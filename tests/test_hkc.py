@@ -52,6 +52,41 @@ def test_in_congruence_uses_union_reasoning():
     assert not in_congruence(pairs, s(0), s(4, 5))
 
 
+def test_live_generators_saturate_like_their_pairs():
+    # Queue and dequeue pairs at random: the index must saturate exactly like
+    # the list of pairs still live, and a goal must be covered exactly when
+    # the fixpoint covers it.
+    from semcheck.hkc import Generators
+
+    rng = random.Random(3)
+
+    def state(n):
+        return TOP if rng.random() < 0.08 else frozenset(
+            x for x in range(n) if rng.random() < 0.3)
+
+    def covers(z, goal):
+        return z is TOP or (goal is not TOP and goal <= z)
+
+    for _ in range(400):
+        n = rng.randint(1, 9)
+        pool = [(state(n), state(n)) for _ in range(rng.randint(1, 8))]
+        gens, live = Generators(), []
+        for _ in range(30):
+            op = rng.random()
+            if op < 0.4 or not live:
+                pair = rng.choice(pool)
+                gens.add(pair)
+                live.append(pair)
+            elif op < 0.7:
+                gens.remove(live.pop(rng.randrange(len(live))))
+            else:
+                z, goal = state(n), state(n)
+                full = saturate(live, z)
+                assert saturate(gens, z) == full
+                assert covers(saturate(gens, z, goal), goal) == covers(full, goal)
+            assert all((pair in gens) == (pair in live) for pair in pool)
+
+
 # -- equivalence checks ------------------------------------------------------
 
 
