@@ -2,9 +2,11 @@
 
 Subcommands read a system description (file path or ``-`` for stdin), print a
 JSON report on stdout and a one-line human summary on stderr, and exit with
-0 when the checked property holds, 1 when it fails, and 2 on any error.
+0 when the checked property holds, 1 when it fails, and 2 on any error,
+reported as one ``semcheck: error:`` line (``--debug`` re-raises it instead).
 State arguments accept display names (when the file carries a ``names`` line)
-or numeric indices; names win when both could apply.
+or numeric indices; names win when both could apply.  An empty state or
+state-set argument is an error.
 """
 
 from __future__ import annotations
@@ -39,8 +41,19 @@ def _read_source(path: str) -> str:
         return fh.read()
 
 
-def _resolve_set(system, tokens: str) -> frozenset:
-    return frozenset(system.resolve_state(t) for t in tokens.split(",") if t)
+def _resolve_set(system, tokens: str, what: str) -> frozenset:
+    """The states named by a comma-separated argument; ``what`` names the
+    argument in the error raised when it names none."""
+    states = frozenset(system.resolve_state(t) for t in tokens.split(",") if t)
+    if not states:
+        raise ValueError(f"{what} needs at least one state")
+    return states
+
+
+def _resolve_state(system, token: str, what: str) -> int:
+    if not token:
+        raise ValueError(f"{what} needs at least one state")
+    return system.resolve_state(token)
 
 
 def _render_detstate(state, lts: Lts) -> str:
@@ -77,7 +90,8 @@ def _labels(word) -> Optional[List[str]]:
 
 def cmd_equiv(args) -> int:
     lts = parse_lts(_read_source(args.file))
-    left, right = _resolve_set(lts, args.left), _resolve_set(lts, args.right)
+    left = _resolve_set(lts, args.left, "left")
+    right = _resolve_set(lts, args.right, "right")
     d = decorate(lts, args.sem, args.cap)
     states = relation = witness = counterexample = None
     if args.algo == "naive":
@@ -102,7 +116,8 @@ def cmd_equiv(args) -> int:
 
 def cmd_preorder(args) -> int:
     lts = parse_lts(_read_source(args.file))
-    x, y = lts.resolve_state(args.left), lts.resolve_state(args.right)
+    x = _resolve_state(lts, args.left, "left")
+    y = _resolve_state(lts, args.right, "right")
     d = decorate(lts, args.sem, args.cap)
     rep, ms = _timed(preorder_check, d, args.sem, x, y, args.cap)
     rel = "below" if rep.equal else "not below"
@@ -114,9 +129,7 @@ def cmd_preorder(args) -> int:
 
 def cmd_minimize(args) -> int:
     lts = parse_lts(_read_source(args.file))
-    inits = _resolve_set(lts, args.init)
-    if not inits:
-        raise ValueError("--init needs at least one state")
+    inits = _resolve_set(lts, args.init, "--init")
     d = decorate(lts, args.sem, args.cap)
     (intermediate, minimal), ms = _timed(brzozowski_minimize, d, inits, args.cap)
     machine = {
@@ -137,7 +150,8 @@ def cmd_minimize(args) -> int:
 
 def cmd_gps_equiv(args) -> int:
     g = parse_gps(_read_source(args.file))
-    x, y = g.resolve_state(args.left), g.resolve_state(args.right)
+    x = _resolve_state(g, args.left, "left")
+    y = _resolve_state(g, args.right, "right")
     (equal, word), ms = _timed(gps_equiv, g, args.sem, x, y)
     if equal and args.with_trace and args.sem != "g_trace":
         (equal, word), trace_ms = _timed(gps_equiv, g, "g_trace", x, y)
@@ -187,9 +201,10 @@ def cmd_bench(args) -> int:
         cases = []
         for c in spec["cases"]:
             lts = parse_lts(_read_source(c["file"]))
-            cases.append(BenchCase(c.get("name", c["file"]), lts,
-                                   _resolve_set(lts, c["left"]),
-                                   _resolve_set(lts, c["right"])))
+            name = c.get("name", c["file"])
+            cases.append(BenchCase(name, lts,
+                                   _resolve_set(lts, c["left"], f"case {name!r} left"),
+                                   _resolve_set(lts, c["right"], f"case {name!r} right")))
         semantics = spec.get("semantics", ["trace", "may", "must"])
         algorithms = spec.get("algorithms",
                               ["oracle", "naive", "hkc", "brzozowski"])
@@ -217,6 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="semcheck",
         description="Decide behavioural equivalences and preorders on finite "
                     "transition systems.")
+    p.add_argument("--debug", action="store_true",
+                   help="re-raise errors with their traceback")
     sub = p.add_subparsers(dest="command", required=True)
 
     eq = sub.add_parser("equiv", help="decide equivalence of two state sets")
@@ -275,8 +292,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (FormatError, ValueError, KeyError, CapExceeded, OSError) as exc:
-        print(f"semcheck: error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        if args.debug:
+            raise
+        expected = (FormatError, ValueError, KeyError, CapExceeded, OSError)
+        message = str(exc) if isinstance(exc, expected) else f"{type(exc).__name__}: {exc}"
+        print("semcheck: error: " + " ".join(message.split()), file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -230,6 +230,44 @@ def test_malformed_bench_spec_is_exit_two(capsys, tmp_path, spec):
     assert "semcheck: error:" in err
 
 
+def _empty_state_spec(tmp_path):
+    sf = tmp_path / "spec.json"
+    sf.write_text(json.dumps(
+        {"cases": [{"file": fx("ct-w"), "left": "", "right": "w0"}]}))
+    return str(sf)
+
+
+@pytest.mark.parametrize("argv", [
+    ["equiv", "--sem", "trace", fx("ct-w"), "", "w0"],
+    ["equiv", "--sem", "trace", "--algo", "naive", fx("ct-w"), "w0", ","],
+    ["preorder", "--sem", "may", fx("ct-w"), "", "w0"],
+    ["minimize", "--sem", "trace", "--init", "", fx("ct-w")],
+    ["gps-equiv", "--sem", "g_trace", fx("gps-pu"), "p", ""],
+    ["bench", "--spec", None],
+])
+def test_empty_state_argument_is_exit_two(capsys, tmp_path, argv):
+    argv = [_empty_state_spec(tmp_path) if a is None else a for a in argv]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("semcheck: error:")
+    assert "needs at least one state" in err
+
+
+def test_unexpected_error_is_one_line_exit_two(capsys, monkeypatch):
+    import semcheck.cli as cli
+
+    def broken(*args):
+        raise RuntimeError("closure index\ncorrupted")
+
+    monkeypatch.setattr(cli, "hkc_check", broken)
+    argv = ["equiv", "--sem", "trace", fx("ct-w"), "w0", "w0p"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "semcheck: error: RuntimeError: closure index corrupted\n"
+    with pytest.raises(RuntimeError):
+        main(["--debug"] + argv)
+
+
 def test_cap_exhaustion_is_exit_two(capsys):
     code, _, err = run_cli(capsys, "equiv", "--sem", "failure", "--algo",
                            "naive", "--cap", "2", fx("fail-pq"), "p0", "q0")
