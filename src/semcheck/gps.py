@@ -202,8 +202,13 @@ def gps_equiv(g: Gps, semantics: str, x: int, y: int
     of those seen: at most ``n_states`` vectors are ever inserted into the
     basis, so the search terminates.  Zero output and span membership do not
     change when a vector is multiplied by a nonzero scalar, so every vector
-    is carried as a primitive integer vector, a multiple of the exact one."""
-    weights, _ = _int_weights(gps_decorate(g, semantics))
+    is carried as a primitive integer vector, a multiple of the exact one.
+    The output weights are computed once per GPS and semantics and kept on
+    the GPS."""
+    cache = g._output_weights
+    if semantics not in cache:
+        cache[semantics] = _int_weights(gps_decorate(g, semantics))[0]
+    weights = cache[semantics]
     queue: List[Tuple[Dict[int, int], Tuple[str, ...]]] = [
         ({x: 1, y: -1} if x != y else {}, ())]
     # Row-echelon basis: pivot state -> primitive vector, nonzero at the pivot

@@ -164,6 +164,12 @@ class Gps:
                          for x in range(self.n_states))
         return ScaledGps(denom, rows, emission)
 
+    @cached_property
+    def _output_weights(self) -> Dict[str, tuple]:
+        """Integer output weights per GPS semantics, filled on first use by
+        ``gps.gps_equiv``."""
+        return {}
+
     def emission_mass(self, x: int) -> Fraction:
         return Fraction(self._scaled.emission[x], self._scaled.denom)
 

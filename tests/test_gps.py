@@ -148,6 +148,25 @@ def test_gps_equiv_needs_two_steps():
     assert word == ("a", "a")
 
 
+def test_gps_equiv_decorates_once_per_gps_and_semantics(monkeypatch):
+    import semcheck.gps as gps
+
+    calls = []
+
+    def counting(g, semantics):
+        calls.append(semantics)
+        return gps_decorate(g, semantics)
+
+    monkeypatch.setattr(gps, "gps_decorate", counting)
+    g = load_gps("gps-pu")
+    p, u = g.resolve_state("p"), g.resolve_state("u")
+    assert gps_equiv(g, "g_ready", p, u) == gps_equiv(g, "g_ready", u, p)
+    assert calls == ["g_ready"]
+    gps_equiv(g, "g_trace", p, u)
+    gps_equiv(g, "g_ready", p, p)
+    assert calls == ["g_ready", "g_trace"]
+
+
 # -- spectrum collapses ------------------------------------------------------
 
 
