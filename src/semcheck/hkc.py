@@ -47,9 +47,11 @@ class Generators:
 
     Each distinct pair ``(u, v)`` contributes ``u => v`` and ``v => u``; both
     fire only while the pair's multiplicity is positive.  A rule sits in the
-    watch list of one of its premise states, or among the unconditional rules
-    if its premise is empty; premises are tested as bitmasks.  A rule with a
-    TOP premise fires only from TOP, where nothing is left to add, and a rule
+    watch list of one of its premise states, at first the highest, or among
+    the unconditional rules if its premise is empty; premises are tested as
+    bitmasks.  A saturation that meets a rule of a pair no longer live parks
+    the rule on the pair until the pair is added again.  A rule with a TOP
+    premise fires only from TOP, where nothing is left to add, and a rule
     whose conclusion lies inside its premise adds nothing, so neither is
     indexed.  A TOP conclusion makes the saturated set TOP."""
 
