@@ -21,6 +21,7 @@ for every pair.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
@@ -46,20 +47,19 @@ class Generators:
     """A multiset of pairs, indexed as the Horn rules of their congruence.
 
     Each distinct pair ``(u, v)`` contributes ``u => v`` and ``v => u``; both
-    fire only while the pair's multiplicity is positive.  A rule sits in the
-    watch list of one of its premise states, at first the highest, or among
-    the unconditional rules if its premise is empty; premises are tested as
-    bitmasks.  A saturation that meets a rule of a pair no longer live parks
-    the rule on the pair until the pair is added again.  A rule with a TOP
-    premise fires only from TOP, where nothing is left to add, and a rule
-    whose conclusion lies inside its premise adds nothing, so neither is
-    indexed.  A TOP conclusion makes the saturated set TOP."""
+    fire only while the pair's multiplicity is positive.  Premises are tested
+    as bitmasks.  A rule sits in the watch list of one of its premise states,
+    at first the highest; a rule with an empty premise sits under -1, which
+    every saturation visits.  A saturation that meets a rule of a pair no
+    longer live parks the rule on the pair until the pair is added again.  A
+    rule with a TOP premise fires only from TOP, where nothing is left to
+    add, and a rule whose conclusion lies inside its premise adds nothing, so
+    neither is indexed.  A TOP conclusion makes the saturated set TOP."""
 
     def __init__(self, pairs: Iterable[Pair] = ()):
         # pair -> [multiplicity, parked rules], the cell of the pair's rules
         self._live: Dict[Pair, list] = {}
-        self._watch: Dict[int, List[tuple]] = {}
-        self._unconditional: List[tuple] = []
+        self._watch: Dict[int, List[tuple]] = defaultdict(list)
         for pair in pairs:
             self.add(pair)
 
@@ -76,10 +76,7 @@ class Generators:
         if not cell[0]:
             # back to life: index the rules a closure parked while it was dead
             for rule in cell[1]:
-                if rule[0]:
-                    self._watch.setdefault(rule[0].bit_length() - 1, []).append(rule)
-                else:
-                    self._unconditional.append(rule)
+                self._watch[rule[0].bit_length() - 1].append(rule)
             cell[1].clear()
         cell[0] += 1
 
@@ -99,27 +96,7 @@ class Generators:
         wanted = 0 if goal is None or goal is TOP else _mask(goal)
         acc: Set[int] = set(z)
         unreached = ~_mask(acc)
-        queue = list(acc)
-
-        def join(conclusion, cmask) -> bool:
-            """Join a fired rule's conclusion into ``acc``; whether to stop."""
-            nonlocal unreached
-            if conclusion is TOP:
-                return True
-            new = conclusion - acc
-            acc.update(new)
-            queue.extend(new)
-            unreached &= ~cmask
-            return wanted != 0 and not wanted & unreached
-
-        live = []
-        for rule in self._unconditional:
-            cell = rule[3]
-            (live if cell[0] else cell[1]).append(rule)
-        self._unconditional = live
-        for _, conclusion, cmask, _ in live:
-            if join(conclusion, cmask):
-                return TOP if conclusion is TOP else frozenset(acc)
+        queue = [*acc, -1]
         watch = self._watch
         while queue:
             rules = watch.get(queue.pop())
@@ -129,23 +106,27 @@ class Generators:
             for i, rule in enumerate(rules):
                 pmask, conclusion, cmask, cell = rule
                 if not cell[0]:
-                    cell[1].append(rule)   # parked until the pair is queued again
+                    cell[1].append(rule)   # parked until the pair is added again
                     continue
                 missing = pmask & unreached
                 if missing:
                     # watch the highest premise state not reached yet
-                    w = missing.bit_length() - 1
-                    moved = watch.get(w)
-                    if moved is None:
-                        watch[w] = [rule]
-                    else:
-                        moved.append(rule)
+                    watch[missing.bit_length() - 1].append(rule)
                     continue
                 kept.append(rule)
-                if join(conclusion, cmask):
+                if conclusion is TOP:
                     kept.extend(rules[i + 1:])
                     rules[:] = kept
-                    return TOP if conclusion is TOP else frozenset(acc)
+                    return TOP
+                if cmask & unreached:
+                    new = conclusion - acc
+                    acc.update(new)
+                    queue.extend(new)
+                    unreached &= ~cmask
+                    if wanted and not wanted & unreached:
+                        kept.extend(rules[i + 1:])
+                        rules[:] = kept
+                        return frozenset(acc)
             rules[:] = kept
         return frozenset(acc)
 
