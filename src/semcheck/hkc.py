@@ -150,8 +150,6 @@ def in_congruence(pairs: Iterable[Pair], left: DetState, right: DetState) -> boo
     return saturate(gens, left) == saturate(gens, right)
 
 
-
-
 def product_walk(d: DecoratedLts, left: DetState, right: DetState, cap: float,
                  prune: Callable[[Pair, List[Pair], List[Pair], int], bool]
                  ) -> Tuple[bool, List[Pair], int, Optional[Tuple[EffLabel, ...]]]:
