@@ -144,10 +144,15 @@ def saturate(pairs: Iterable[Pair], z: DetState,
 
 
 def in_congruence(pairs: Iterable[Pair], left: DetState, right: DetState) -> bool:
-    """Whether ``(left, right)`` lies in the congruence closure of ``pairs``
-    (both sides saturate to the same set)."""
-    gens = Generators(pairs)
-    return saturate(gens, left) == saturate(gens, right)
+    """Whether ``(left, right)`` lies in the congruence closure of ``pairs``.
+
+    ``pairs`` is a sequence of pairs or a live :class:`Generators` index.
+    Saturation is a closure operator, so both sides saturate to the same set
+    exactly when each side lies below the other's saturation; each side's
+    widening stops as soon as it covers the other side."""
+    gens = pairs if isinstance(pairs, Generators) else Generators(pairs)
+    return (_covers(saturate(gens, left, right), right)
+            and _covers(saturate(gens, right, left), left))
 
 
 def product_walk(d: DecoratedLts, left: DetState, right: DetState, cap: float,
@@ -246,10 +251,7 @@ def hkc_check(d: DecoratedLts, left: DetState, right: DetState,
             gens.add(p)
         queued, related = len(todo), len(relation)
         gens.remove(pair)   # dequeued: the live pairs are relation + todo[qi:]
-        if pair in gens:
-            return True
-        l, r = pair
-        return _covers(saturate(gens, l, r), r) and _covers(saturate(gens, r, l), l)
+        return pair in gens or in_congruence(gens, *pair)
 
     return HkcReport(*product_walk(d, left, right, math.inf, up_to_congruence))
 

@@ -54,8 +54,9 @@ def test_in_congruence_uses_union_reasoning():
 
 def test_live_generators_saturate_like_their_pairs():
     # Queue and dequeue pairs at random: the live index must saturate like
-    # the list of pairs still live and like the fixpoint by definition, and
-    # a goal must be covered exactly when that fixpoint covers it.
+    # the list of pairs still live and like the fixpoint by definition, a
+    # goal must be covered exactly when that fixpoint covers it, and a pair
+    # is in the congruence exactly when both sides reach the same fixpoint.
     from semcheck.hkc import Generators
 
     rng = random.Random(3)
@@ -84,6 +85,8 @@ def test_live_generators_saturate_like_their_pairs():
                 full = _reference_saturate(live, z)
                 assert saturate(gens, z) == saturate(live, z) == full
                 assert covers(saturate(gens, z, goal), goal) == covers(full, goal)
+                same = full == _reference_saturate(live, goal)
+                assert in_congruence(gens, z, goal) == in_congruence(live, z, goal) == same
             assert all((pair in gens) == (pair in live) for pair in pool)
 
 
