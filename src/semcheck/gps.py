@@ -192,6 +192,15 @@ def _primitive(vec: Dict[int, int]) -> Dict[int, int]:
     return vec if d == 1 else {s: p // d for s, p in vec.items()}
 
 
+def _output_weights(g: Gps, semantics: str) -> tuple:
+    """The integer output weights of ``g`` under ``semantics``, decorated
+    once per GPS and semantics and kept in the GPS's ``_output_weights``."""
+    memo = vars(g).setdefault("_output_weights", {})
+    if semantics not in memo:
+        memo[semantics] = _int_weights(gps_decorate(g, semantics))[0]
+    return memo[semantics]
+
+
 def gps_equiv(g: Gps, semantics: str, x: int, y: int
               ) -> Tuple[bool, Optional[Tuple[str, ...]]]:
     """Decide whether states ``x`` and ``y`` have the same behaviour under the
@@ -205,10 +214,7 @@ def gps_equiv(g: Gps, semantics: str, x: int, y: int
     is carried as a primitive integer vector, a multiple of the exact one.
     The output weights are computed once per GPS and semantics and kept on
     the GPS."""
-    cache = g._output_weights
-    if semantics not in cache:
-        cache[semantics] = _int_weights(gps_decorate(g, semantics))[0]
-    weights = cache[semantics]
+    weights = _output_weights(g, semantics)
     queue: List[Tuple[Dict[int, int], Tuple[str, ...]]] = [
         ({x: 1, y: -1} if x != y else {}, ())]
     # Row-echelon basis: pivot state -> primitive vector, nonzero at the pivot

@@ -141,7 +141,8 @@ class Gps:
     """A generative probabilistic system: each state emits each action with an
     exact rational probability; the row over all actions sums to at most 1 and
     the deficit is the probability of termination.  Instances are treated as
-    immutable after construction.
+    immutable after construction; the one exception is the memo of integer
+    output weights per semantics that ``gps.gps_equiv`` keeps on an instance.
     """
 
     n_states: int
@@ -163,12 +164,6 @@ class Gps:
         emission = tuple(sum(q for a in self.alphabet for _, q in rows[a][x])
                          for x in range(self.n_states))
         return ScaledGps(denom, rows, emission)
-
-    @cached_property
-    def _output_weights(self) -> Dict[str, tuple]:
-        """Integer output weights per GPS semantics, filled on first use by
-        ``gps.gps_equiv``."""
-        return {}
 
     def emission_mass(self, x: int) -> Fraction:
         return Fraction(self._scaled.emission[x], self._scaled.denom)
