@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import pytest
 
 from semcheck import (
+    SEMANTICS,
     CapExceeded,
     MooreMachine,
     Output,
@@ -19,6 +21,10 @@ from semcheck import (
     full_mask,
     gen_chain,
     moore_isomorphic,
+    moore_partition_classes,
+    random_lts,
+    reachable_machine,
+    render_eff_label,
     render_output,
     reverse_determinize,
     submasks,
@@ -174,3 +180,68 @@ def test_equiv_via_minimization_agrees_with_fixtures():
     rt = load_lts("rtrace-pq")
     d = decorate(rt, "rtrace")
     assert not equiv_via_minimization(d, s(0), s(rt.resolve_state("q0")))
+
+
+# -- guard: both machines of the double reversal, byte for byte --------------
+#
+# One sha256 over the initial states, rendered state keys, outputs and steps
+# of both machines, on seeded systems under every tag that decorates, so a
+# change to how the reversals number, key or join their states shows here
+# even where no size moves.
+
+DOUBLE_REVERSAL_SHA256 = "6c203f0645333b373556f6f59fe2738d654b7fbea716c1c475e0e87f6aed7d2a"
+
+
+def _decorations(lts):
+    """Every decoration of ``lts`` that its structure admits."""
+    for tag in SEMANTICS:
+        try:
+            yield tag, decorate(lts, tag)
+        except ValueError:  # language needs final states
+            continue
+
+
+def _start_sets(n_states):
+    return (s(0), s(0, 1), frozenset(range(n_states)))
+
+
+def _machine_lines(m, alphabet):
+    yield f"inits {m.inits}"
+    for q, key in enumerate(m.state_keys):
+        yield f"{q} key " + ",".join(render_output(c, alphabet) for c in key)
+    yield "outputs " + ";".join(render_output(o, alphabet) for o in m.outputs)
+    yield "steps " + ";".join(
+        ",".join(f"{render_eff_label(a)}:{row[a]}" for a in m.alphabet)
+        for row in m.steps)
+
+
+def _double_reversal_lines():
+    systems = [(f"seed {seed}", random_lts(seed)) for seed in range(120)]
+    systems += [(name, load_lts(name)) for name in ("brz-p", "brz-must")]
+    for name, lts in systems:
+        for tag, d in _decorations(lts):
+            for inits in _start_sets(lts.n_states):
+                yield f"{name} {tag} {sorted(inits)}"
+                for m in brzozowski_minimize(d, inits):
+                    yield from _machine_lines(m, lts.alphabet)
+
+
+def test_double_reversal_matches_pinned_digest():
+    text = "\n".join(_double_reversal_lines())
+    assert hashlib.sha256(text.encode()).hexdigest() == DOUBLE_REVERSAL_SHA256
+
+
+# -- minimality against forward partition refinement -------------------------
+
+
+def test_double_reversal_is_minimal_by_forward_refinement():
+    for seed in range(120):
+        lts = random_lts(seed)
+        for tag, d in _decorations(lts):
+            for inits in (s(0), s(0, 1)):
+                _, mini = brzozowski_minimize(d, inits)
+                forward = reachable_machine(d, [inits])
+                assert mini.n_states == len(set(moore_partition_classes(forward))), \
+                    (seed, tag, sorted(inits))
+                assert len(set(moore_partition_classes(mini))) == mini.n_states, \
+                    (seed, tag, sorted(inits))
