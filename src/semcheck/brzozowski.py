@@ -7,12 +7,22 @@ the original behaviour (reachable and fully distinguishable), without ever
 determinising the input forwards.  Two minimal machines realise the same
 behaviour exactly when they are isomorphic, which a synchronous traversal
 decides.
+
+Both passes run over small-int output ids: each run interns the outputs it
+meets in one table and memoises joins on id pairs, so a reversal state is a
+tuple of ints, hashed and compared as such.  Every coordinate is a join of
+decorated outputs, so for the downward-closed semantics it is a downset,
+which is already canonical: no antichain compaction is needed to recognise
+a revisit.  Outputs become :class:`Output` values again only at the
+boundary, in ``LazyReversal.output`` and in the machines
+:func:`explicit_reversal` builds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Sequence, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from .decorations import (
     TOP,
@@ -21,24 +31,52 @@ from .decorations import (
     Output,
     VariantMismatch,
     bottom_output,
-    compact_output,
+    compact_output,  # noqa: F401  not called; perfbench counts brzozowski.compact_output
     join_outputs,
 )
 from .lts import StateSet
 from .moore import DEFAULT_CAP, MooreMachine, explore
 
-#: A reversal state: one output coordinate per (reachable) base state.
-FunctionState = Tuple[Output, ...]
+#: A reversal state: one interned output id per (reachable) base state.
+FunctionState = Tuple[int, ...]
+
+
+class _OutputTable:
+    """The outputs one reversal meets, interned to small ints (bottom is 0),
+    with joins memoised on id pairs.  ``join`` takes two distinct ids other
+    than bottom: joins are idempotent and bottom is their identity, so
+    callers settle those cases without a lookup."""
+
+    def __init__(self, kind: str):
+        self.values: List[Output] = []
+        self.ids: Dict[Output, int] = {}
+        self.joins: Dict[Tuple[int, int], int] = {}
+        self.intern(bottom_output(kind))
+
+    def intern(self, v: Output) -> int:
+        i = self.ids.get(v)
+        if i is None:
+            i = self.ids[v] = len(self.values)
+            self.values.append(v)
+        return i
+
+    def join(self, i: int, j: int) -> int:
+        pair = (i, j) if i < j else (j, i)
+        k = self.joins.get(pair)
+        if k is None:
+            k = self.joins[pair] = self.intern(join_outputs(self.values[i], self.values[j]))
+        return k
 
 
 @dataclass
 class LazyReversal:
     """A reversal machine evaluated on demand.
 
-    ``initial`` is the coordinate vector the reversal starts from; ``output``
-    and ``step`` evaluate single states; ``state_key`` gives the canonical
-    (antichain-compacted) form used to detect revisits.  ``domain`` names the
-    base object each coordinate belongs to."""
+    States are tuples of output ids, one per coordinate; ``values`` maps an
+    id back to its :class:`Output`.  ``initial`` is the vector the reversal
+    starts from, ``step`` evaluates one transition on ids, and ``output``
+    returns the :class:`Output` a state yields.  ``domain`` names the base
+    object each coordinate belongs to."""
 
     semantics: str
     alphabet: Tuple[EffLabel, ...]
@@ -46,7 +84,7 @@ class LazyReversal:
     initial: FunctionState
     output: Callable[[FunctionState], Output]
     step: Callable[[FunctionState, EffLabel], FunctionState]
-    state_key: Callable[[FunctionState], Tuple]
+    values: List[Output]
 
     def behavior(self, word: Sequence[EffLabel]) -> Output:
         state = self.initial
@@ -78,69 +116,75 @@ def reverse_determinize(d: DecoratedLts, inits: StateSet) -> LazyReversal:
     (unreachable coordinates can never influence an output, so dropping them
     preserves the realised behaviour).  The initial vector is the output
     decoration itself; a step joins each coordinate's successor coordinates,
-    with TOP rows forcing the top output."""
-    kind = d.output_kind
+    with TOP rows forcing the top output.  Each label's rows are resolved to
+    coordinate positions once, so a step only folds ids."""
+    table = _OutputTable(d.output_kind)
     domain = _forward_reachable(d, inits)
     pos = {x: i for i, x in enumerate(domain)}
-    initial = tuple(d.outputs[x] for x in domain)
-    init_list = sorted(inits)
-
-    def output(state: FunctionState) -> Output:
-        out = bottom_output(kind)
-        for x in init_list:
-            out = join_outputs(out, state[pos[x]])
-        return out
-
-    def step(state: FunctionState, label: EffLabel) -> FunctionState:
-        coords = []
+    initial = tuple(table.intern(d.outputs[x]) for x in domain)
+    init_pos = tuple(pos[x] for x in sorted(inits))
+    rows: Dict[EffLabel, Tuple[object, ...]] = {}
+    for label in d.eff_alphabet:
+        label_rows = []
         for x in domain:
             row = d.transitions.get((x, label), frozenset())
-            if row is TOP:
-                coords.append(Output("top_or_family", TOP))
-            else:
-                v = bottom_output(kind)
-                for y in row:
-                    v = join_outputs(v, state[pos[y]])
-                coords.append(v)
-        return tuple(coords)
+            label_rows.append(TOP if row is TOP else tuple(pos[y] for y in row))
+        rows[label] = tuple(label_rows)
+    top = (table.intern(Output("top_or_family", TOP))
+           if any(r is TOP for label_rows in rows.values() for r in label_rows) else None)
+    join = table.join
 
-    def state_key(state: FunctionState) -> Tuple:
-        return tuple(compact_output(c, d.alphabet, d.semantics) for c in state)
-
-    return LazyReversal(d.semantics, d.eff_alphabet, domain, initial,
-                        output, step, state_key)
-
-
-def reverse_determinize_moore(m: MooreMachine, init: int,
-                              base_alphabet: Tuple[str, ...] = ()) -> LazyReversal:
-    """Second reversal pass, over an explicit machine: coordinates range over
-    the machine's states, the initial vector is its output assignment, and the
-    reversal's output reads the coordinate of ``init``."""
-    domain = tuple(range(m.n_states))
-    initial = tuple(m.outputs)
+    def fold(state: FunctionState, row: Tuple[int, ...]) -> int:
+        acc = 0  # bottom, the identity of every join
+        for p in row:
+            v = state[p]
+            if v != acc:
+                acc = join(acc, v) if acc else v
+        return acc
 
     def output(state: FunctionState) -> Output:
-        return state[init]
+        return table.values[fold(state, init_pos)]
 
     def step(state: FunctionState, label: EffLabel) -> FunctionState:
-        return tuple(state[m.steps[q][label]] for q in domain)
+        return tuple([top if row is TOP else fold(state, row) for row in rows[label]])
 
-    def state_key(state: FunctionState) -> Tuple:
-        if not base_alphabet:
-            return state  # no base alphabet known: raw coordinates are canonical
-        return tuple(compact_output(c, base_alphabet, m.semantics) for c in state)
+    return LazyReversal(d.semantics, d.eff_alphabet, domain, initial,
+                        output, step, table.values)
+
+
+def reverse_determinize_moore(m: MooreMachine, init: int) -> LazyReversal:
+    """Second reversal pass, over an explicit machine: coordinates range over
+    the machine's states, the initial vector is its output assignment, and the
+    reversal's output reads the coordinate of ``init``.  A step is a gather:
+    coordinate ``q`` takes the coordinate of ``q``'s successor."""
+    table = _OutputTable(m.outputs[0].kind)
+    domain = tuple(range(m.n_states))
+    initial = tuple(table.intern(v) for v in m.outputs)
+    gathers = {label: itemgetter(*(row[label] for row in m.steps)) for label in m.alphabet}
+
+    def output(state: FunctionState) -> Output:
+        return table.values[state[init]]
+
+    if m.n_states == 1:  # itemgetter with one index returns the item, not a tuple
+        def step(state: FunctionState, label: EffLabel) -> FunctionState:
+            return (gathers[label](state),)
+    else:
+        def step(state: FunctionState, label: EffLabel) -> FunctionState:
+            return gathers[label](state)
 
     return LazyReversal(m.semantics, m.alphabet, domain, initial,
-                        output, step, state_key)
+                        output, step, table.values)
 
 
 def explicit_reversal(lazy: LazyReversal, cap: int, stage: str) -> MooreMachine:
     """Materialise the reachable part of a lazy reversal breadth-first
-    (labels in alphabet order); raises :class:`CapExceeded` naming ``stage``."""
-    states, steps, _ = explore([lazy.initial], lazy.step, lazy.state_key,
-                               lazy.alphabet, cap, stage)
+    (labels in alphabet order); raises :class:`CapExceeded` naming ``stage``.
+    The machine's outputs and state keys are :class:`Output` values."""
+    states, steps, _ = explore([lazy.initial], lazy.step, lazy.alphabet, cap, stage)
     outputs = [lazy.output(s) for s in states]
-    return MooreMachine(lazy.semantics, lazy.alphabet, outputs, steps, [0], states)
+    values = lazy.values
+    keys = [tuple(values[i] for i in s) for s in states]
+    return MooreMachine(lazy.semantics, lazy.alphabet, outputs, steps, [0], keys)
 
 
 def brzozowski_minimize(d: DecoratedLts, inits: StateSet,
@@ -151,7 +195,7 @@ def brzozowski_minimize(d: DecoratedLts, inits: StateSet,
     (whose size is the interesting cost measure) and the final minimal one."""
     first = explicit_reversal(reverse_determinize(d, inits), cap, "reverse pass 1")
     second = explicit_reversal(
-        reverse_determinize_moore(first, first.inits[0], d.alphabet),
+        reverse_determinize_moore(first, first.inits[0]),
         cap, "reverse pass 2")
     return first, second
 

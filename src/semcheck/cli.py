@@ -288,8 +288,21 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_PARSER: Optional[argparse.ArgumentParser] = None
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused after: building it
+    costs far more than a parse, and doing it at import would slow every
+    import."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    return _PARSER
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except Exception as exc:

@@ -106,27 +106,27 @@ class MooreMachine:
         return self.outputs[q]
 
 
-def explore(inits: Sequence[object], step: Callable[[object, EffLabel], object],
-            key: Callable[[object], Hashable], alphabet: Sequence[EffLabel],
-            cap: int, stage: str) -> Tuple[List[object], List[Dict[EffLabel, int]], List[int]]:
+def explore(inits: Sequence[Hashable], step: Callable[[Hashable, EffLabel], Hashable],
+            alphabet: Sequence[EffLabel], cap: int,
+            stage: str) -> Tuple[List[Hashable], List[Dict[EffLabel, int]], List[int]]:
     """First-in-first-out interning search over ``step`` from ``inits``.
 
     States are numbered in discovery order, successors taken in alphabet
-    order; two states with the same ``key`` are one.  Returns the stored
-    states, one step row per state and the indices of ``inits``.  Raises
-    :class:`CapExceeded` naming ``stage`` once more than ``cap`` states would
-    be stored."""
+    order; equal states are one, so states must be hashable and canonical.
+    Returns the stored states, one step row per state and the indices of
+    ``inits``.  Raises :class:`CapExceeded` naming ``stage`` once more than
+    ``cap`` states would be stored."""
     index: Dict[Hashable, int] = {}
-    states: List[object] = []
+    states: List[Hashable] = []
 
-    def intern(s: object) -> int:
-        k = key(s)
-        if k not in index:
+    def intern(s: Hashable) -> int:
+        i = index.get(s)
+        if i is None:
             if len(states) >= cap:
                 raise CapExceeded(stage, len(states))
-            index[k] = len(states)
+            i = index[s] = len(states)
             states.append(s)
-        return index[k]
+        return i
 
     init_idx = [intern(s) for s in inits]
     steps: List[Dict[EffLabel, int]] = []
@@ -141,7 +141,7 @@ def reachable_machine(d: DecoratedLts, inits: Sequence[DetState],
     ``inits`` (labels explored in alphabet order).  Raises :class:`CapExceeded`
     once more than ``cap`` states would be materialised."""
     keys, steps, init_idx = explore(inits, lambda s, a: det_step(d, s, a),
-                                    lambda s: s, d.eff_alphabet, cap, "determinisation")
+                                    d.eff_alphabet, cap, "determinisation")
     outputs = [det_output(d, s) for s in keys]
     return MooreMachine(d.semantics, d.eff_alphabet, outputs, steps, init_idx, keys)
 

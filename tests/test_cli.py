@@ -281,3 +281,46 @@ def test_installed_entry_point_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"] is True
+
+
+# -- parser reuse ------------------------------------------------------------
+
+
+def _count_parser_builds(monkeypatch):
+    """Forget the built parser and count the builds from here on."""
+    from semcheck import cli
+
+    builds = []
+    build = cli.build_parser
+
+    def counting():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", counting)
+    return builds
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    builds = _count_parser_builds(monkeypatch)
+    code, first, _ = run_cli(capsys, "equiv", "--sem", "must", fx("must-xy"), "x", "y")
+    assert code == 0
+    code, second, _ = run_cli(capsys, "preorder", "--sem", "may", fx("ct-w"), "w0", "w1")
+    assert code == 1
+    assert first["algorithm"] == "hkc" and second["result"] is False
+    assert len(builds) == 1
+
+
+def test_failed_parse_leaves_the_next_parse_intact(capsys, monkeypatch):
+    builds = _count_parser_builds(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main(["equiv", "--sem", "no-such-tag", fx("must-xy"), "x", "y"])
+    assert exc.value.code == 2
+    code, _, err = run_cli(capsys, "minimize", "--sem", "must", "--init", "", fx("brz-must"))
+    assert code == 2 and "--init needs at least one state" in err
+    code, payload, _ = run_cli(
+        capsys, "equiv", "--sem", "failure", "--algo", "brzozowski", fx("fail-pq"), "0", "11")
+    assert code == 0
+    assert payload["algorithm"] == "brzozowski" and payload["semantics"] == "failure"
+    assert len(builds) == 1
