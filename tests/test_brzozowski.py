@@ -201,10 +201,6 @@ def _decorations(lts):
             continue
 
 
-def _start_sets(n_states):
-    return (s(0), s(0, 1), frozenset(range(n_states)))
-
-
 def _machine_lines(m, alphabet):
     yield f"inits {m.inits}"
     for q, key in enumerate(m.state_keys):
@@ -220,7 +216,7 @@ def _double_reversal_lines():
     systems += [(name, load_lts(name)) for name in ("brz-p", "brz-must")]
     for name, lts in systems:
         for tag, d in _decorations(lts):
-            for inits in _start_sets(lts.n_states):
+            for inits in (s(0), s(0, 1), frozenset(range(lts.n_states))):
                 yield f"{name} {tag} {sorted(inits)}"
                 for m in brzozowski_minimize(d, inits):
                     yield from _machine_lines(m, lts.alphabet)
