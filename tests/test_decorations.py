@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +26,8 @@ from semcheck import (
     join_all,
     join_outputs,
     mask_of,
+    parse_lts,
+    random_lts,
     relabel_for_trace_decorations,
     render_eff_label,
     render_output,
@@ -31,7 +35,7 @@ from semcheck import (
     trace_class_of,
 )
 
-from conftest import load_lts
+from conftest import FIXTURES, load_lts
 
 AB = ("a", "b")
 
@@ -264,3 +268,62 @@ def test_render_output_forms():
 def test_render_eff_label_pair():
     assert render_eff_label(("a", frozenset({"c", "b"}))) == "<a,{b,c}>"
     assert render_eff_label("a") == "a"
+
+
+# -- guard: every decoration, output for output and row for row --------------
+#
+# One sha256 over each tag's effective alphabet, rendered outputs with their
+# kinds, transition rows and refusals, on seeded systems and every LTS
+# fixture, so a change to how ``decorate`` builds rows or outputs shows here.
+# Labels are rendered with ``render_eff_label``: a readiness label's repr
+# depends on the string hash seed.
+
+DECORATE_SHA256 = "4682494d9c02e7f4707f93936e83bd52dfecfc4eb09b7bfa8c922056ffddcc14"
+
+WITH_FINALS = """\
+lts 4
+alphabet a b
+final 1 3
+0 a 1
+0 tau 2
+1 b 3
+2 a 2
+2 b 0
+3 tau 3
+"""
+
+
+def _rows(row) -> str:
+    return "TOP" if row is TOP else repr(tuple(sorted(row)))
+
+
+def _decorate_lines():
+    systems = [(f"seed {seed}", random_lts(seed, allow_tau=seed % 2 == 0))
+               for seed in range(400)]
+    systems += [(path.stem, parse_lts(path.read_text()))
+                for path in sorted(FIXTURES.glob("*.lts"))
+                if not path.stem.startswith("gps-")]
+    systems.append(("with-finals", parse_lts(WITH_FINALS)))
+    for name, lts in systems:
+        for tag in SEMANTICS:
+            head = f"{name} {tag}"
+            try:
+                d = decorate(lts, tag)
+            except ValueError as exc:
+                yield f"{head} refused {exc}"
+                continue
+            labels = [render_eff_label(a) for a in d.eff_alphabet]
+            yield f"{head} {d.output_kind} {d.n_states} {d.alphabet} " + ",".join(labels)
+            yield "outputs " + ";".join(
+                f"{v.kind}:{render_output(v, lts.alphabet)}" for v in d.outputs)
+            yield "rows " + ";".join(sorted(
+                f"{x} {render_eff_label(a)} {_rows(ys)}"
+                for (x, a), ys in d.transitions.items()))
+            yield "row " + ";".join(
+                f"{x} {lab} {_rows(d.row(x, a))}"
+                for x in range(d.n_states) for a, lab in zip(d.eff_alphabet, labels))
+
+
+def test_decorate_matches_pinned_digest():
+    text = "\n".join(_decorate_lines())
+    assert hashlib.sha256(text.encode()).hexdigest() == DECORATE_SHA256
