@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .brzozowski import brzozowski_minimize
+from .brzozowski import brzozowski_minimize, moore_isomorphic
 from .decorations import DecoratedLts, decorate
 from .hkc import hkc_check, naive_bisim
 from .lts import TAU, Lts, StateSet
@@ -105,10 +105,10 @@ def cycle_starts(n: int) -> StateSet:
 # Seeded random instances
 # ---------------------------------------------------------------------------
 
-def random_lts(seed: int, allow_tau: bool = True,
-               edge_density: float = 0.35, tau_density: float = 0.2) -> Lts:
-    """Small random system (2-6 states, 1-2 visible labels) with reproducible
-    structure for a given seed."""
+def random_lts(seed: int, allow_tau: bool = True) -> Lts:
+    """Small random system (2-6 states, 1-2 visible labels, visible edge
+    density 0.35, tau density 0.2) with reproducible structure for a given
+    seed."""
     rng = random.Random(seed)
     n = rng.randint(2, 6)
     labels = ("a", "b")[: rng.randint(1, 2)]
@@ -116,12 +116,12 @@ def random_lts(seed: int, allow_tau: bool = True,
     for x in range(n):
         for lab in labels:
             for y in range(n):
-                if rng.random() < edge_density:
+                if rng.random() < 0.35:
                     t.setdefault((x, lab), set()).add(y)
     if allow_tau:
         for x in range(n):
             for y in range(n):
-                if rng.random() < tau_density:
+                if rng.random() < 0.2:
                     t.setdefault((x, TAU), set()).add(y)
     return Lts(n, tuple(labels), {k: frozenset(v) for k, v in t.items()})
 
@@ -223,7 +223,6 @@ def decide(d: DecoratedLts, algorithm: str, left: StateSet, right: StateSet,
     if algorithm == "brzozowski":
         inter_l, min_l = brzozowski_minimize(d, left, cap)
         inter_r, min_r = brzozowski_minimize(d, right, cap)
-        from .brzozowski import moore_isomorphic
         return (moore_isomorphic(min_l, min_r),
                 inter_l.n_states + inter_r.n_states, None)
     raise ValueError(f"unknown algorithm {algorithm!r}")

@@ -75,12 +75,10 @@ class LazyReversal:
     States are tuples of output ids, one per coordinate; ``values`` maps an
     id back to its :class:`Output`.  ``initial`` is the vector the reversal
     starts from, ``step`` evaluates one transition on ids, and ``output``
-    returns the :class:`Output` a state yields.  ``domain`` names the base
-    object each coordinate belongs to."""
+    returns the :class:`Output` a state yields."""
 
     semantics: str
     alphabet: Tuple[EffLabel, ...]
-    domain: Tuple[object, ...]
     initial: FunctionState
     output: Callable[[FunctionState], Output]
     step: Callable[[FunctionState, EffLabel], FunctionState]
@@ -148,8 +146,7 @@ def reverse_determinize(d: DecoratedLts, inits: StateSet) -> LazyReversal:
     def step(state: FunctionState, label: EffLabel) -> FunctionState:
         return tuple([top if row is TOP else fold(state, row) for row in rows[label]])
 
-    return LazyReversal(d.semantics, d.eff_alphabet, domain, initial,
-                        output, step, table.values)
+    return LazyReversal(d.semantics, d.eff_alphabet, initial, output, step, table.values)
 
 
 def reverse_determinize_moore(m: MooreMachine, init: int) -> LazyReversal:
@@ -158,7 +155,6 @@ def reverse_determinize_moore(m: MooreMachine, init: int) -> LazyReversal:
     reversal's output reads the coordinate of ``init``.  A step is a gather:
     coordinate ``q`` takes the coordinate of ``q``'s successor."""
     table = _OutputTable(m.outputs[0].kind)
-    domain = tuple(range(m.n_states))
     initial = tuple(table.intern(v) for v in m.outputs)
     gathers = {label: itemgetter(*(row[label] for row in m.steps)) for label in m.alphabet}
 
@@ -172,8 +168,7 @@ def reverse_determinize_moore(m: MooreMachine, init: int) -> LazyReversal:
         def step(state: FunctionState, label: EffLabel) -> FunctionState:
             return gathers[label](state)
 
-    return LazyReversal(m.semantics, m.alphabet, domain, initial,
-                        output, step, table.values)
+    return LazyReversal(m.semantics, m.alphabet, initial, output, step, table.values)
 
 
 def explicit_reversal(lazy: LazyReversal, cap: int, stage: str) -> MooreMachine:

@@ -17,7 +17,8 @@ import sys
 import time
 from typing import List, Optional, Sequence
 
-from .bench import decide, default_cases, gen_chain, gen_cycles, gen_interleave, run_matrix
+from .bench import (BenchCase, decide, default_cases, gen_chain, gen_cycles,
+                    gen_interleave, run_matrix)
 from .brzozowski import brzozowski_minimize
 from .decorations import (
     SEMANTICS,
@@ -197,7 +198,6 @@ def cmd_bench(args) -> int:
     if args.spec:
         spec = json.loads(_read_source(args.spec))
         _check_spec(spec)
-        from .bench import BenchCase
         cases = []
         for c in spec["cases"]:
             lts = parse_lts(_read_source(c["file"]))

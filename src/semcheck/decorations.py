@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Tuple, Union
 
 from .lts import (
     TAU,
@@ -38,10 +38,11 @@ from .lts import (
     full_mask,
     initial_actions,
     labels_of,
-    mask_of,
     tau_closure,
     weak_successors,
 )
+
+DEFAULT_CAP = 1_000_000
 
 SEMANTICS = ("language", "trace", "ctrace", "ready", "failure",
              "pfutures", "rtrace", "ftrace", "may", "must")
@@ -70,6 +71,11 @@ class Top:
     def __repr__(self) -> str:
         return "TOP"
 
+    def __or__(self, other: object) -> "Top":
+        return self
+
+    __ror__ = __or__
+
 
 TOP = Top()
 
@@ -90,6 +96,9 @@ class Output:
     class_set   frozenset of trace-class identifiers
     prob        exact Fraction
     prob_family mapping action-subset mask -> Fraction, as sorted tuple pairs
+
+    Values of the four lattice kinds join with ``|`` (TOP absorbs); the two
+    probabilistic kinds are linear and have no join.
     """
 
     kind: str
@@ -99,16 +108,18 @@ class Output:
         return self.kind == "top_or_family" and self.value is TOP
 
 
+#: output kind -> bottom value
+_BOTTOM = {"bit": 0, "family": frozenset(), "top_or_family": frozenset(),
+          "class_set": frozenset(), "prob": Fraction(0), "prob_family": ()}
+
+#: the kinds that form join-semilattices: every value joins with ``|``
+_LATTICE_KINDS = frozenset(OUTPUT_KIND.values())
+
+
 def bottom_output(kind: str) -> Output:
-    if kind == "bit":
-        return Output("bit", 0)
-    if kind in ("family", "top_or_family", "class_set"):
-        return Output(kind, frozenset())
-    if kind == "prob":
-        return Output("prob", Fraction(0))
-    if kind == "prob_family":
-        return Output("prob_family", ())
-    raise VariantMismatch(f"unknown output kind {kind!r}")
+    if kind not in _BOTTOM:
+        raise VariantMismatch(f"unknown output kind {kind!r}")
+    return Output(kind, _BOTTOM[kind])
 
 
 def join_outputs(a: Output, b: Output) -> Output:
@@ -116,15 +127,9 @@ def join_outputs(a: Output, b: Output) -> Output:
     and refuse to join."""
     if a.kind != b.kind:
         raise VariantMismatch(f"cannot join {a.kind} with {b.kind}")
-    if a.kind == "bit":
-        return Output("bit", a.value | b.value)
-    if a.kind in ("family", "class_set"):
-        return Output(a.kind, a.value | b.value)
-    if a.kind == "top_or_family":
-        if a.value is TOP or b.value is TOP:
-            return Output(a.kind, TOP)
-        return Output(a.kind, a.value | b.value)
-    raise VariantMismatch(f"outputs of kind {a.kind} admit no join")
+    if a.kind not in _LATTICE_KINDS:
+        raise VariantMismatch(f"outputs of kind {a.kind} admit no join")
+    return Output(a.kind, a.value | b.value)
 
 
 def join_all(kind: str, values: Iterable[Output]) -> Output:
@@ -204,22 +209,17 @@ class DecoratedLts:
         return self.outputs[x]
 
 
-def trace_class_of(lts: Lts, cap: int = 1_000_000) -> Tuple[int, ...]:
+def trace_class_of(lts: Lts, cap: int = DEFAULT_CAP) -> Tuple[int, ...]:
     """Trace-equivalence class of every state, as small integers numbered by
     first occurrence.  Classes are read off the trace-decorated Moore machine
     built from all singleton state sets and refined to its coarsest partition."""
     from .moore import moore_partition_classes, reachable_machine
 
-    d = decorate(lts, "trace")
     singletons = [frozenset({x}) for x in range(lts.n_states)]
-    machine = reachable_machine(d, singletons, cap=cap)
-    blocks = moore_partition_classes(machine)
-    renumber: Dict[int, int] = {}
-    out = []
-    for x in range(lts.n_states):
-        b = blocks[x]  # singleton inits occupy the first n state indices
-        out.append(renumber.setdefault(b, len(renumber)))
-    return tuple(out)
+    machine = reachable_machine(decorate(lts, "trace"), singletons, cap=cap)
+    # The singletons are the machine's first n states, so their blocks are
+    # already numbered by first occurrence.
+    return moore_partition_classes(machine)[:lts.n_states]
 
 
 def relabel_for_trace_decorations(lts: Lts) -> Lts:
@@ -241,30 +241,7 @@ def relabel_for_trace_decorations(lts: Lts) -> Lts:
     return Lts(lts.n_states, alphabet, pair_trans, lts.finals, lts.names)
 
 
-def _must_rows(lts: Lts, div: StateSet) -> Dict[Tuple[int, str], Union[StateSet, Top]]:
-    rows: Dict[Tuple[int, str], Union[StateSet, Top]] = {}
-    for x in range(lts.n_states):
-        for a in lts.alphabet:
-            ws = weak_successors(lts, x, a)
-            if x in div or not ws.isdisjoint(div):
-                rows[(x, a)] = TOP
-            elif ws:
-                rows[(x, a)] = ws
-    return rows
-
-
-def _must_outputs(lts: Lts, div: StateSet) -> List[Output]:
-    """Must outputs: TOP on diverging states; on every other state the join
-    of the refusal families of the stable states in its tau-closure (a
-    convergent state's tau-graph is acyclic, so there is at least one)."""
-    refusals = {y: fail_sets(lts, y)
-                for y in range(lts.n_states) if not lts.successors(y, TAU)}
-    return [Output("top_or_family", TOP if x in div else frozenset().union(
-                *(refusals[y] for y in tau_closure(lts, x) if y in refusals)))
-            for x in range(lts.n_states)]
-
-
-def decorate(lts: Lts, semantics: str, cap: int = 1_000_000) -> DecoratedLts:
+def decorate(lts: Lts, semantics: str, cap: int = DEFAULT_CAP) -> DecoratedLts:
     """Decorate ``lts`` for the given semantics tag.
 
     Strong semantics read only visible transitions (tau edges, if present,
@@ -272,59 +249,53 @@ def decorate(lts: Lts, semantics: str, cap: int = 1_000_000) -> DecoratedLts:
     ``language`` requires the system to declare final states."""
     if semantics not in SEMANTICS:
         raise ValueError(f"unknown semantics {semantics!r}")
-    n, alphabet = lts.n_states, lts.alphabet
-    strong = {(x, a): lts.successors(x, a)
-              for x in range(n) for a in alphabet if lts.successors(x, a)}
+    if semantics == "language" and lts.finals is None:
+        raise ValueError("language semantics needs a 'final' line")
+    states, alphabet = range(lts.n_states), lts.alphabet
+    div = divergent_states(lts) if semantics == "must" else frozenset()
 
-    if semantics == "language":
-        if lts.finals is None:
-            raise ValueError("language semantics needs a 'final' line")
-        outputs = [Output("bit", 1 if x in lts.finals else 0) for x in range(n)]
-        return DecoratedLts(semantics, n, alphabet, alphabet, tuple(outputs), strong)
-
-    if semantics == "trace":
-        outputs = [Output("bit", 1)] * n
-        return DecoratedLts(semantics, n, alphabet, alphabet, tuple(outputs), strong)
-
-    if semantics == "ctrace":
-        outputs = [Output("bit", 1 if initial_actions(lts, x) == 0 else 0)
-                   for x in range(n)]
-        return DecoratedLts(semantics, n, alphabet, alphabet, tuple(outputs), strong)
-
-    if semantics == "ready":
-        outputs = [Output("family", frozenset({initial_actions(lts, x)}))
-                   for x in range(n)]
-        return DecoratedLts(semantics, n, alphabet, alphabet, tuple(outputs), strong)
-
-    if semantics == "failure":
-        outputs = [Output("family", fail_sets(lts, x)) for x in range(n)]
-        return DecoratedLts(semantics, n, alphabet, alphabet, tuple(outputs), strong)
-
-    if semantics == "pfutures":
-        classes = trace_class_of(lts, cap=cap)
-        outputs = [Output("class_set", frozenset({classes[x]})) for x in range(n)]
-        return DecoratedLts(semantics, n, alphabet, alphabet, tuple(outputs), strong)
-
+    eff_alphabet: Tuple[EffLabel, ...] = alphabet
+    rows: Dict[Tuple[int, EffLabel], Union[StateSet, Top]] = {}
     if semantics in ("rtrace", "ftrace"):
         relabelled = relabel_for_trace_decorations(lts)
-        if semantics == "rtrace":
-            outputs = [Output("family", frozenset({initial_actions(lts, x)}))
-                       for x in range(n)]
-        else:
-            outputs = [Output("family", fail_sets(lts, x)) for x in range(n)]
-        return DecoratedLts(semantics, n, alphabet, relabelled.alphabet,
-                            tuple(outputs), dict(relabelled.transitions))
+        eff_alphabet, rows = relabelled.alphabet, relabelled.transitions
+    elif semantics in ("may", "must"):  # may: div is empty, so no row is TOP
+        for x in states:
+            for a in alphabet:
+                ws = weak_successors(lts, x, a)
+                if x in div or not ws.isdisjoint(div):
+                    rows[(x, a)] = TOP
+                elif ws:
+                    rows[(x, a)] = ws
+    else:
+        rows = {(x, a): ys for x in states for a in alphabet
+                if (ys := lts.successors(x, a))}
 
-    if semantics == "may":
-        weak = {(x, a): ws for x in range(n) for a in alphabet
-                if (ws := weak_successors(lts, x, a))}
-        outputs = [Output("bit", 1)] * n
-        return DecoratedLts(semantics, n, alphabet, alphabet, tuple(outputs), weak)
+    values: List[object]
+    if semantics == "language":
+        values = [int(x in lts.finals) for x in states]
+    elif semantics in ("trace", "may"):
+        values = [1] * lts.n_states
+    elif semantics == "ctrace":
+        values = [int(initial_actions(lts, x) == 0) for x in states]
+    elif semantics in ("ready", "rtrace"):
+        values = [frozenset({initial_actions(lts, x)}) for x in states]
+    elif semantics in ("failure", "ftrace"):
+        values = [fail_sets(lts, x) for x in states]
+    elif semantics == "pfutures":
+        values = [frozenset({c}) for c in trace_class_of(lts, cap=cap)]
+    else:
+        # must: TOP on diverging states; on every other state the join of the
+        # refusal families of the stable states in its tau-closure (a
+        # convergent state's tau-graph is acyclic, so there is at least one).
+        refusals = {y: fail_sets(lts, y) for y in states if not lts.successors(y, TAU)}
+        values = [TOP if x in div else frozenset().union(
+                      *(refusals[y] for y in tau_closure(lts, x) if y in refusals))
+                  for x in states]
 
-    # must
-    div = divergent_states(lts)
-    return DecoratedLts(semantics, n, alphabet, alphabet,
-                        tuple(_must_outputs(lts, div)), _must_rows(lts, div))
+    kind = OUTPUT_KIND[semantics]
+    return DecoratedLts(semantics, lts.n_states, alphabet, eff_alphabet,
+                        tuple(Output(kind, v) for v in values), rows)
 
 
 # ---------------------------------------------------------------------------

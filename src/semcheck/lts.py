@@ -88,8 +88,27 @@ def is_downclosed(masks: FrozenSet[int]) -> bool:
 # Labelled transition systems
 # ---------------------------------------------------------------------------
 
+class _NamedStates:
+    """State naming shared by :class:`Lts` and :class:`Gps`, which both carry
+    ``n_states`` and optional display ``names``."""
+
+    n_states: int
+    names: Optional[Tuple[str, ...]]
+
+    def state_name(self, x: int) -> str:
+        return self.names[x] if self.names else str(x)
+
+    def resolve_state(self, token: str) -> int:
+        """Map a display name or numeric index to a state; names win ties."""
+        if self.names and token in self.names:
+            return self.names.index(token)
+        if token.isdigit() and int(token) < self.n_states:
+            return int(token)
+        raise ValueError(f"unknown state {token!r}")
+
+
 @dataclass
-class Lts:
+class Lts(_NamedStates):
     """A finite LTS over a fixed visible alphabet, with optional final states
     (for language semantics) and optional display names.
 
@@ -107,17 +126,6 @@ class Lts:
 
     def successors(self, x: int, label: str) -> StateSet:
         return self.transitions.get((x, label), frozenset())
-
-    def state_name(self, x: int) -> str:
-        return self.names[x] if self.names else str(x)
-
-    def resolve_state(self, token: str) -> int:
-        """Map a display name or numeric index to a state; names win ties."""
-        if self.names and token in self.names:
-            return self.names.index(token)
-        if token.isdigit() and int(token) < self.n_states:
-            return int(token)
-        raise ValueError(f"unknown state {token!r}")
 
     @cached_property
     def _tau(self) -> "TauPass":
@@ -137,7 +145,7 @@ class ScaledGps(NamedTuple):
 
 
 @dataclass
-class Gps:
+class Gps(_NamedStates):
     """A generative probabilistic system: each state emits each action with an
     exact rational probability; the row over all actions sums to at most 1 and
     the deficit is the probability of termination.  Instances are treated as
@@ -170,16 +178,6 @@ class Gps:
 
     def termination_mass(self, x: int) -> Fraction:
         return 1 - self.emission_mass(x)
-
-    def state_name(self, x: int) -> str:
-        return self.names[x] if self.names else str(x)
-
-    def resolve_state(self, token: str) -> int:
-        if self.names and token in self.names:
-            return self.names.index(token)
-        if token.isdigit() and int(token) < self.n_states:
-            return int(token)
-        raise ValueError(f"unknown state {token!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from typing import (Callable, Dict, FrozenSet, Hashable, Iterable, List, Optiona
                     Sequence, Tuple, Union)
 
 from .decorations import (
+    DEFAULT_CAP,
     TOP,
     DecoratedLts,
     EffLabel,
@@ -30,8 +31,6 @@ from .lts import full_mask, submasks
 #: (must testing only).  Probabilistic systems determinise into distributions
 #: instead; those live in :mod:`semcheck.gps` as ``Distribution``.
 DetState = Union[FrozenSet[int], Top]
-
-DEFAULT_CAP = 1_000_000
 
 
 class CapExceeded(RuntimeError):

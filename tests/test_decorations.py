@@ -50,6 +50,8 @@ def fam(*masks):
 def test_join_bit_and_family():
     assert join_outputs(Output("bit", 0), Output("bit", 1)) == Output("bit", 1)
     assert join_outputs(fam(0b01), fam(0b10)) == fam(0b01, 0b10)
+    assert join_outputs(Output("class_set", frozenset({0})),
+                        Output("class_set", frozenset({2}))) == Output("class_set", frozenset({0, 2}))
 
 
 def test_join_top_absorbs():
@@ -57,6 +59,7 @@ def test_join_top_absorbs():
     v = Output("top_or_family", frozenset({0b01}))
     assert join_outputs(t, v) == t
     assert join_outputs(v, t) == t
+    assert join_outputs(t, t) == t
     assert t.is_top()
     assert not v.is_top()
 
@@ -64,6 +67,11 @@ def test_join_top_absorbs():
 def test_join_refuses_mixed_kinds():
     with pytest.raises(VariantMismatch):
         join_outputs(Output("bit", 1), fam(0b1))
+    for kind in ("prob", "prob_family"):  # linear-only: no join, not even with bottom
+        with pytest.raises(VariantMismatch):
+            join_outputs(bottom_output(kind), bottom_output(kind))
+    with pytest.raises(VariantMismatch):
+        bottom_output("no_such_kind")
 
 
 def test_join_all_empty_is_bottom():
