@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from semcheck import (
+    SEMANTICS,
     TOP,
     CapExceeded,
     MooreMachine,
@@ -16,11 +19,14 @@ from semcheck import (
     decorate,
     det_output,
     det_step,
+    in_congruence,
     mask_of,
     moore_partition_classes,
     naive_bisim,
+    random_lts,
     reachable_machine,
     render_output,
+    saturate,
 )
 
 from conftest import load_lts
@@ -72,6 +78,94 @@ def test_behavior_iterates_steps():
     dd = mask_of(["d"], lts.alphabet)
     assert behavior(d, frozenset({0}), ("a", "b")) == Output("family", frozenset({c, dd}))
     assert behavior(d, frozenset({0}), ()) == d.output(0)
+
+
+# -- guard: the determinised views against unions written out ---------------
+
+
+def _union_step(d, state, label):
+    """The rows of ``state``'s members under ``label``, unioned; TOP absorbs."""
+    if state is TOP:
+        return TOP
+    acc = set()
+    for x in state:
+        row = d.row(x, label)
+        if row is TOP:
+            return TOP
+        acc |= row
+    return frozenset(acc)
+
+
+def _joined_output(d, state):
+    """The outputs of ``state``'s members, joined by kind; TOP absorbs."""
+    if state is TOP:
+        return Output("top_or_family", TOP)
+    values = [d.output(x).value for x in state]
+    if any(v is TOP for v in values):
+        return Output(d.output_kind, TOP)
+    if d.output_kind == "bit":
+        return Output("bit", max(values, default=0))
+    return Output(d.output_kind, frozenset().union(*values))
+
+
+def _sweep(pairs, z):
+    """Widen ``z`` by the pairs, sweeping until a whole pass adds nothing."""
+    def below(a, b):
+        return b is TOP or (a is not TOP and a <= b)
+
+    changed = True
+    while changed:
+        changed = False
+        for u, v in pairs:
+            for p, q in ((u, v), (v, u)):
+                if below(p, z) and not below(q, z):
+                    z = TOP if q is TOP else z | q
+                    changed = True
+    return z
+
+
+def _is_detstate(s):
+    return s is TOP or type(s) is frozenset
+
+
+def test_det_views_match_row_unions():
+    # Seeded random walks from random start sets, for every tag that
+    # decorates: each step and output given frozensets must return the
+    # union of the rows and the join of the outputs, as frozensets; and the
+    # congruence closure over the walk's states must equal a plain sweep.
+    walks = reached_top = 0
+    for seed in range(300):
+        lts = random_lts(seed)
+        rng = random.Random(seed)
+        for tag in SEMANTICS:
+            try:
+                d = decorate(lts, tag)
+            except ValueError:  # language needs final states
+                continue
+            if not d.eff_alphabet:  # rtrace/ftrace on a system without edges
+                continue
+            for _ in range(3):
+                state = frozenset(x for x in range(lts.n_states) if rng.random() < 0.4)
+                seen = [state]
+                for _ in range(8):
+                    assert det_output(d, state) == _joined_output(d, state), (seed, tag)
+                    label = rng.choice(d.eff_alphabet)
+                    nxt = det_step(d, state, label)
+                    assert _is_detstate(nxt)
+                    assert nxt == _union_step(d, state, label), (seed, tag, state, label)
+                    state = nxt
+                    seen.append(state)
+                walks += 1
+                reached_top += state is TOP
+                pairs = [(rng.choice(seen), rng.choice(seen)) for _ in range(4)]
+                for z in rng.sample(seen, 3):
+                    full = saturate(pairs, z)
+                    assert _is_detstate(full)
+                    assert full == _sweep(pairs, z), (seed, tag, pairs, z)
+                    goal = rng.choice(seen)
+                    assert in_congruence(pairs, z, goal) == (full == _sweep(pairs, goal))
+    assert walks > 5000
+    assert reached_top > 50
 
 
 # -- reachable machine -------------------------------------------------------

@@ -20,6 +20,7 @@ from semcheck import (
     converges_on,
     decorate,
     divergent_states,
+    preorder_check,
     random_lts,
     render_output,
     tau_closure,
@@ -80,3 +81,46 @@ def _corpus():
 def test_tau_layer_matches_pinned_digest():
     text = "\n".join(line for name, lts in _corpus() for line in _tau_lines(name, lts))
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SHA256
+
+
+# -- the may preorder is weak-trace inclusion --------------------------------
+
+
+def _weak_reach(lts: Lts, x: int, word) -> frozenset:
+    """The states ``x`` reaches by ``word`` with any tau steps around each
+    visible step, by plain breadth-first search over ``lts.transitions``."""
+    def tau_star(states):
+        seen, todo = set(states), list(states)
+        while todo:
+            for z in lts.transitions.get((todo.pop(), TAU), ()):
+                if z not in seen:
+                    seen.add(z)
+                    todo.append(z)
+        return seen
+
+    states = tau_star({x})
+    for a in word:
+        states = tau_star({z for y in states for z in lts.transitions.get((y, a), ())})
+    return frozenset(states)
+
+
+def test_may_preorder_is_weak_trace_inclusion():
+    pairs = below = 0
+    for seed in range(300):
+        lts = tau_rich_lts(seed)
+        d = decorate(lts, "may")
+        words = [w for k in range(5) for w in itertools.product(lts.alphabet, repeat=k)]
+        traces = [{w for w in words if _weak_reach(lts, x, w)}
+                  for x in range(lts.n_states)]
+        for x in range(lts.n_states):
+            for y in range(lts.n_states):
+                rep = preorder_check(d, "may", x, y)
+                pairs += 1
+                if rep.equal:
+                    below += 1
+                    assert traces[x] <= traces[y], (seed, x, y)
+                else:
+                    word = rep.counterexample
+                    assert _weak_reach(lts, x, word), (seed, x, y, word)
+                    assert not _weak_reach(lts, y, word), (seed, x, y, word)
+    assert pairs > 5000 and 0 < below < pairs
