@@ -144,6 +144,36 @@ def test_gps_rejects_nonpositive_probability():
         parse_gps("gps 2\nalphabet a\n0 a 0/3 1\n")
 
 
+@pytest.mark.parametrize("token, expected", [
+    ("1/3", Fraction(1, 3)),
+    ("2/4", Fraction(1, 2)),
+    ("007/10", Fraction(7, 10)),
+    ("0.25", Fraction(1, 4)),
+    ("1e-1", Fraction(1, 10)),
+    ("+1/2", Fraction(1, 2)),
+    ("1_0/20", Fraction(1, 2)),
+    ("\u0661/\u0662", Fraction(1, 2)),
+    ("1", Fraction(1)),
+    ("1/0", "line 3: bad probability '1/0'"),
+    ("x/2", "line 3: bad probability 'x/2'"),
+    ("1/2/3", "line 3: bad probability '1/2/3'"),
+    ("/2", "line 3: bad probability '/2'"),
+    ("1/", "line 3: bad probability '1/'"),
+    ("\u00b9/2", "line 3: bad probability '\u00b9/2'"),
+    ("3/2", "line 3: probability 3/2 outside (0, 1]"),
+    ("0/5", "line 3: probability 0/5 outside (0, 1]"),
+    ("-1/2", "line 3: probability -1/2 outside (0, 1]"),
+])
+def test_gps_probability_tokens(token, expected):
+    text = f"gps 2\nalphabet a\n0 a {token} 1\n"
+    if isinstance(expected, Fraction):
+        assert parse_gps(text).row(0, "a") == {1: expected}
+    else:
+        with pytest.raises(FormatError) as exc:
+            parse_gps(text)
+        assert str(exc.value) == expected
+
+
 # -- serialisation -----------------------------------------------------------
 
 
