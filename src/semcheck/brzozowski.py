@@ -34,8 +34,8 @@ from .decorations import (
     compact_output,  # noqa: F401  not called; perfbench counts brzozowski.compact_output
     join_outputs,
 )
-from .lts import StateSet
-from .moore import DEFAULT_CAP, MooreMachine, explore
+from .lts import StateSet, mask_bits
+from .moore import DEFAULT_CAP, MooreMachine, explore, to_mask
 
 #: A reversal state: one interned output id per (reachable) base state.
 FunctionState = Tuple[int, ...]
@@ -91,20 +91,21 @@ class LazyReversal:
         return self.output(state)
 
 
-def _forward_reachable(d: DecoratedLts, inits: StateSet) -> Tuple[int, ...]:
-    seen = set(inits)
-    stack = list(inits)
-    while stack:
-        x = stack.pop()
-        for label in d.eff_alphabet:
-            row = d.transitions.get((x, label), frozenset())
-            if row is TOP:
-                continue
-            for y in row:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-    return tuple(sorted(seen))
+def _forward_reachable(d: DecoratedLts, inits: int) -> int:
+    """The mask of the base states reachable from ``inits`` (TOP rows lead
+    nowhere)."""
+    seen = frontier = inits
+    rows = list(d.masks.values())
+    while frontier:
+        succ = 0
+        for x in mask_bits(frontier):
+            for label_rows in rows:
+                row = label_rows[x]
+                if row is not TOP:
+                    succ |= row
+        frontier = succ & ~seen
+        seen |= frontier
+    return seen
 
 
 def reverse_determinize(d: DecoratedLts, inits: StateSet) -> LazyReversal:
@@ -117,17 +118,17 @@ def reverse_determinize(d: DecoratedLts, inits: StateSet) -> LazyReversal:
     with TOP rows forcing the top output.  Each label's rows are resolved to
     coordinate positions once, so a step only folds ids."""
     table = _OutputTable(d.output_kind)
-    domain = _forward_reachable(d, inits)
+    inits = to_mask(inits)
+    domain = mask_bits(_forward_reachable(d, inits))
     pos = {x: i for i, x in enumerate(domain)}
     initial = tuple(table.intern(d.outputs[x]) for x in domain)
-    init_pos = tuple(pos[x] for x in sorted(inits))
+    init_pos = tuple(pos[x] for x in mask_bits(inits))
     rows: Dict[EffLabel, Tuple[object, ...]] = {}
     for label in d.eff_alphabet:
-        label_rows = []
-        for x in domain:
-            row = d.transitions.get((x, label), frozenset())
-            label_rows.append(TOP if row is TOP else tuple(pos[y] for y in row))
-        rows[label] = tuple(label_rows)
+        label_rows = d.masks[label]
+        rows[label] = tuple(TOP if label_rows[x] is TOP
+                            else tuple(pos[y] for y in mask_bits(label_rows[x]))
+                            for x in domain)
     top = (table.intern(Output("top_or_family", TOP))
            if any(r is TOP for label_rows in rows.values() for r in label_rows) else None)
     join = table.join

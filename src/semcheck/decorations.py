@@ -26,20 +26,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Tuple, Union
 
 from .lts import (
     TAU,
     Lts,
     StateSet,
-    divergent_states,
+    divergent_states,  # noqa: F401  not called; perfbench counts decorations.divergent_states
     downclose_masks,
     fail_sets,
     full_mask,
     initial_actions,
     labels_of,
-    tau_closure,
-    weak_successors,
+    mask_bits,
+    mask_states,
+    state_mask,
+    tau_pass,
+    weak_successors,  # noqa: F401  not called; perfbench counts decorations.weak_successors
 )
 
 DEFAULT_CAP = 1_000_000
@@ -109,7 +113,7 @@ class Output:
 
 
 #: output kind -> bottom value
-_BOTTOM = {"bit": 0, "family": frozenset(), "top_or_family": frozenset(),
+BOTTOM_VALUE = {"bit": 0, "family": frozenset(), "top_or_family": frozenset(),
           "class_set": frozenset(), "prob": Fraction(0), "prob_family": ()}
 
 #: the kinds that form join-semilattices: every value joins with ``|``
@@ -117,9 +121,9 @@ _LATTICE_KINDS = frozenset(OUTPUT_KIND.values())
 
 
 def bottom_output(kind: str) -> Output:
-    if kind not in _BOTTOM:
+    if kind not in BOTTOM_VALUE:
         raise VariantMismatch(f"unknown output kind {kind!r}")
-    return Output(kind, _BOTTOM[kind])
+    return Output(kind, BOTTOM_VALUE[kind])
 
 
 def join_outputs(a: Output, b: Output) -> Output:
@@ -183,27 +187,46 @@ def compact_output(v: Output, alphabet: Tuple[str, ...], semantics: str) -> Outp
 # Decorated systems
 # ---------------------------------------------------------------------------
 
+#: A decorated row: the successors' state mask, or TOP.
+Row = Union[int, Top]
+
+
 @dataclass
 class DecoratedLts:
     """An LTS after decoration: per-state outputs, an effective alphabet, and
     transition rows that may be marked TOP (must testing under divergence).
-    Treated as immutable."""
+    ``masks[label][x]`` is ``x``'s row under ``label`` as a state mask (bit
+    ``y`` for successor ``y``), or TOP.  Treated as immutable."""
 
     semantics: str
     n_states: int
     alphabet: Tuple[str, ...]
     eff_alphabet: Tuple[EffLabel, ...]
     outputs: Tuple[Output, ...]
-    transitions: Dict[Tuple[int, EffLabel], Union[StateSet, Top]]
+    masks: Dict[EffLabel, Tuple[Row, ...]]
 
     @property
     def output_kind(self) -> str:
         return OUTPUT_KIND[self.semantics]
 
+    @cached_property
+    def transitions(self) -> Dict[Tuple[int, EffLabel], Union[StateSet, Top]]:
+        """The non-empty rows as frozensets (or TOP), keyed by
+        ``(state, label)``; built on first use."""
+        return {(x, a): row if row is TOP else mask_states(row)
+                for x in range(self.n_states) for a in self.eff_alphabet
+                if (row := self.masks[a][x])}
+
+    @cached_property
+    def values(self) -> Tuple[object, ...]:
+        """The raw output value of every state (``outputs[x].value``)."""
+        return tuple(o.value for o in self.outputs)
+
     def row(self, x: int, label: EffLabel) -> Union[StateSet, Top]:
-        if label not in self.eff_alphabet:
+        if label not in self.masks:
             raise ValueError(f"unknown label {label!r}")
-        return self.transitions.get((x, label), frozenset())
+        row = self.masks[label][x]
+        return row if row is TOP else mask_states(row)
 
     def output(self, x: int) -> Output:
         return self.outputs[x]
@@ -215,7 +238,7 @@ def trace_class_of(lts: Lts, cap: int = DEFAULT_CAP) -> Tuple[int, ...]:
     built from all singleton state sets and refined to its coarsest partition."""
     from .moore import moore_partition_classes, reachable_machine
 
-    singletons = [frozenset({x}) for x in range(lts.n_states)]
+    singletons = [1 << x for x in range(lts.n_states)]
     machine = reachable_machine(decorate(lts, "trace"), singletons, cap=cap)
     # The singletons are the machine's first n states, so their blocks are
     # already numbered by first occurrence.
@@ -241,6 +264,15 @@ def relabel_for_trace_decorations(lts: Lts) -> Lts:
     return Lts(lts.n_states, alphabet, pair_trans, lts.finals, lts.names)
 
 
+def _row_masks(lts: Lts) -> Dict[EffLabel, Tuple[int, ...]]:
+    """The visible rows of ``lts`` as state masks, label by label."""
+    rows = {a: [0] * lts.n_states for a in lts.alphabet}
+    for (x, a), ys in lts.transitions.items():
+        if a != TAU:
+            rows[a][x] = state_mask(ys)
+    return {a: tuple(r) for a, r in rows.items()}
+
+
 def decorate(lts: Lts, semantics: str, cap: int = DEFAULT_CAP) -> DecoratedLts:
     """Decorate ``lts`` for the given semantics tag.
 
@@ -252,24 +284,23 @@ def decorate(lts: Lts, semantics: str, cap: int = DEFAULT_CAP) -> DecoratedLts:
     if semantics == "language" and lts.finals is None:
         raise ValueError("language semantics needs a 'final' line")
     states, alphabet = range(lts.n_states), lts.alphabet
-    div = divergent_states(lts) if semantics == "must" else frozenset()
+    tau = tau_pass(lts) if semantics in ("may", "must") else None
+    div = tau.divergent if semantics == "must" else 0
 
     eff_alphabet: Tuple[EffLabel, ...] = alphabet
-    rows: Dict[Tuple[int, EffLabel], Union[StateSet, Top]] = {}
+    masks: Dict[EffLabel, Tuple[Row, ...]]
     if semantics in ("rtrace", "ftrace"):
         relabelled = relabel_for_trace_decorations(lts)
-        eff_alphabet, rows = relabelled.alphabet, relabelled.transitions
-    elif semantics in ("may", "must"):  # may: div is empty, so no row is TOP
-        for x in states:
-            for a in alphabet:
-                ws = weak_successors(lts, x, a)
-                if x in div or not ws.isdisjoint(div):
-                    rows[(x, a)] = TOP
-                elif ws:
-                    rows[(x, a)] = ws
+        eff_alphabet = relabelled.alphabet
+        masks = _row_masks(relabelled)
+    elif div:  # must with divergence: a row is TOP where divergence is near
+        masks = {a: tuple(TOP if div >> x & 1 or ws & div else ws
+                          for x, ws in enumerate(rows))
+                 for a, rows in tau.weak.items()}
+    elif tau is not None:
+        masks = tau.weak
     else:
-        rows = {(x, a): ys for x in states for a in alphabet
-                if (ys := lts.successors(x, a))}
+        masks = _row_masks(lts)
 
     values: List[object]
     if semantics == "language":
@@ -288,14 +319,23 @@ def decorate(lts: Lts, semantics: str, cap: int = DEFAULT_CAP) -> DecoratedLts:
         # must: TOP on diverging states; on every other state the join of the
         # refusal families of the stable states in its tau-closure (a
         # convergent state's tau-graph is acyclic, so there is at least one).
-        refusals = {y: fail_sets(lts, y) for y in states if not lts.successors(y, TAU)}
-        values = [TOP if x in div else frozenset().union(
-                      *(refusals[y] for y in tau_closure(lts, x) if y in refusals))
-                  for x in states]
+        stable = state_mask(y for y in states if not lts.successors(y, TAU))
+        refusals = {y: fail_sets(lts, y) for y in mask_bits(stable)}
+        joined: Dict[int, FrozenSet[int]] = {}
+        values = []
+        for x in states:
+            if div >> x & 1:
+                values.append(TOP)
+                continue
+            reach = tau.closure[x] & stable
+            if reach not in joined:
+                joined[reach] = frozenset().union(
+                    *(refusals[y] for y in mask_bits(reach)))
+            values.append(joined[reach])
 
     kind = OUTPUT_KIND[semantics]
     return DecoratedLts(semantics, lts.n_states, alphabet, eff_alphabet,
-                        tuple(Output(kind, v) for v in values), rows)
+                        tuple(Output(kind, v) for v in values), masks)
 
 
 # ---------------------------------------------------------------------------

@@ -26,44 +26,50 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from .decorations import TOP, DecoratedLts, EffLabel
-from .moore import DEFAULT_CAP, CapExceeded, DetState, det_output, det_step
+from .lts import mask_bits
+from .moore import (DEFAULT_CAP, CapExceeded, DetState, det_output, det_step,
+                    to_mask, to_stateset)
 
 Pair = Tuple[DetState, DetState]
 
 
 def _covers(z: DetState, goal: DetState) -> bool:
     """Whether ``goal`` lies below ``z``, with TOP above every set."""
-    return z is TOP or (goal is not TOP and goal <= z)
+    return z is TOP or (goal is not TOP and not goal & ~z)
 
 
-def _mask(states) -> int:
-    m = 0
-    for x in states:
-        m |= 1 << x
-    return m
+def _mask_pair(pair) -> Pair:
+    u, v = pair
+    if (type(u) is int or u is TOP) and (type(v) is int or v is TOP):
+        return pair
+    return to_mask(u), to_mask(v)
 
 
 class Generators:
     """A multiset of pairs, indexed as the Horn rules of their congruence.
 
     Each distinct pair ``(u, v)`` contributes ``u => v`` and ``v => u``; both
-    fire only while the pair's multiplicity is positive.  Premises are tested
-    as bitmasks.  A rule sits in the watch list of one of its premise states,
-    at first the highest; a rule with an empty premise sits under -1, which
-    every saturation visits.  A saturation that meets a rule of a pair no
-    longer live parks the rule on the pair until the pair is added again.  A
-    rule with a TOP premise fires only from TOP, where nothing is left to
-    add, and a rule whose conclusion lies inside its premise adds nothing, so
-    neither is indexed.  A TOP conclusion makes the saturated set TOP."""
+    fire only while the pair's multiplicity is positive.  States are masks;
+    pairs of frozensets are converted as they come in, and ``close`` answers
+    a frozenset with a frozenset.  A rule sits in the watch list of one of
+    its premise states, at first the highest; a rule with an empty premise
+    sits under -1, which every saturation visits.  A saturation that meets a
+    rule of a pair no longer live parks the rule on the pair until the pair
+    is added again.  A rule with a TOP premise fires only from TOP, where
+    nothing is left to add, and a rule whose conclusion lies inside its
+    premise adds nothing, so neither is indexed.  A TOP conclusion makes the
+    saturated set TOP."""
 
     def __init__(self, pairs: Iterable[Pair] = ()):
         # pair -> [multiplicity, parked rules], the cell of the pair's rules
         self._live: Dict[Pair, list] = {}
         self._watch: Dict[int, List[tuple]] = defaultdict(list)
+        self._watched = 0   # states whose watch list has ever held a rule
         for pair in pairs:
             self.add(pair)
 
     def add(self, pair: Pair) -> None:
+        pair = _mask_pair(pair)
         cell = self._live.get(pair)
         if cell is None:
             cell = self._live[pair] = [0, []]
@@ -71,32 +77,37 @@ class Generators:
             for premise, conclusion in ((u, v), (v, u)):
                 if premise is TOP or _covers(premise, conclusion):
                     continue
-                cell[1].append((_mask(premise), conclusion,
-                                0 if conclusion is TOP else _mask(conclusion), cell))
+                cell[1].append((premise, conclusion, cell))
         if not cell[0]:
             # back to life: index the rules a closure parked while it was dead
             for rule in cell[1]:
-                self._watch[rule[0].bit_length() - 1].append(rule)
+                top = rule[0].bit_length() - 1
+                self._watch[top].append(rule)
+                if top >= 0:
+                    self._watched |= 1 << top
             cell[1].clear()
         cell[0] += 1
 
     def remove(self, pair: Pair) -> None:
-        self._live[pair][0] -= 1
+        self._live[_mask_pair(pair)][0] -= 1
 
     def __contains__(self, pair: Pair) -> bool:
-        cell = self._live.get(pair)
+        cell = self._live.get(_mask_pair(pair))
         return cell is not None and cell[0] > 0
 
     def close(self, z: DetState, goal: Optional[DetState] = None) -> DetState:
         """The least set above ``z`` closed under the live rules; with a
         ``goal``, stop as soon as the set covers it."""
+        if type(z) is not int and z is not TOP:
+            return to_stateset(self.close(to_mask(z), goal))
+        if goal is not None:
+            goal = to_mask(goal)
         if z is TOP or (goal is not None and _covers(z, goal)):
             return z
         # 0 never stops the walk early: an empty goal is covered before it
-        wanted = 0 if goal is None or goal is TOP else _mask(goal)
-        acc: Set[int] = set(z)
-        unreached = ~_mask(acc)
-        queue = [*acc, -1]
+        wanted = 0 if goal is None or goal is TOP else goal
+        acc = z
+        queue = [*mask_bits(z & self._watched), -1]
         watch = self._watch
         while queue:
             rules = watch.get(queue.pop())
@@ -104,31 +115,32 @@ class Generators:
                 continue
             kept = []
             for i, rule in enumerate(rules):
-                pmask, conclusion, cmask, cell = rule
+                premise, conclusion, cell = rule
                 if not cell[0]:
                     cell[1].append(rule)   # parked until the pair is added again
                     continue
-                missing = pmask & unreached
+                missing = premise & ~acc
                 if missing:
                     # watch the highest premise state not reached yet
-                    watch[missing.bit_length() - 1].append(rule)
+                    top = missing.bit_length() - 1
+                    watch[top].append(rule)
+                    self._watched |= 1 << top
                     continue
                 kept.append(rule)
                 if conclusion is TOP:
                     kept.extend(rules[i + 1:])
                     rules[:] = kept
                     return TOP
-                if cmask & unreached:
-                    new = conclusion - acc
-                    acc.update(new)
-                    queue.extend(new)
-                    unreached &= ~cmask
-                    if wanted and not wanted & unreached:
+                new = conclusion & ~acc
+                if new:
+                    acc |= new
+                    queue.extend(mask_bits(new & self._watched))
+                    if wanted and not wanted & ~acc:
                         kept.extend(rules[i + 1:])
                         rules[:] = kept
-                        return frozenset(acc)
+                        return acc
             rules[:] = kept
-        return frozenset(acc)
+        return acc
 
 
 def saturate(pairs: Iterable[Pair], z: DetState,
@@ -138,7 +150,8 @@ def saturate(pairs: Iterable[Pair], z: DetState,
 
     ``pairs`` is a sequence of pairs or a live :class:`Generators` index.
     With a ``goal``, the widening stops as soon as it covers ``goal``, so the
-    result covers ``goal`` exactly when the fixpoint does."""
+    result covers ``goal`` exactly when the fixpoint does.  Given a
+    frozenset ``z``, the result is a frozenset (or TOP)."""
     gens = pairs if isinstance(pairs, Generators) else Generators(pairs)
     return gens.close(z, goal)
 
@@ -151,6 +164,7 @@ def in_congruence(pairs: Iterable[Pair], left: DetState, right: DetState) -> boo
     exactly when each side lies below the other's saturation; each side's
     widening stops as soon as it covers the other side."""
     gens = pairs if isinstance(pairs, Generators) else Generators(pairs)
+    left, right = to_mask(left), to_mask(right)
     return (_covers(saturate(gens, left, right), right)
             and _covers(saturate(gens, right, left), left))
 
@@ -160,7 +174,9 @@ def product_walk(d: DecoratedLts, left: DetState, right: DetState, cap: float,
                  ) -> Tuple[bool, List[Pair], int, Optional[Tuple[EffLabel, ...]]]:
     """Breadth-first walk over pairs of determinised states from ``(left, right)``.
 
-    Pairs are dequeued first-in-first-out.  A pair for which
+    ``left`` and ``right`` are masks or frozensets, and the walk keeps their
+    representation: ``det_step`` and ``det_output`` answer in kind.  Pairs
+    are dequeued first-in-first-out.  A pair for which
     ``prune(pair, relation, todo, qi)`` holds is skipped (``todo[qi:]`` are
     the pairs still waiting); any other must agree on its output, joins the
     relation and pushes its successor pairs in alphabet order.  Returns
@@ -202,8 +218,9 @@ def naive_bisim(d: DecoratedLts, left: DetState, right: DetState,
     """Breadth-first bisimulation on the determinised machine.
 
     Returns ``(True, relation)`` where ``relation`` lists the processed state
-    pairs in discovery order, or ``(False, word)`` with a distinguishing word.
-    At most ``cap`` distinct pairs are discovered."""
+    pairs in discovery order, as frozensets (or TOP), or ``(False, word)``
+    with a distinguishing word.  At most ``cap`` distinct pairs are
+    discovered."""
     seen: Set[Pair] = set()
 
     def already_related(pair: Pair, relation, todo, qi) -> bool:
@@ -212,13 +229,19 @@ def naive_bisim(d: DecoratedLts, left: DetState, right: DetState,
         seen.add(pair)
         return False
 
-    equal, relation, _, word = product_walk(d, left, right, cap, already_related)
-    return (True, relation) if equal else (False, word)
+    equal, relation, _, word = product_walk(d, to_mask(left), to_mask(right), cap,
+                                            already_related)
+    return (True, _stateset_pairs(relation)) if equal else (False, word)
+
+
+def _stateset_pairs(relation: List[Pair]) -> list:
+    return [(to_stateset(l), to_stateset(r)) for l, r in relation]
 
 
 @dataclass
 class HkcReport:
-    """Outcome of a congruence-based equivalence check."""
+    """Outcome of a congruence-based equivalence check; the relation's states
+    are frozensets (or TOP)."""
 
     equal: bool
     relation: List[Pair]
@@ -253,7 +276,9 @@ def hkc_check(d: DecoratedLts, left: DetState, right: DetState,
         gens.remove(pair)   # dequeued: the live pairs are relation + todo[qi:]
         return pair in gens or in_congruence(gens, *pair)
 
-    return HkcReport(*product_walk(d, left, right, math.inf, up_to_congruence))
+    equal, relation, processed, word = product_walk(
+        d, to_mask(left), to_mask(right), math.inf, up_to_congruence)
+    return HkcReport(equal, _stateset_pairs(relation), processed, word)
 
 
 def preorder_check(d: DecoratedLts, semantics: str, x: int, y: int,
@@ -267,7 +292,7 @@ def preorder_check(d: DecoratedLts, semantics: str, x: int, y: int,
         raise ValueError(f"preorders are defined for may/must, not {semantics!r}")
     if d.semantics != semantics:
         raise ValueError(f"system decorated for {d.semantics!r}, expected {semantics!r}")
-    joined = frozenset({x, y})
+    joined = 1 << x | 1 << y
     if semantics == "may":
-        return hkc_check(d, joined, frozenset({y}), cap)
-    return hkc_check(d, joined, frozenset({x}), cap)
+        return hkc_check(d, joined, 1 << y, cap)
+    return hkc_check(d, joined, 1 << x, cap)

@@ -4,7 +4,8 @@ probabilistic systems (GPS).
 Provides the text-format parser/serialiser and the tau-aware primitives
 (weak transitions, divergence, convergence, initial-action and failure sets)
 that the semantic decorations are built from.  Action subsets and families of
-action subsets are represented as bitmasks over the system's alphabet tuple.
+action subsets are represented as bitmasks over the system's alphabet tuple,
+and the tau layer keeps its sets of states as bitmasks over state indices.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ class FormatError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Bitmask helpers for action subsets and families of action subsets.
-# A subset of the alphabet is an int whose bit i stands for alphabet[i];
-# a family of subsets is a frozenset of such ints.
+# Bitmask helpers.  A subset of the alphabet is an int whose bit i stands for
+# alphabet[i]; a family of subsets is a frozenset of such ints.  A set of
+# states is likewise an int whose bit x stands for state x.
 # ---------------------------------------------------------------------------
 
 def mask_of(labels: Iterable[str], alphabet: Tuple[str, ...]) -> int:
@@ -70,6 +71,29 @@ def downclose_masks(masks: Iterable[int]) -> FrozenSet[int]:
         if m not in out:
             out.update(submasks(m))
     return frozenset(out)
+
+
+def state_mask(states: Iterable[int]) -> int:
+    """The mask of a set of states: bit ``x`` stands for state ``x``."""
+    m = 0
+    for x in states:
+        m |= 1 << x
+    return m
+
+
+def mask_bits(mask: int) -> List[int]:
+    """The positions of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def mask_states(mask: int) -> StateSet:
+    """The set of states a state mask stands for."""
+    return frozenset(mask_bits(mask))
 
 
 def is_downclosed(masks: FrozenSet[int]) -> bool:
@@ -273,6 +297,15 @@ def parse_lts(text: str) -> Lts:
     return Lts(n, alphabet, {k: frozenset(v) for k, v in trans.items()}, finals, names)
 
 
+def _probability(token: str) -> Fraction:
+    """``Fraction(token)``, with ``<digits>/<digits>`` (ASCII) read by two
+    ``int`` calls instead of the general string parser."""
+    num, slash, den = token.partition("/")
+    if slash and num.isascii() and num.isdigit() and den.isascii() and den.isdigit():
+        return Fraction(int(num), int(den))
+    return Fraction(token)
+
+
 def parse_gps(text: str) -> Gps:
     """Parse the GPS text format.  Probabilities are exact rationals ``p/q``;
     each state's total emission mass must be at most 1."""
@@ -291,7 +324,7 @@ def parse_gps(text: str) -> Gps:
         if lab not in alphabet:
             raise FormatError(f"unknown label {lab!r}", ln)
         try:
-            p = Fraction(toks[2])
+            p = _probability(toks[2])
         except (ValueError, ZeroDivisionError):
             raise FormatError(f"bad probability {toks[2]!r}", ln) from None
         if not 0 < p.numerator <= p.denominator:
@@ -366,88 +399,119 @@ def disjoint_union(a: Lts, b: Lts) -> Lts:
 # Every tau-derived fact comes from one Tarjan walk over the tau graph, run
 # once per system and cached on it.  Tarjan finishes each strongly connected
 # component after every component it tau-reaches, so a component's closure,
-# divergence and weak rows are joins over components already finished.
+# divergence and weak rows are joins over components already finished.  The
+# pass keeps every set of states as an int mask; the functions that return
+# frozensets build them from the masks on each call.
 # ---------------------------------------------------------------------------
 
 class TauPass(NamedTuple):
-    """Per-state tau-closures and weak rows (shared by the members of a tau
-    strongly connected component), and the set of divergent states."""
+    """The tau layer as state masks (bit ``x`` stands for state ``x``):
+    ``closure[x]`` is ``x``'s tau-closure, ``weak[a][x]`` its weak
+    ``a``-successors, and ``divergent`` the states that admit an infinite
+    tau run.  Members of one tau strongly connected component share their
+    closure and weak rows."""
 
-    closure: Tuple[StateSet, ...]
-    weak: Tuple[Dict[str, StateSet], ...]
-    divergent: StateSet
+    closure: Tuple[int, ...]
+    weak: Dict[str, Tuple[int, ...]]
+    divergent: int
 
 
 def _tau_pass(lts: Lts) -> TauPass:
     n = lts.n_states
-    succ = [sorted(lts.successors(x, TAU)) for x in range(n)]
-    index: Dict[int, int] = {}
-    low: Dict[int, int] = {}
+    succ: List[Iterable[int]] = [()] * n
+    for (x, a), ys in lts.transitions.items():
+        if a == TAU:
+            succ[x] = sorted(ys)
+    index = [-1] * n
+    low = [0] * n
+    counter = 0
     stack: List[int] = []
     comp_of = [-1] * n           # -1 while a state is on the Tarjan stack
-    comps: List[List[int]] = []  # in the order Tarjan finishes them
     below: List[set] = []        # each component's tau-successor components
-    closure: List[StateSet] = []
+    closure: List[int] = []      # in the order Tarjan finishes the components
     divergent: List[bool] = []
 
     for root in range(n):
-        if root in index:
+        if index[root] >= 0:
             continue
-        work = [(root, 0)]  # (state, position of its next tau-successor)
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]  # (state, its tau-successors to go)
         while work:
-            v, i = work.pop()
-            if i == 0:
-                index[v] = low[v] = len(index)
-                stack.append(v)
-            else:  # back from the tree edge to succ[v][i - 1]
-                low[v] = min(low[v], low[succ[v][i - 1]])
-            for j in range(i, len(succ[v])):
-                w = succ[v][j]
-                if w not in index:
-                    work += [(v, j + 1), (w, 0)]
+            v, todo = work[-1]
+            for w in todo:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
                     break
-                if comp_of[w] < 0:
-                    low[v] = min(low[v], index[w])
+                if comp_of[w] < 0 and index[w] < low[v]:
+                    low[v] = index[w]
             else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
                 if low[v] == index[v]:
-                    c = len(comps)
+                    c = len(closure)
                     comp: List[int] = []
+                    reach = 0
                     while not comp or comp[-1] != v:
-                        comp.append(stack.pop())
-                        comp_of[comp[-1]] = c
-                    succs = {comp_of[y] for w in comp for y in succ[w]} - {c}
-                    comps.append(comp)
+                        w = stack.pop()
+                        comp.append(w)
+                        comp_of[w] = c
+                        reach |= 1 << w
+                    succs = {comp_of[y] for w in comp for y in succ[w]}
+                    succs.discard(c)
                     below.append(succs)
-                    closure.append(frozenset(comp).union(*(closure[d] for d in succs)))
                     # a tau-cycle: size >= 2, or a tau self-loop
-                    divergent.append(len(comp) >= 2 or comp[0] in succ[comp[0]]
-                                     or any(divergent[d] for d in succs))
+                    div = len(comp) >= 2 or v in succ[v]
+                    for d in succs:
+                        reach |= closure[d]
+                        div = div or divergent[d]
+                    closure.append(reach)
+                    divergent.append(div)
 
-    # Weak rows need the closures of strong successors, which may lie in
-    # components finished later, so they are built in a second loop.
-    weak: List[Dict[str, StateSet]] = []
-    for comp, succs in zip(comps, below):
-        row = {}
-        for a in lts.alphabet:
-            parts = [closure[comp_of[z]] for w in comp for z in lts.successors(w, a)]
-            parts += [weak[d][a] for d in succs]
-            row[a] = parts[0] if len(parts) == 1 else frozenset().union(*parts)
-        weak.append(row)
-    return TauPass(tuple(closure[comp_of[x]] for x in range(n)),
-                   tuple(weak[comp_of[x]] for x in range(n)),
-                   frozenset(x for x in range(n) if divergent[comp_of[x]]))
+    # A component's weak row joins the closures of its members' strong
+    # successors, which may lie in components finished later, with the weak
+    # rows of the components it tau-reaches, which are finished earlier.
+    strong = {a: [0] * len(closure) for a in lts.alphabet}
+    for (x, a), ys in lts.transitions.items():
+        if a != TAU:
+            row = 0
+            for z in ys:
+                row |= closure[comp_of[z]]
+            strong[a][comp_of[x]] |= row
+    weak: Dict[str, Tuple[int, ...]] = {}
+    for a, rows in strong.items():
+        for c, succs in enumerate(below):
+            for d in succs:
+                rows[c] |= rows[d]
+        weak[a] = tuple(rows[c] for c in comp_of)
+    return TauPass(tuple(closure[c] for c in comp_of), weak,
+                   state_mask(x for x, c in enumerate(comp_of) if divergent[c]))
+
+
+def tau_pass(lts: Lts) -> TauPass:
+    """The tau layer of ``lts`` as state masks, computed once and cached."""
+    return lts._tau
 
 
 def tau_closure(lts: Lts, x: int) -> StateSet:
     """States reachable from ``x`` by zero or more tau steps."""
-    return lts._tau.closure[x]
+    return mask_states(lts._tau.closure[x])
+
+
+def _weak_row(lts: Lts, label: str) -> Tuple[int, ...]:
+    if label == TAU or label not in lts.alphabet:
+        raise ValueError(f"label {label!r} not in the visible alphabet")
+    return lts._tau.weak[label]
 
 
 def weak_successors(lts: Lts, x: int, label: str) -> StateSet:
     """Weak transition targets: tau* label tau* from ``x``."""
-    if label == TAU or label not in lts.alphabet:
-        raise ValueError(f"label {label!r} not in the visible alphabet")
-    return lts._tau.weak[x][label]
+    return mask_states(_weak_row(lts, label)[x])
 
 
 def divergent_states(lts: Lts) -> StateSet:
@@ -455,25 +519,28 @@ def divergent_states(lts: Lts) -> StateSet:
 
     tau-cycles are found as strongly connected components of the tau graph
     that contain a tau edge (size >= 2, or a tau self-loop)."""
-    return lts._tau.divergent
+    return mask_states(lts._tau.divergent)
 
 
 def diverges(lts: Lts, x: int) -> bool:
     """True iff ``x`` admits an infinite run of tau steps."""
-    return x in divergent_states(lts)
+    return bool(lts._tau.divergent >> x & 1)
 
 
 def converges_on(lts: Lts, x: int, word: Iterable[str]) -> bool:
     """Convergence along a visible word: ``x`` converges on the empty word iff
     it does not diverge, and on ``a w`` iff it converges on the empty word and
     every weak a-successor converges on ``w``."""
-    div = divergent_states(lts)
-    frontier = {x}
+    div = lts._tau.divergent
+    frontier = 1 << x
     for a in word:
-        if not frontier.isdisjoint(div):
+        if frontier & div:
             return False
-        frontier = set().union(*(weak_successors(lts, y, a) for y in frontier))
-    return frontier.isdisjoint(div)
+        if frontier:
+            rows, m, frontier = _weak_row(lts, a), frontier, 0
+            for y in mask_bits(m):
+                frontier |= rows[y]
+    return not frontier & div
 
 
 def initial_actions(lts: Lts, x: int) -> int:

@@ -6,15 +6,21 @@ and steps are unions of rows.  This module provides lazy evaluation of that
 machine (``det_output`` / ``det_step`` / ``behavior``), the interning search
 (``explore``) that builds the reachable part of it and of the reversal
 machines, and partition refinement to the coarsest quotient.
+
+A set of base states is an int mask, bit ``x`` standing for state ``x``, so a
+step is an OR of row masks.  Frozensets appear only at the boundary:
+``det_step``, ``det_output`` and ``behavior`` given a frozenset answer in
+frozensets, and ``reachable_machine`` records its states as frozensets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, FrozenSet, Hashable, Iterable, List, Optional,
+from typing import (Callable, Dict, Hashable, Iterable, List, Optional,
                     Sequence, Tuple, Union)
 
 from .decorations import (
+    BOTTOM_VALUE,
     DEFAULT_CAP,
     TOP,
     DecoratedLts,
@@ -22,15 +28,26 @@ from .decorations import (
     Output,
     Top,
     VariantMismatch,
-    bottom_output,
-    join_outputs,
+    join_outputs,  # noqa: F401  not called; perfbench counts moore.join_outputs
 )
-from .lts import full_mask, submasks
+from .lts import StateSet, full_mask, mask_states, state_mask, submasks
 
-#: A determinised state: a set of base states, or the absorbing top element
-#: (must testing only).  Probabilistic systems determinise into distributions
-#: instead; those live in :mod:`semcheck.gps` as ``Distribution``.
-DetState = Union[FrozenSet[int], Top]
+#: A determinised state: the mask of a set of base states, or the absorbing
+#: top element (must testing only).  Probabilistic systems determinise into
+#: distributions instead; those live in :mod:`semcheck.gps` as
+#: ``Distribution``.
+DetState = Union[int, Top]
+
+
+def to_mask(state: Union[DetState, StateSet]) -> DetState:
+    """A determinised state as a mask; a frozenset (or any iterable of
+    states) is converted, masks and TOP pass through."""
+    return state if state is TOP or type(state) is int else state_mask(state)
+
+
+def to_stateset(state: DetState) -> Union[StateSet, Top]:
+    """The frozenset a mask stands for; TOP stays TOP."""
+    return state if state is TOP else mask_states(state)
 
 
 class CapExceeded(RuntimeError):
@@ -42,32 +59,44 @@ class CapExceeded(RuntimeError):
         super().__init__(f"{stage}: exceeded cap after building {states_built} states")
 
 
-def det_output(d: DecoratedLts, state: DetState) -> Output:
+def det_output(d: DecoratedLts, state: Union[DetState, StateSet]) -> Output:
     """Pointwise join of the member states' outputs (bottom for the empty set;
     the TOP state is only meaningful under must testing)."""
+    kind = d.output_kind
     if state is TOP:
-        if d.output_kind != "top_or_family":
+        if kind != "top_or_family":
             raise VariantMismatch("TOP state outside must semantics")
-        return Output("top_or_family", TOP)
-    out = bottom_output(d.output_kind)
-    for x in state:
-        out = join_outputs(out, d.outputs[x])
-    return out
+        return Output(kind, TOP)
+    mask = to_mask(state)
+    values = d.values
+    acc = BOTTOM_VALUE[kind]
+    while mask:
+        low = mask & -mask
+        acc = acc | values[low.bit_length() - 1]   # TOP absorbs
+        mask ^= low
+    return Output(kind, acc)
 
 
-def det_step(d: DecoratedLts, state: DetState, label: EffLabel) -> DetState:
-    """Union of the member states' transition rows; TOP rows absorb."""
-    if label not in d.eff_alphabet:
+def det_step(d: DecoratedLts, state: Union[DetState, StateSet],
+             label: EffLabel) -> Union[DetState, StateSet]:
+    """Union of the member states' transition rows; TOP rows absorb.  A
+    frozenset ``state`` gives a frozenset (or TOP)."""
+    rows = d.masks.get(label)
+    if rows is None:
         raise ValueError(f"unknown label {label!r}")
     if state is TOP:
         return TOP
-    acc: set = set()
-    for x in state:
-        row = d.transitions.get((x, label), frozenset())
+    if type(state) is not int:
+        return to_stateset(det_step(d, state_mask(state), label))
+    acc = 0
+    while state:
+        low = state & -state
+        row = rows[low.bit_length() - 1]
         if row is TOP:
             return TOP
-        acc.update(row)
-    return frozenset(acc)
+        acc |= row
+        state ^= low
+    return acc
 
 
 def behavior(d: DecoratedLts, state: DetState, word: Iterable[EffLabel]) -> Output:
@@ -81,8 +110,8 @@ def behavior(d: DecoratedLts, state: DetState, word: Iterable[EffLabel]) -> Outp
 class MooreMachine:
     """An explicit finite Moore machine with total transitions.
 
-    ``state_keys`` records what each state index denotes (a ``DetState`` for
-    subset constructions, a coordinate tuple for reversal passes) so callers
+    ``state_keys`` records what each state index denotes (a frozenset or TOP
+    for subset constructions, a coordinate tuple for reversal passes) so callers
     can inspect the construction; ``inits`` aligns with the initial states the
     machine was built from, in order.
     """
@@ -134,15 +163,17 @@ def explore(inits: Sequence[Hashable], step: Callable[[Hashable, EffLabel], Hash
     return states, steps, init_idx
 
 
-def reachable_machine(d: DecoratedLts, inits: Sequence[DetState],
+def reachable_machine(d: DecoratedLts, inits: Sequence[Union[DetState, StateSet]],
                       cap: int = DEFAULT_CAP) -> MooreMachine:
     """Breadth-first construction of the determinised machine reachable from
     ``inits`` (labels explored in alphabet order).  Raises :class:`CapExceeded`
     once more than ``cap`` states would be materialised."""
-    keys, steps, init_idx = explore(inits, lambda s, a: det_step(d, s, a),
+    keys, steps, init_idx = explore([to_mask(s) for s in inits],
+                                    lambda s, a: det_step(d, s, a),
                                     d.eff_alphabet, cap, "determinisation")
     outputs = [det_output(d, s) for s in keys]
-    return MooreMachine(d.semantics, d.eff_alphabet, outputs, steps, init_idx, keys)
+    return MooreMachine(d.semantics, d.eff_alphabet, outputs, steps, init_idx,
+                        [to_stateset(s) for s in keys])
 
 
 def moore_partition_classes(machine: MooreMachine) -> Tuple[int, ...]:

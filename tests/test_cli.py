@@ -86,6 +86,24 @@ def test_equiv_must_on_long_tau_chain(capsys, tmp_path):
     assert payload["result"] is True
 
 
+@pytest.mark.parametrize("sem", ["may", "must"])
+def test_equiv_on_5000_state_tau_chain(capsys, tmp_path, sem):
+    # x_0 -tau-> x_1 -tau-> ... -> x_4999, every state with an a-self-loop:
+    # x_0 and the last state both weakly offer a forever, and neither
+    # diverges.  The tau closures are Theta(n^2) states in total.
+    n = 5000
+    lines = [f"lts {n}", "alphabet a"]
+    lines += [f"{i} tau {i + 1}" for i in range(n - 1)]
+    lines += [f"{i} a {i}" for i in range(n)]
+    f = tmp_path / "tau-chain-5000.lts"
+    f.write_text("\n".join(lines) + "\n")
+    code, payload, err = run_cli(capsys, "equiv", "--sem", sem, "--algo", "hkc",
+                                 str(f), "0", str(n - 1))
+    assert code == 0
+    assert payload["result"] is True
+    assert f"equivalent under {sem}" in err
+
+
 def test_equiv_cap_bounds_pfutures_decoration(capsys):
     # the trace-class construction behind pfutures builds 57 states here,
     # while hkc needs only 41 pairs
