@@ -114,7 +114,7 @@ class Output:
 
 #: output kind -> bottom value
 BOTTOM_VALUE = {"bit": 0, "family": frozenset(), "top_or_family": frozenset(),
-          "class_set": frozenset(), "prob": Fraction(0), "prob_family": ()}
+                "class_set": frozenset(), "prob": Fraction(0), "prob_family": ()}
 
 #: the kinds that form join-semilattices: every value joins with ``|``
 _LATTICE_KINDS = frozenset(OUTPUT_KIND.values())

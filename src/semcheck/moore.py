@@ -67,7 +67,7 @@ def det_output(d: DecoratedLts, state: Union[DetState, StateSet]) -> Output:
         if kind != "top_or_family":
             raise VariantMismatch("TOP state outside must semantics")
         return Output(kind, TOP)
-    mask = to_mask(state)
+    mask = state if type(state) is int else state_mask(state)
     values = d.values
     acc = BOTTOM_VALUE[kind]
     while mask:
