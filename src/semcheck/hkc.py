@@ -64,7 +64,6 @@ class Generators:
         # pair -> [multiplicity, parked rules], the cell of the pair's rules
         self._live: Dict[Pair, list] = {}
         self._watch: Dict[int, List[tuple]] = defaultdict(list)
-        self._watched = 0   # states whose watch list has ever held a rule
         for pair in pairs:
             self.add(pair)
 
@@ -81,10 +80,7 @@ class Generators:
         if not cell[0]:
             # back to life: index the rules a closure parked while it was dead
             for rule in cell[1]:
-                top = rule[0].bit_length() - 1
-                self._watch[top].append(rule)
-                if top >= 0:
-                    self._watched |= 1 << top
+                self._watch[rule[0].bit_length() - 1].append(rule)
             cell[1].clear()
         cell[0] += 1
 
@@ -107,7 +103,7 @@ class Generators:
         # 0 never stops the walk early: an empty goal is covered before it
         wanted = 0 if goal is None or goal is TOP else goal
         acc = z
-        queue = [*mask_bits(z & self._watched), -1]
+        queue = [*mask_bits(z), -1]
         watch = self._watch
         while queue:
             rules = watch.get(queue.pop())
@@ -122,9 +118,7 @@ class Generators:
                 missing = premise & ~acc
                 if missing:
                     # watch the highest premise state not reached yet
-                    top = missing.bit_length() - 1
-                    watch[top].append(rule)
-                    self._watched |= 1 << top
+                    watch[missing.bit_length() - 1].append(rule)
                     continue
                 kept.append(rule)
                 if conclusion is TOP:
@@ -134,7 +128,7 @@ class Generators:
                 new = conclusion & ~acc
                 if new:
                     acc |= new
-                    queue.extend(mask_bits(new & self._watched))
+                    queue.extend(mask_bits(new))
                     if wanted and not wanted & ~acc:
                         kept.extend(rules[i + 1:])
                         rules[:] = kept
