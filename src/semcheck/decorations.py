@@ -293,12 +293,10 @@ def decorate(lts: Lts, semantics: str, cap: int = DEFAULT_CAP) -> DecoratedLts:
         relabelled = relabel_for_trace_decorations(lts)
         eff_alphabet = relabelled.alphabet
         masks = _row_masks(relabelled)
-    elif div:  # must with divergence: a row is TOP where divergence is near
+    elif tau is not None:  # may: div is empty, so no row is TOP
         masks = {a: tuple(TOP if div >> x & 1 or ws & div else ws
                           for x, ws in enumerate(rows))
                  for a, rows in tau.weak.items()}
-    elif tau is not None:
-        masks = tau.weak
     else:
         masks = _row_masks(lts)
 
@@ -321,17 +319,9 @@ def decorate(lts: Lts, semantics: str, cap: int = DEFAULT_CAP) -> DecoratedLts:
         # convergent state's tau-graph is acyclic, so there is at least one).
         stable = state_mask(y for y in states if not lts.successors(y, TAU))
         refusals = {y: fail_sets(lts, y) for y in mask_bits(stable)}
-        joined: Dict[int, FrozenSet[int]] = {}
-        values = []
-        for x in states:
-            if div >> x & 1:
-                values.append(TOP)
-                continue
-            reach = tau.closure[x] & stable
-            if reach not in joined:
-                joined[reach] = frozenset().union(
-                    *(refusals[y] for y in mask_bits(reach)))
-            values.append(joined[reach])
+        values = [TOP if div >> x & 1 else frozenset().union(
+                      *(refusals[y] for y in mask_bits(tau.closure[x] & stable)))
+                  for x in states]
 
     kind = OUTPUT_KIND[semantics]
     return DecoratedLts(semantics, lts.n_states, alphabet, eff_alphabet,
