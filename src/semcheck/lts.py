@@ -81,13 +81,26 @@ def state_mask(states: Iterable[int]) -> int:
     return m
 
 
+#: the positions of the set bits of every byte value
+_BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
+
+
 def mask_bits(mask: int) -> List[int]:
-    """The positions of the set bits of ``mask``, ascending."""
+    """The positions of the set bits of ``mask``, ascending.  A sparse mask
+    is read bit by bit; a denser one byte by byte from its little-endian
+    bytes, since each bit-by-bit step costs time in the width of the mask."""
     out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
+    if mask.bit_count() <= 8:
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
+        return out
+    for j, byte in enumerate(mask.to_bytes((mask.bit_length() + 7) // 8, "little")):
+        if byte:
+            base = j << 3
+            for i in _BYTE_BITS[byte]:
+                out.append(base + i)
     return out
 
 

@@ -30,7 +30,7 @@ from .decorations import (
     VariantMismatch,
     join_outputs,  # noqa: F401  not called; perfbench counts moore.join_outputs
 )
-from .lts import StateSet, full_mask, mask_states, state_mask, submasks
+from .lts import StateSet, full_mask, mask_bits, mask_states, state_mask, submasks
 
 #: A determinised state: the mask of a set of base states, or the absorbing
 #: top element (must testing only).  Probabilistic systems determinise into
@@ -67,13 +67,10 @@ def det_output(d: DecoratedLts, state: Union[DetState, StateSet]) -> Output:
         if kind != "top_or_family":
             raise VariantMismatch("TOP state outside must semantics")
         return Output(kind, TOP)
-    mask = state if type(state) is int else state_mask(state)
     values = d.values
     acc = BOTTOM_VALUE[kind]
-    while mask:
-        low = mask & -mask
-        acc = acc | values[low.bit_length() - 1]   # TOP absorbs
-        mask ^= low
+    for x in mask_bits(state if type(state) is int else state_mask(state)):
+        acc = acc | values[x]   # TOP absorbs
     return Output(kind, acc)
 
 
@@ -89,13 +86,11 @@ def det_step(d: DecoratedLts, state: Union[DetState, StateSet],
     if type(state) is not int:
         return to_stateset(det_step(d, state_mask(state), label))
     acc = 0
-    while state:
-        low = state & -state
-        row = rows[low.bit_length() - 1]
+    for x in mask_bits(state):
+        row = rows[x]
         if row is TOP:
             return TOP
         acc |= row
-        state ^= low
     return acc
 
 
