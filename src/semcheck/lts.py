@@ -550,9 +550,11 @@ def converges_on(lts: Lts, x: int, word: Iterable[str]) -> bool:
         if frontier & div:
             return False
         if frontier:
-            rows, m, frontier = _weak_row(lts, a), frontier, 0
-            for y in mask_bits(m):
-                frontier |= rows[y]
+            rows = _weak_row(lts, a)
+            reach = 0
+            for y in mask_bits(frontier):
+                reach |= rows[y]
+            frontier = reach
     return not frontier & div
 
 
