@@ -81,8 +81,15 @@ def state_mask(states: Iterable[int]) -> int:
     return m
 
 
-#: the positions of the set bits of every byte value
-_BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
+def _byte_bits() -> Tuple[Tuple[int, ...], ...]:
+    """The positions of the set bits of every byte value, ascending."""
+    table: List[Tuple[int, ...]] = [()]
+    for i in range(8):
+        table += [bits + (i,) for bits in table]
+    return tuple(table)
+
+
+_BYTE_BITS = _byte_bits()
 
 
 def mask_bits(mask: int) -> List[int]:
