@@ -21,6 +21,7 @@ boundary, in ``LazyReversal.output`` and in the machines
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from operator import itemgetter
 from typing import Callable, Dict, List, Sequence, Tuple
 
@@ -34,7 +35,7 @@ from .decorations import (
     compact_output,  # noqa: F401  not called; perfbench counts brzozowski.compact_output
     join_outputs,
 )
-from .lts import StateSet, mask_bits
+from .lts import StateSet, mask_bits, mask_flags
 from .moore import DEFAULT_CAP, MooreMachine, explore, to_mask
 
 #: A reversal state: one interned output id per (reachable) base state.
@@ -116,18 +117,22 @@ def reverse_determinize(d: DecoratedLts, inits: StateSet) -> LazyReversal:
     preserves the realised behaviour).  The initial vector is the output
     decoration itself; a step joins each coordinate's successor coordinates,
     with TOP rows forcing the top output.  Each label's rows are resolved to
-    coordinate positions once, so a step only folds ids."""
+    coordinate positions once, by picking from a state -> position table
+    through the row's :func:`mask_flags` (rows of reachable states reach
+    only reachable states), so a step only folds ids."""
     table = _OutputTable(d.output_kind)
     inits = to_mask(inits)
     domain = mask_bits(_forward_reachable(d, inits))
-    pos = {x: i for i, x in enumerate(domain)}
+    pos = [0] * d.n_states
+    for i, x in enumerate(domain):
+        pos[x] = i
     initial = tuple(table.intern(d.outputs[x]) for x in domain)
-    init_pos = tuple(pos[x] for x in mask_bits(inits))
+    init_pos = tuple(compress(pos, mask_flags(inits)))
     rows: Dict[EffLabel, Tuple[object, ...]] = {}
     for label in d.eff_alphabet:
         label_rows = d.masks[label]
         rows[label] = tuple(TOP if label_rows[x] is TOP
-                            else tuple(pos[y] for y in mask_bits(label_rows[x]))
+                            else tuple(compress(pos, mask_flags(label_rows[x])))
                             for x in domain)
     top = (table.intern(Output("top_or_family", TOP))
            if any(r is TOP for label_rows in rows.values() for r in label_rows) else None)

@@ -30,6 +30,8 @@ from semcheck import (
     weak_successors,
 )
 
+from semcheck.lts import mask_bits, mask_flags, state_mask
+
 from conftest import load_gps, load_lts
 
 
@@ -46,6 +48,18 @@ def test_mask_roundtrip():
 def test_submasks_enumerates_subsets():
     assert sorted(submasks(0b101)) == [0b000, 0b001, 0b100, 0b101]
     assert list(submasks(0)) == [0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sets(st.integers(0, 5000), max_size=40) | st.sets(st.integers(0, 60)))
+def test_mask_bits_and_flags_read_every_set_bit(states):
+    # both reads of mask_bits: at most eight set bits, and more
+    mask = state_mask(states)
+    assert mask_bits(mask) == sorted(states)
+    flags = mask_flags(mask)
+    assert len(flags) == max(mask.bit_length(), 1)
+    assert [i for i, f in enumerate(flags) if f] == sorted(states)
+    assert set(flags) <= {0, 1}
 
 
 # -- parsing -----------------------------------------------------------------
