@@ -153,7 +153,7 @@ def _words_agree(m: MooreMachine) -> bool:
         if not frontier:
             break
         for p, q in frontier:
-            if m.outputs[p] != m.outputs[q]:
+            if m.values[p] != m.values[q]:
                 return False
         seen |= frontier
         frontier = {(m.steps[p][a], m.steps[q][a])

@@ -18,15 +18,17 @@ may         may testing: weak transitions, constant-true output
 must        must testing: weak transitions with a divergence top element
 ==========  =========================================================
 
-Outputs are tagged values; families of action subsets use bitmasks over the
-alphabet tuple (see :mod:`semcheck.lts`).
+A lattice output is a raw value, an int over its decoration's atoms or TOP
+(see :class:`DecoratedLts`); tagged :class:`Output` values, with families
+of action-subset bitmasks (see :mod:`semcheck.lts`), exist at the boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from typing import Dict, FrozenSet, Iterable, List, Tuple, Union
 
 from .lts import (
@@ -35,7 +37,6 @@ from .lts import (
     StateSet,
     divergent_states,  # noqa: F401  not called; perfbench counts decorations.divergent_states
     downclose_masks,
-    fail_sets,
     full_mask,
     initial_actions,
     labels_of,
@@ -66,6 +67,15 @@ DOWNCLOSED_FAMILY_SEMANTICS = ("failure", "ftrace", "must")
 
 class VariantMismatch(ValueError):
     """An output or determinised state was used at the wrong variant."""
+
+
+class CapExceeded(RuntimeError):
+    """Budget exhausted during an explicit construction."""
+
+    def __init__(self, stage: str, states_built: int, what: str = "states"):
+        self.stage = stage
+        self.states_built = states_built
+        super().__init__(f"{stage}: exceeded cap after building {states_built} {what}")
 
 
 @dataclass(frozen=True)
@@ -137,10 +147,7 @@ def join_outputs(a: Output, b: Output) -> Output:
 
 
 def join_all(kind: str, values: Iterable[Output]) -> Output:
-    out = bottom_output(kind)
-    for v in values:
-        out = join_outputs(out, v)
-    return out
+    return reduce(join_outputs, values, bottom_output(kind))
 
 
 # ---------------------------------------------------------------------------
@@ -172,23 +179,19 @@ def antichain_to_downset(antichain: FrozenSet[int], alphabet: Tuple[str, ...]) -
 def compact_output(v: Output, alphabet: Tuple[str, ...], semantics: str) -> Output:
     """Antichain form of a downward-closed family output (top element kept);
     outputs of other semantics are returned unchanged."""
-    if semantics not in DOWNCLOSED_FAMILY_SEMANTICS:
+    if (semantics not in DOWNCLOSED_FAMILY_SEMANTICS or v.value is TOP
+            or v.kind not in ("family", "top_or_family")):
         return v
-    if v.kind == "family":
-        return Output("family", downset_to_antichain(v.value, alphabet))
-    if v.kind == "top_or_family":
-        if v.value is TOP:
-            return v
-        return Output("top_or_family", downset_to_antichain(v.value, alphabet))
-    return v
+    return Output(v.kind, downset_to_antichain(v.value, alphabet))
 
 
 # ---------------------------------------------------------------------------
 # Decorated systems
 # ---------------------------------------------------------------------------
 
-#: A decorated row: the successors' state mask, or TOP.
-Row = Union[int, Top]
+#: A decorated row (the successors' state mask) or a raw lattice output (an
+#: int over a decoration's atoms): an int, or TOP.
+Row = Value = Union[int, Top]
 
 
 @dataclass
@@ -196,14 +199,23 @@ class DecoratedLts:
     """An LTS after decoration: per-state outputs, an effective alphabet, and
     transition rows that may be marked TOP (must testing under divergence).
     ``masks[label][x]`` is ``x``'s row under ``label`` as a state mask (bit
-    ``y`` for successor ``y``), or TOP.  Treated as immutable."""
+    ``y`` for successor ``y``), or TOP.  Treated as immutable.
+
+    ``values[x]`` is ``x``'s raw output: a bit, TOP, or an int whose bit
+    ``i`` stands for ``atoms[i]`` (an enabled-action mask under ready and
+    rtrace, a maximal refusal under failure, ftrace and must, where a value
+    holds every atom its family contains, a trace class under pfutures).
+    Values join with ``|`` and are equal exactly when their outputs are;
+    :meth:`decode` counts a family's members against ``cap``."""
 
     semantics: str
     n_states: int
     alphabet: Tuple[str, ...]
     eff_alphabet: Tuple[EffLabel, ...]
-    outputs: Tuple[Output, ...]
+    values: Tuple[Value, ...]
+    atoms: Tuple[int, ...]
     masks: Dict[EffLabel, Tuple[Row, ...]]
+    cap: int = DEFAULT_CAP
 
     @property
     def output_kind(self) -> str:
@@ -218,9 +230,28 @@ class DecoratedLts:
                 if (row := self.masks[a][x])}
 
     @cached_property
-    def values(self) -> Tuple[object, ...]:
-        """The raw output value of every state (``outputs[x].value``)."""
-        return tuple(o.value for o in self.outputs)
+    def outputs(self) -> Tuple[Output, ...]:
+        return tuple(map(self.decode, self.values))
+
+    def decode(self, value: Value) -> Output:
+        kind = self.output_kind
+        if kind == "bit" or value is TOP:
+            return Output(kind, value)
+        members = [self.atoms[i] for i in mask_bits(value)]
+        if self.semantics not in DOWNCLOSED_FAMILY_SEMANTICS:
+            return Output(kind, frozenset(members))
+        family: set = set()   # the refusals' downsets, counted against the cap
+        for m in members:
+            sub = m
+            while True:
+                if sub not in family:
+                    if len(family) >= self.cap:
+                        raise CapExceeded("output rendering", len(family), "refusal sets")
+                    family.add(sub)
+                if not sub:
+                    break
+                sub = (sub - 1) & m
+        return Output(kind, frozenset(family))
 
     def row(self, x: int, label: EffLabel) -> Union[StateSet, Top]:
         if label not in self.masks:
@@ -229,7 +260,7 @@ class DecoratedLts:
         return row if row is TOP else mask_states(row)
 
     def output(self, x: int) -> Output:
-        return self.outputs[x]
+        return self.decode(self.values[x])
 
 
 def trace_class_of(lts: Lts, cap: int = DEFAULT_CAP) -> Tuple[int, ...]:
@@ -300,32 +331,37 @@ def decorate(lts: Lts, semantics: str, cap: int = DEFAULT_CAP) -> DecoratedLts:
     else:
         masks = _row_masks(lts)
 
-    values: List[object]
+    values: List[Value]
+    atoms: Tuple[int, ...] = ()
     if semantics == "language":
         values = [int(x in lts.finals) for x in states]
     elif semantics in ("trace", "may"):
         values = [1] * lts.n_states
     elif semantics == "ctrace":
         values = [int(initial_actions(lts, x) == 0) for x in states]
-    elif semantics in ("ready", "rtrace"):
-        values = [frozenset({initial_actions(lts, x)}) for x in states]
-    elif semantics in ("failure", "ftrace"):
-        values = [fail_sets(lts, x) for x in states]
     elif semantics == "pfutures":
-        values = [frozenset({c}) for c in trace_class_of(lts, cap=cap)]
-    else:
-        # must: TOP on diverging states; on every other state the join of the
-        # refusal families of the stable states in its tau-closure (a
-        # convergent state's tau-graph is acyclic, so there is at least one).
-        stable = state_mask(y for y in states if not lts.successors(y, TAU))
-        refusals = {y: fail_sets(lts, y) for y in mask_bits(stable)}
-        values = [TOP if div >> x & 1 else frozenset().union(
-                      *(refusals[y] for y in mask_bits(tau.closure[x] & stable)))
-                  for x in states]
+        values = [1 << c for c in trace_class_of(lts, cap=cap)]
+        atoms = tuple(states)
+    elif semantics in ("ready", "rtrace"):
+        ids: Dict[int, int] = {}
+        values = [1 << ids.setdefault(initial_actions(lts, x), len(ids)) for x in states]
+        atoms = tuple(ids)
+    else:  # failure, ftrace and must: maximal refusals (of stable states, for must)
+        full = full_mask(alphabet)
+        refusal = {y: full & ~initial_actions(lts, y) for y in states
+                   if semantics != "must" or not lts.successors(y, TAU)}
+        atoms = tuple(dict.fromkeys(refusal.values()))
+        below = {r: state_mask(i for i, s in enumerate(atoms) if not s & ~r) for r in atoms}
+        own = [below[refusal[y]] if y in refusal else 0 for y in states]
+        stable = state_mask(refusal)
+        # must: TOP on diverging states, else the join over the stable states
+        # in the tau-closure (acyclic for a convergent state, so there is one)
+        values = own if semantics != "must" else [
+            TOP if div >> x & 1 else reduce(or_, map(own.__getitem__, mask_bits(
+                tau.closure[x] & stable))) for x in states]
 
-    kind = OUTPUT_KIND[semantics]
     return DecoratedLts(semantics, lts.n_states, alphabet, eff_alphabet,
-                        tuple(Output(kind, v) for v in values), masks)
+                        tuple(values), atoms, masks, cap)
 
 
 # ---------------------------------------------------------------------------

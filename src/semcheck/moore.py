@@ -8,29 +8,33 @@ machine (``det_output`` / ``det_step`` / ``behavior``), the interning search
 machines, and partition refinement to the coarsest quotient.
 
 A set of base states is an int mask, bit ``x`` standing for state ``x``, so a
-step is an OR of row masks.  Frozensets appear only at the boundary:
-``det_step``, ``det_output`` and ``behavior`` given a frozenset answer in
-frozensets, and ``reachable_machine`` records its states as frozensets.
+step is an OR of row masks; an output is a raw value, so ``det_value`` is an
+OR too.  Frozensets and :class:`Output` values are boundary views:
+``det_step`` answers a frozenset in kind, ``det_output`` and ``behavior``
+decode, and so do a machine's ``outputs`` and ``state_keys``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import (Callable, Dict, Hashable, Iterable, List, Optional,
                     Sequence, Tuple, Union)
 
 from .decorations import (
-    BOTTOM_VALUE,
     DEFAULT_CAP,
     TOP,
+    CapExceeded,
     DecoratedLts,
     EffLabel,
     Output,
     Top,
+    Value,
     VariantMismatch,
+    antichain_to_downset,
     join_outputs,  # noqa: F401  not called; perfbench counts moore.join_outputs
 )
-from .lts import StateSet, full_mask, mask_bits, mask_states, state_mask, submasks
+from .lts import StateSet, full_mask, mask_bits, mask_states, state_mask
 
 #: A determinised state: the mask of a set of base states, or the absorbing
 #: top element (must testing only).  Probabilistic systems determinise into
@@ -50,28 +54,22 @@ def to_stateset(state: DetState) -> Union[StateSet, Top]:
     return state if state is TOP else mask_states(state)
 
 
-class CapExceeded(RuntimeError):
-    """State-count budget exhausted during an explicit construction."""
-
-    def __init__(self, stage: str, states_built: int):
-        self.stage = stage
-        self.states_built = states_built
-        super().__init__(f"{stage}: exceeded cap after building {states_built} states")
+def det_value(d: DecoratedLts, state: Union[DetState, StateSet]) -> Value:
+    """The raw output of a determinised state: its members' values ORed."""
+    if state is TOP:
+        return TOP
+    values, acc = d.values, 0
+    for x in mask_bits(state if type(state) is int else state_mask(state)):
+        acc |= values[x]   # TOP absorbs
+    return acc
 
 
 def det_output(d: DecoratedLts, state: Union[DetState, StateSet]) -> Output:
     """Pointwise join of the member states' outputs (bottom for the empty set;
     the TOP state is only meaningful under must testing)."""
-    kind = d.output_kind
-    if state is TOP:
-        if kind != "top_or_family":
-            raise VariantMismatch("TOP state outside must semantics")
-        return Output(kind, TOP)
-    values = d.values
-    acc = BOTTOM_VALUE[kind]
-    for x in mask_bits(state if type(state) is int else state_mask(state)):
-        acc = acc | values[x]   # TOP absorbs
-    return Output(kind, acc)
+    if state is TOP and d.output_kind != "top_or_family":
+        raise VariantMismatch("TOP state outside must semantics")
+    return d.decode(det_value(d, state))
 
 
 def det_step(d: DecoratedLts, state: Union[DetState, StateSet],
@@ -105,28 +103,37 @@ def behavior(d: DecoratedLts, state: DetState, word: Iterable[EffLabel]) -> Outp
 class MooreMachine:
     """An explicit finite Moore machine with total transitions.
 
-    ``state_keys`` records what each state index denotes (a frozenset or TOP
-    for subset constructions, a coordinate tuple for reversal passes) so callers
-    can inspect the construction; ``inits`` aligns with the initial states the
-    machine was built from, in order.
-    """
+    ``values`` holds the states' raw outputs and ``keys`` what each state
+    denotes (a mask or TOP for subset constructions, a tuple of raw values
+    for reversal passes); ``decode`` and ``decode_key`` (identities unless
+    set) give their views.  ``inits`` lists the initial states in order."""
 
     semantics: str
     alphabet: Tuple[EffLabel, ...]
-    outputs: List[Output]
+    values: List[object]
     steps: List[Dict[EffLabel, int]]
     inits: List[int]
-    state_keys: List[object] = field(default_factory=list)
+    keys: List[object] = field(default_factory=list)
+    decode: Callable[[object], Output] = lambda value: value
+    decode_key: Callable[[object], object] = lambda key: key
 
     @property
     def n_states(self) -> int:
-        return len(self.outputs)
+        return len(self.values)
+
+    @cached_property
+    def outputs(self) -> List[Output]:
+        return [self.decode(v) for v in self.values]
+
+    @cached_property
+    def state_keys(self) -> List[object]:
+        return [self.decode_key(k) for k in self.keys]
 
     def run(self, word: Iterable[EffLabel], start: Optional[int] = None) -> Output:
         q = self.inits[0] if start is None else start
         for label in word:
             q = self.steps[q][label]
-        return self.outputs[q]
+        return self.decode(self.values[q])
 
 
 def explore(inits: Sequence[Hashable], step: Callable[[Hashable, EffLabel], Hashable],
@@ -166,9 +173,8 @@ def reachable_machine(d: DecoratedLts, inits: Sequence[Union[DetState, StateSet]
     keys, steps, init_idx = explore([to_mask(s) for s in inits],
                                     lambda s, a: det_step(d, s, a),
                                     d.eff_alphabet, cap, "determinisation")
-    outputs = [det_output(d, s) for s in keys]
-    return MooreMachine(d.semantics, d.eff_alphabet, outputs, steps, init_idx,
-                        [to_stateset(s) for s in keys])
+    return MooreMachine(d.semantics, d.eff_alphabet, [det_value(d, s) for s in keys],
+                        steps, init_idx, keys, d.decode, to_stateset)
 
 
 def moore_partition_classes(machine: MooreMachine) -> Tuple[int, ...]:
@@ -178,7 +184,7 @@ def moore_partition_classes(machine: MooreMachine) -> Tuple[int, ...]:
         ids: Dict[object, int] = {}
         return tuple(ids.setdefault(s, len(ids)) for s in sig)
 
-    blocks = renumber(machine.outputs)
+    blocks = renumber(machine.values)
     while True:
         sig = [(blocks[q],
                 tuple(blocks[machine.steps[q][a]] for a in machine.alphabet))
@@ -206,8 +212,4 @@ def coarsen_ready_to_failure(v: Output, alphabet: Tuple[str, ...]) -> Output:
     member's enabled set."""
     if v.kind != "family":
         raise VariantMismatch("expected a family output")
-    full = full_mask(alphabet)
-    acc: set = set()
-    for ready in v.value:
-        acc.update(submasks(full & ~ready))
-    return Output("family", frozenset(acc))
+    return Output("family", antichain_to_downset(v.value, alphabet))

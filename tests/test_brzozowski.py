@@ -22,6 +22,7 @@ from semcheck import (
     gen_chain,
     moore_isomorphic,
     moore_partition_classes,
+    parse_lts,
     random_lts,
     reachable_machine,
     render_eff_label,
@@ -169,6 +170,18 @@ def test_isomorphism_accepts_renamed_machine():
     m2 = MooreMachine("trace", ("a",), [Output("bit", 1), Output("bit", 0)],
                       [{"a": 0}, {"a": 0}], [1])
     assert moore_isomorphic(m1, m2)
+
+
+def test_isomorphism_across_decorations_compares_outputs():
+    # The same behaviour decorated in two systems whose states meet the
+    # enabled sets {a} and {b} in opposite orders: the raw values of the two
+    # minimal machines number those sets differently.
+    p = parse_lts("lts 2\nalphabet a b\n0 a 1\n1 b 1\n")
+    q = parse_lts("lts 2\nalphabet a b\n0 b 0\n1 a 0\n")
+    _, mp = brzozowski_minimize(decorate(p, "ready"), s(0))
+    _, mq = brzozowski_minimize(decorate(q, "ready"), s(1))
+    assert mp.values != mq.values and mp.outputs == mq.outputs
+    assert moore_isomorphic(mp, mq)
 
 
 # -- end-to-end equivalence via minimisation ---------------------------------

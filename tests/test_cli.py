@@ -6,6 +6,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -111,6 +112,38 @@ def test_equiv_cap_bounds_pfutures_decoration(capsys):
                            fx("pf-pq"), "p0", "q0")
     assert code == 2
     assert "determinisation" in err
+
+
+def _wide_deadlock(tmp_path, width: int) -> str:
+    """Two states over ``width`` labels: state 0 offers l0 into state 1,
+    which deadlocks, so state 1 refuses every one of the 2**width subsets."""
+    labels = [f"l{i}" for i in range(width)]
+    f = tmp_path / f"wide-{width}.lts"
+    f.write_text(f"lts 2\nalphabet {' '.join(labels)}\n0 l0 1\n")
+    return str(f)
+
+
+@pytest.mark.parametrize("sem", ["failure", "ftrace", "must", "ready"])
+def test_equiv_over_a_64_label_alphabet(capsys, tmp_path, sem):
+    # Outputs stay ints over the distinct refusals (or enabled sets), so no
+    # refusal family is built; a decoration of explicit families would build
+    # 2**64 refusal sets for state 1.
+    f = _wide_deadlock(tmp_path, 64)
+    t0 = time.perf_counter()
+    code, payload, _ = run_cli(capsys, "equiv", "--sem", sem, f, "0", "1")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1
+    assert payload["result"] is False and payload["counterexample"] == []
+
+
+def test_cap_bounds_minimize_rendering(capsys, tmp_path):
+    # Rendering state 1's failure output builds its 2**16 refusal sets.
+    code, out, err = run_cli(capsys, "minimize", "--sem", "failure", "--init", "0",
+                             "--cap", "1000", _wide_deadlock(tmp_path, 16))
+    assert code == 2 and out == ""
+    assert err == ("semcheck: error: output rendering: exceeded cap after "
+                   "building 1000 refusal sets\n")
+
 
 # -- preorder ----------------------------------------------------------------
 

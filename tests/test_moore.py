@@ -20,6 +20,7 @@ from semcheck import (
     det_output,
     det_step,
     in_congruence,
+    join_outputs,
     mask_of,
     moore_partition_classes,
     naive_bisim,
@@ -28,6 +29,8 @@ from semcheck import (
     render_output,
     saturate,
 )
+from semcheck.lts import mask_states
+from semcheck.moore import det_value
 
 from conftest import load_lts
 
@@ -78,6 +81,35 @@ def test_behavior_iterates_steps():
     dd = mask_of(["d"], lts.alphabet)
     assert behavior(d, frozenset({0}), ("a", "b")) == Output("family", frozenset({c, dd}))
     assert behavior(d, frozenset({0}), ()) == d.output(0)
+
+
+# -- raw output values are canonical -----------------------------------------
+#
+# The walks, the reversal passes and the isomorphism test compare raw values
+# (ints over a decoration's atoms, or TOP) instead of outputs.  That is sound
+# only if equal raw joins are exactly equal outputs and ``|`` on raw values
+# is the output join.
+
+
+def test_raw_joins_are_canonical():
+    rng = random.Random(1107)
+    checked = 0
+    for seed in range(120):
+        lts = random_lts(seed, allow_tau=seed % 2 == 0)
+        for tag in SEMANTICS:
+            try:
+                d = decorate(lts, tag)
+            except ValueError:  # language needs final states
+                continue
+            sets = [rng.getrandbits(lts.n_states) for _ in range(7)]
+            for a, b in zip(sets, sets[1:]):
+                va, vb = det_value(d, a), det_value(d, b)
+                oa = _joined_output(d, mask_states(a))
+                ob = _joined_output(d, mask_states(b))
+                assert (va == vb) == (oa == ob), (seed, tag, a, b)
+                assert d.decode(va | vb) == join_outputs(oa, ob), (seed, tag, a, b)
+                checked += 1
+    assert checked > 5000
 
 
 # -- guard: the determinised views against unions written out ---------------
