@@ -17,7 +17,7 @@ equal states.  :class:`Output` values are built only at the boundary, in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from itertools import compress
 from operator import itemgetter
 from typing import Callable, Dict, Sequence, Tuple
@@ -106,13 +106,11 @@ def reverse_determinize(d: DecoratedLts, inits: StateSet) -> LazyReversal:
             acc |= state[p]   # TOP absorbs
         return acc
 
-    def value(state: FunctionState) -> Value:
-        return fold(state, init_pos)
-
     def step(state: FunctionState, label: EffLabel) -> FunctionState:
         return tuple([TOP if row is TOP else fold(state, row) for row in rows[label]])
 
-    return LazyReversal(d.semantics, d.eff_alphabet, initial, value, step, d.decode)
+    return LazyReversal(d.semantics, d.eff_alphabet, initial, partial(fold, row=init_pos),
+                        step, d.decode)
 
 
 def reverse_determinize_moore(m: MooreMachine, init: int) -> LazyReversal:
@@ -121,10 +119,6 @@ def reverse_determinize_moore(m: MooreMachine, init: int) -> LazyReversal:
     and the reversal's output reads the coordinate of ``init``.  A step is a
     gather: coordinate ``q`` takes the coordinate of ``q``'s successor."""
     gathers = {label: itemgetter(*(row[label] for row in m.steps)) for label in m.alphabet}
-
-    def value(state: FunctionState) -> object:
-        return state[init]
-
     if m.n_states == 1:  # itemgetter with one index returns the item, not a tuple
         def step(state: FunctionState, label: EffLabel) -> FunctionState:
             return (gathers[label](state),)
@@ -132,7 +126,8 @@ def reverse_determinize_moore(m: MooreMachine, init: int) -> LazyReversal:
         def step(state: FunctionState, label: EffLabel) -> FunctionState:
             return gathers[label](state)
 
-    return LazyReversal(m.semantics, m.alphabet, tuple(m.values), value, step, m.decode)
+    return LazyReversal(m.semantics, m.alphabet, tuple(m.values), itemgetter(init), step,
+                        m.decode)
 
 
 def explicit_reversal(lazy: LazyReversal, cap: int, stage: str) -> MooreMachine:

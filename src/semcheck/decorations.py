@@ -351,11 +351,16 @@ def decorate(lts: Lts, semantics: str, cap: int = DEFAULT_CAP) -> DecoratedLts:
         refusal = {y: full & ~initial_actions(lts, y) for y in states
                    if semantics != "must" or not lts.successors(y, TAU)}
         atoms = tuple(dict.fromkeys(refusal.values()))
-        below = {r: state_mask(i for i, s in enumerate(atoms) if not s & ~r) for r in atoms}
+        # an atom lies inside r iff it has none of the labels outside r
+        has = [state_mask(j for j, s in enumerate(atoms) if s >> i & 1)
+               for i in range(len(alphabet))]   # has[i]: the atoms with label i
+        every = (1 << len(atoms)) - 1
+        below = {r: every & ~reduce(or_, map(has.__getitem__, mask_bits(full & ~r)), 0)
+                 for r in atoms}
         own = [below[refusal[y]] if y in refusal else 0 for y in states]
         stable = state_mask(refusal)
         # must: TOP on diverging states, else the join over the stable states
-        # in the tau-closure (acyclic for a convergent state, so there is one)
+        # in the tau-closure (a convergent state tau-reaches at least one)
         values = own if semantics != "must" else [
             TOP if div >> x & 1 else reduce(or_, map(own.__getitem__, mask_bits(
                 tau.closure[x] & stable))) for x in states]

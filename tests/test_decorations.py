@@ -160,6 +160,27 @@ def test_failure_decoration_is_downclosed():
     assert d.output(p3).value == frozenset(submasks(mask_of(["d", "e", "f"], lts.alphabet)))
 
 
+def test_refusal_atoms_over_every_enabled_set():
+    # State x enables the labels of x's bits, so every subset of six labels is
+    # a distinct refusal atom; an odd x also steps by tau to its two even
+    # neighbours, so under must it joins their two refusals.
+    labels = ("a", "b", "c", "d", "e", "f")
+    lines = [f"lts 64\nalphabet {' '.join(labels)}"]
+    lines += [f"{x} {a} {x}" for x in range(64) for i, a in enumerate(labels) if x >> i & 1]
+    lines += [f"{x} tau {y}" for x in range(1, 64, 2) for y in (x - 1, (x + 1) % 64)]
+    lts = parse_lts("\n".join(lines) + "\n")
+    full = full_mask(labels)
+    df, dm = decorate(lts, "failure"), decorate(lts, "must")
+    assert len(df.atoms) == 64 and len(dm.atoms) == 32
+    for x in range(64):
+        assert df.output(x).value == frozenset(submasks(full & ~x))
+        stable = [x] if x % 2 == 0 else [x - 1, (x + 1) % 64]
+        assert dm.output(x).value == frozenset().union(
+            *(submasks(full & ~y) for y in stable))
+    for d in (df, dm):
+        assert len(set(d.values)) == len(set(d.outputs))
+
+
 def test_trace_and_ctrace_decorations():
     lts = load_lts("ct-w")
     dt = decorate(lts, "trace")
