@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .brzozowski import brzozowski_minimize
+from . import brzozowski
 from .decorations import DecoratedLts, decorate
 from .hkc import hkc_check, naive_bisim
 from .lts import TAU, Lts, StateSet
@@ -221,12 +221,9 @@ def decide(d: DecoratedLts, algorithm: str, left: StateSet, right: StateSet,
         report = hkc_check(d, left, right, cap)
         return report.equal, None, len(report.relation)
     if algorithm == "brzozowski":
-        inter_l, min_l = brzozowski_minimize(d, left, cap)
-        inter_r, min_r = brzozowski_minimize(d, right, cap)
-        # Looked up per call, so a wrapper installed on
-        # brzozowski.moore_isomorphic after import (perfbench's tracer) sees it.
-        from .brzozowski import moore_isomorphic
-        return (moore_isomorphic(min_l, min_r),
+        inter_l, min_l = brzozowski.brzozowski_minimize(d, left, cap)
+        inter_r, min_r = brzozowski.brzozowski_minimize(d, right, cap)
+        return (brzozowski.moore_isomorphic(min_l, min_r),
                 inter_l.n_states + inter_r.n_states, None)
     raise ValueError(f"unknown algorithm {algorithm!r}")
 

@@ -17,8 +17,8 @@ import sys
 import time
 from typing import List, Optional, Sequence
 
-from .bench import (BenchCase, decide, default_cases, gen_chain, gen_cycles,
-                    gen_interleave, run_matrix)
+from .bench import (ALGORITHMS, BenchCase, decide, default_cases, gen_chain,
+                    gen_cycles, gen_interleave, run_matrix)
 from .brzozowski import brzozowski_minimize
 from .decorations import (
     SEMANTICS,
@@ -154,7 +154,9 @@ def cmd_gps_equiv(args) -> int:
     x = _resolve_state(g, args.left, "left")
     y = _resolve_state(g, args.right, "right")
     (equal, word), ms = _timed(gps_equiv, g, args.sem, x, y)
-    if equal and args.with_trace and args.sem != "g_trace":
+    # Equality under g_ready, g_failure or g_mfailure already implies trace
+    # equality (a vector's trace output is the total of its ready weights).
+    if equal and args.with_trace and args.sem == "g_mtrace":
         (equal, word), trace_ms = _timed(gps_equiv, g, "g_trace", x, y)
         ms += trace_ms
     verdict = "equivalent" if equal else "not equivalent"
@@ -206,13 +208,12 @@ def cmd_bench(args) -> int:
                                    _resolve_set(lts, c["left"], f"case {name!r} left"),
                                    _resolve_set(lts, c["right"], f"case {name!r} right")))
         semantics = spec.get("semantics", ["trace", "may", "must"])
-        algorithms = spec.get("algorithms",
-                              ["oracle", "naive", "hkc", "brzozowski"])
+        algorithms = spec.get("algorithms", ALGORITHMS)
         cap = spec.get("cap", DEFAULT_CAP)
     else:
         cases = default_cases()
         semantics = ["trace", "ready", "failure", "may", "must"]
-        algorithms = ["oracle", "naive", "hkc", "brzozowski"]
+        algorithms = ALGORITHMS
         cap = DEFAULT_CAP
     report = run_matrix(cases, semantics, algorithms, cap)
     text = report.to_csv() if args.format == "csv" else report.to_json()

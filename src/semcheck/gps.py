@@ -12,11 +12,11 @@ The search runs on integers.  Each GPS is scaled once to the lcm of its
 denominators (``Gps._scaled``), and since zero output and span membership
 are blind to nonzero scalars, every vector is carried as a primitive integer
 vector (divided by the gcd of its entries) and eliminated fraction-free,
-``w <- b[p] * w - w[p] * b``.  ``Distribution`` and ``Fraction`` appear only
-at the API boundary: ``gps_det_step`` and ``gps_det_output`` convert to the
-integer form, call the same kernels and convert back.  On the gps-dense
-benchmark workload (Python 3.11, 2-vCPU x86-64 host) this made the search
-about ten times faster than the former ``Fraction`` search.
+``w <- b[p] * w - w[p] * b``.  The state outputs are one integer table,
+``_weights``, that ``gps_decorate`` and the search share.  ``Distribution``
+and ``Fraction`` appear only at the API boundary: ``gps_det_step`` and
+``gps_det_output`` convert to the integer form, call the same kernels and
+convert back.
 """
 
 from __future__ import annotations
@@ -86,16 +86,10 @@ class GpsDecorated:
     outputs: Tuple[Output, ...]
 
 
-def _initials_mask(g: Gps, x: int) -> int:
-    m = 0
-    for i, a in enumerate(g.alphabet):
-        if g.row(x, a):
-            m |= 1 << i
-    return m
-
-
-def gps_decorate(g: Gps, semantics: str) -> GpsDecorated:
-    """Attach probabilistic outputs.
+def _weights(g: Gps, semantics: str) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+    """Each state's output under ``semantics`` as integer ``(mask, weight)``
+    pairs, a ``prob`` output being one pair under mask 0.  Weights are over 1,
+    except under g_mtrace, where they are over ``g._scaled.denom``.
 
     g_ready     unit weight on the enabled-action set
     g_failure   unit weight on every refusable set
@@ -103,24 +97,33 @@ def gps_decorate(g: Gps, semantics: str) -> GpsDecorated:
     g_trace     the constant 1
     g_mtrace    the termination mass
     """
-    if semantics not in GPS_SEMANTICS:
-        raise ValueError(f"unknown GPS semantics {semantics!r}")
+    scaled = g._scaled
     full = full_mask(g.alphabet)
-    outs: List[Output] = []
-    for x in range(g.n_states):
-        enabled = _initials_mask(g, x)
-        if semantics == "g_ready":
-            outs.append(Output("prob_family", ((enabled, Fraction(1)),)))
-        elif semantics == "g_failure":
-            fam = tuple(sorted((z, Fraction(1)) for z in submasks(full & ~enabled)))
-            outs.append(Output("prob_family", fam))
-        elif semantics == "g_mfailure":
-            outs.append(Output("prob_family", ((full & ~enabled, Fraction(1)),)))
-        elif semantics == "g_trace":
-            outs.append(Output("prob", Fraction(1)))
-        else:  # g_mtrace
-            outs.append(Output("prob", g.termination_mass(x)))
-    return GpsDecorated(semantics, g, tuple(outs))
+    if semantics == "g_ready":
+        return tuple(((m, 1),) for m in scaled.enabled)
+    if semantics == "g_failure":
+        return tuple(tuple((z, 1) for z in sorted(submasks(full & ~m)))
+                     for m in scaled.enabled)
+    if semantics == "g_mfailure":
+        return tuple(((full & ~m, 1),) for m in scaled.enabled)
+    if semantics == "g_trace":
+        return tuple(((0, 1),) for _ in range(g.n_states))
+    if semantics == "g_mtrace":
+        return tuple(((0, scaled.denom - e),) for e in scaled.emission)
+    raise ValueError(f"unknown GPS semantics {semantics!r}")
+
+
+def gps_decorate(g: Gps, semantics: str) -> GpsDecorated:
+    """Attach probabilistic outputs: the ``_weights`` table as fractions."""
+    weights = _weights(g, semantics)
+    if semantics == "g_trace":
+        outs = tuple(Output("prob", Fraction(w)) for ((_, w),) in weights)
+    elif semantics == "g_mtrace":
+        outs = tuple(Output("prob", Fraction(w, g._scaled.denom)) for ((_, w),) in weights)
+    else:
+        outs = tuple(Output("prob_family", tuple((m, Fraction(w)) for m, w in pairs))
+                     for pairs in weights)
+    return GpsDecorated(semantics, g, outs)
 
 
 def _int_step(row: Sequence[Tuple[Tuple[int, int], ...]], vec: Dict[int, int]
@@ -136,7 +139,7 @@ def _int_step(row: Sequence[Tuple[Tuple[int, int], ...]], vec: Dict[int, int]
 
 def _int_output(weights: Sequence[Tuple[Tuple[int, int], ...]], vec: Dict[int, int]
                 ) -> Dict[int, int]:
-    """Linear extension of the integer state outputs (``_int_weights``) to an
+    """Linear extension of integer state outputs (``_weights``) to an
     integer vector, as mask -> weight; zero weights kept."""
     acc: Dict[int, int] = {}
     for x, p in vec.items():
@@ -147,9 +150,8 @@ def _int_output(weights: Sequence[Tuple[Tuple[int, int], ...]], vec: Dict[int, i
 
 def _int_weights(dec: GpsDecorated
                  ) -> Tuple[Tuple[Tuple[Tuple[int, int], ...], ...], int]:
-    """Each state's output as ``(mask, weight)`` pairs, a ``prob`` output
-    being one pair under mask 0, with every weight multiplied by the lcm of
-    the weights' denominators; and that lcm."""
+    """``_weights`` for a decoration of any denominators: every weight
+    multiplied by the lcm of the weights' denominators; and that lcm."""
     pairs = [((0, o.value),) if o.kind == "prob" else o.value for o in dec.outputs]
     scale = math.lcm(*(w.denominator for ps in pairs for _, w in ps))
     return tuple(tuple((m, w.numerator * (scale // w.denominator)) for m, w in ps)
@@ -192,15 +194,6 @@ def _primitive(vec: Dict[int, int]) -> Dict[int, int]:
     return vec if d == 1 else {s: p // d for s, p in vec.items()}
 
 
-def _output_weights(g: Gps, semantics: str) -> tuple:
-    """The integer output weights of ``g`` under ``semantics``, decorated
-    once per GPS and semantics and kept in the GPS's ``_output_weights``."""
-    memo = vars(g).setdefault("_output_weights", {})
-    if semantics not in memo:
-        memo[semantics] = _int_weights(gps_decorate(g, semantics))[0]
-    return memo[semantics]
-
-
 def gps_equiv(g: Gps, semantics: str, x: int, y: int
               ) -> Tuple[bool, Optional[Tuple[str, ...]]]:
     """Decide whether states ``x`` and ``y`` have the same behaviour under the
@@ -212,9 +205,14 @@ def gps_equiv(g: Gps, semantics: str, x: int, y: int
     basis, so the search terminates.  Zero output and span membership do not
     change when a vector is multiplied by a nonzero scalar, so every vector
     is carried as a primitive integer vector, a multiple of the exact one.
-    The output weights are computed once per GPS and semantics and kept on
-    the GPS."""
-    weights = _output_weights(g, semantics)
+
+    g_failure searches on g_mfailure's weights, one set a state instead of
+    all 2^|A| refusable ones.  A vector's g_failure weight on a set Z is the
+    sum of its g_mfailure weights over the supersets of Z; that upward sum is
+    invertible (Moebius inversion on the subset lattice), so both outputs
+    vanish on exactly the same vectors, and the search, which only asks
+    whether an output is zero, returns the same verdicts and words."""
+    weights = _weights(g, "g_mfailure" if semantics == "g_failure" else semantics)
     queue: List[Tuple[Dict[int, int], Tuple[str, ...]]] = [
         ({x: 1, y: -1} if x != y else {}, ())]
     # Row-echelon basis: pivot state -> primitive vector, nonzero at the pivot

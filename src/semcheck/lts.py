@@ -177,12 +177,14 @@ class ScaledGps(NamedTuple):
     """A GPS's probabilities over one common denominator, all integers:
     ``denom`` is the lcm of every transition probability's denominator,
     ``rows[label][x]`` lists ``x``'s ``label``-successors as
-    ``(succ, p * denom)``, and ``emission[x]`` is ``x``'s emission mass times
-    ``denom``."""
+    ``(succ, p * denom)``, ``emission[x]`` is ``x``'s emission mass times
+    ``denom``, and bit i of ``enabled[x]`` is set when ``x`` emits the i-th
+    label."""
 
     denom: int
     rows: Dict[str, Tuple[Tuple[Tuple[int, int], ...], ...]]
     emission: Tuple[int, ...]
+    enabled: Tuple[int, ...]
 
 
 @dataclass
@@ -190,8 +192,7 @@ class Gps(_NamedStates):
     """A generative probabilistic system: each state emits each action with an
     exact rational probability; the row over all actions sums to at most 1 and
     the deficit is the probability of termination.  Instances are treated as
-    immutable after construction; the one exception is the memo of integer
-    output weights per semantics that ``gps.gps_equiv`` keeps on an instance.
+    immutable after construction.
     """
 
     n_states: int
@@ -212,7 +213,9 @@ class Gps(_NamedStates):
                 for a in self.alphabet}
         emission = tuple(sum(q for a in self.alphabet for _, q in rows[a][x])
                          for x in range(self.n_states))
-        return ScaledGps(denom, rows, emission)
+        enabled = tuple(sum(1 << i for i, a in enumerate(self.alphabet) if rows[a][x])
+                        for x in range(self.n_states))
+        return ScaledGps(denom, rows, emission, enabled)
 
     def emission_mass(self, x: int) -> Fraction:
         return Fraction(self._scaled.emission[x], self._scaled.denom)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from semcheck import (
     ready_to_trace_collapse,
     submasks,
 )
+from semcheck.cli import main
 
 from conftest import load_gps
 
@@ -148,23 +150,26 @@ def test_gps_equiv_needs_two_steps():
     assert word == ("a", "a")
 
 
-def test_gps_equiv_decorates_once_per_gps_and_semantics(monkeypatch):
+def test_gps_equiv_decorates_nothing_and_takes_64_labels(monkeypatch, tmp_path):
     import semcheck.gps as gps
 
-    calls = []
+    def refuse(g, semantics):
+        raise AssertionError(f"gps_equiv decorated under {semantics}")
 
-    def counting(g, semantics):
-        calls.append(semantics)
-        return gps_decorate(g, semantics)
-
-    monkeypatch.setattr(gps, "gps_decorate", counting)
+    monkeypatch.setattr(gps, "gps_decorate", refuse)
     g = load_gps("gps-pu")
     p, u = g.resolve_state("p"), g.resolve_state("u")
-    assert gps_equiv(g, "g_ready", p, u) == gps_equiv(g, "g_ready", u, p)
-    assert calls == ["g_ready"]
-    gps_equiv(g, "g_trace", p, u)
-    gps_equiv(g, "g_ready", p, p)
-    assert calls == ["g_ready", "g_trace"]
+    for sem in GPS_SEMANTICS:
+        assert gps_equiv(g, sem, p, u) == (True, None), sem
+    # State 1 emits nothing, so under g_failure it refuses all 2**64 label
+    # sets; the search must not list them.
+    f = tmp_path / "wide.lts"
+    labels = " ".join(f"l{i}" for i in range(64))
+    f.write_text(f"gps 2\nalphabet {labels}\n0 l0 1/2 1\n")
+    for sem in GPS_SEMANTICS:
+        t0 = time.perf_counter()
+        assert main(["gps-equiv", "--sem", sem, str(f), "0", "1"]) == 1, sem
+        assert time.perf_counter() - t0 < 1.0, sem
 
 
 # -- spectrum collapses ------------------------------------------------------

@@ -164,3 +164,6 @@ def test_gps_equiv_agrees_with_word_enumeration():
                 if not equal:
                     assert word in separating, (seed, sem, x, y, word)
                     assert len(word) == len(separating[0]), (seed, sem, x, y, word)
+                elif sem in ("g_ready", "g_failure", "g_mfailure"):
+                    # why gps-equiv --with-trace searches again only under g_mtrace
+                    assert gps_equiv(g, "g_trace", x, y)[0], (seed, sem, x, y)
