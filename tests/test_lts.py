@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -186,6 +188,106 @@ def test_gps_probability_tokens(token, expected):
         with pytest.raises(FormatError) as exc:
             parse_gps(text)
         assert str(exc.value) == expected
+
+
+def _random_gps_text(seed: int) -> str:
+    """A seeded GPS text over a valid header: repeated lines, reducible,
+    decimal and signed probability tokens, zero-padded state tokens, a
+    ``names`` line now and then, rows that may sum above 1, and about one
+    malformed transition line in twenty."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 5)
+    alphabet = ("a", "b", "c")[: rng.randint(1, 3)]
+    lines = [f"gps {n}", "alphabet " + " ".join(alphabet)]
+    if rng.random() < 0.3:
+        lines.append("names " + " ".join(f"s{i}" for i in range(n)))
+    for _ in range(rng.randint(0, 10)):
+        if lines[2:] and rng.random() < 0.15:
+            lines.append(rng.choice(lines[2:]))
+            continue
+        den = rng.choice((2, 3, 4, 5, 6, 8, 10, 12))
+        num = rng.randint(1, max(1, den // 3))
+        token = rng.choice((f"{num}/{den}", f"{2 * num}/{2 * den}", f"+{num}/{den}",
+                            f"00{num}/{den}", str(num / den) if 100 % den == 0 or den == 8
+                            else f"{num}/{den}"))
+        src, dst = str(rng.randrange(n)), str(rng.randrange(n))
+        if rng.random() < 0.2:
+            src = "00" + src
+        toks = [src, rng.choice(alphabet), token, dst]
+        if rng.random() < 0.05:
+            i = rng.randrange(4)
+            toks[i] = rng.choice(({0: str(n), 1: "z", 2: "3/2", 3: "x"}[i], "0/4", "1/0"))
+        lines.append(" ".join(toks))
+    return "\n".join(lines) + "\n"
+
+
+def _reference_parse_gps(text: str):
+    """The GPS text format read with ``Fraction(token)``: the names, the
+    transitions and each ``ScaledGps`` field, or the text of the first
+    error."""
+    lines = [(i, raw.split("#", 1)[0].split()) for i, raw in enumerate(text.splitlines(), 1)]
+    lines = [(i, toks) for i, toks in lines if toks]
+    n, alphabet = int(lines[0][1][1]), tuple(lines[1][1][1:])
+
+    def state(tok, ln):
+        if not tok.isdigit() or int(tok) >= n:
+            raise FormatError(f"bad state index {tok!r}", ln)
+        return int(tok)
+
+    names, trans = None, {}
+    try:
+        for ln, toks in lines[2:]:
+            if toks[0] == "names":
+                if names is not None:
+                    raise FormatError("duplicate 'names' line", ln)
+                names = tuple(toks[1:])
+                continue
+            if len(toks) != 4:
+                raise FormatError("expected '<src> <label> <p>/<q> <dst>'", ln)
+            src = state(toks[0], ln)
+            if toks[1] not in alphabet:
+                raise FormatError(f"unknown label {toks[1]!r}", ln)
+            try:
+                p = Fraction(toks[2])
+            except (ValueError, ZeroDivisionError):
+                raise FormatError(f"bad probability {toks[2]!r}", ln) from None
+            if not 0 < p <= 1:
+                raise FormatError(f"probability {toks[2]} outside (0, 1]", ln)
+            dst = state(toks[3], ln)
+            row = trans.setdefault((src, toks[1]), {})
+            row[dst] = row.get(dst, 0) + p
+        masses = [sum((p for (x, _), row in trans.items() if x == s for p in row.values()),
+                      Fraction(0)) for s in range(n)]
+        for s, mass in enumerate(masses):
+            if mass > 1:
+                raise FormatError(f"state {s} emits total mass {mass} > 1")
+    except FormatError as exc:
+        return str(exc)
+    denom = math.lcm(*(p.denominator for row in trans.values() for p in row.values()))
+    rows = {a: tuple(tuple((y, int(p * denom)) for y, p in trans.get((x, a), {}).items())
+                     for x in range(n)) for a in alphabet}
+    enabled = tuple(sum(1 << i for i, a in enumerate(alphabet) if trans.get((x, a)))
+                    for x in range(n))
+    return names, trans, (denom, rows, tuple(int(m * denom) for m in masses), enabled)
+
+
+def test_parse_gps_matches_fraction_reference():
+    outcomes = {"parsed": 0, "over mass": 0, "other error": 0}
+    for seed in range(400):
+        text = _random_gps_text(seed)
+        expected = _reference_parse_gps(text)
+        if isinstance(expected, str):
+            with pytest.raises(FormatError) as exc:
+                parse_gps(text)
+            assert str(exc.value) == expected, (seed, text)
+            outcomes["over mass" if "total mass" in expected else "other error"] += 1
+            continue
+        g = parse_gps(text)
+        names, trans, scaled = expected
+        assert (g.names, g.transitions) == (names, trans), (seed, text)
+        assert tuple(g._scaled) == scaled, (seed, text)
+        outcomes["parsed"] += 1
+    assert min(outcomes.values()) >= 20, outcomes
 
 
 # -- serialisation -----------------------------------------------------------
