@@ -8,15 +8,15 @@ breadth-first linear-span search (Tzeng 1992): the difference vector's orbit
 under the transition maps spans a subspace of dimension at most the number of
 states, so at most that many basis insertions occur before the queue drains.
 
-The search runs on integers.  Each GPS is scaled once to the lcm of its
-denominators (``Gps._scaled``), and since zero output and span membership
-are blind to nonzero scalars, every vector is carried as a primitive integer
-vector (divided by the gcd of its entries) and eliminated fraction-free,
-``w <- b[p] * w - w[p] * b``.  The state outputs are one integer table,
-``_weights``, that ``gps_decorate`` and the search share.  ``Distribution``
-and ``Fraction`` appear only at the API boundary: ``gps_det_step`` and
-``gps_det_output`` convert to the integer form, call the same kernels and
-convert back.
+The search runs on integers from the parser on.  ``parse_gps`` builds each
+GPS over one common denominator (``Gps._scaled``), and since zero output and
+span membership are blind to nonzero scalars, every vector is carried as a
+primitive integer vector (divided by the gcd of its entries) and reduced in
+place, fraction-free, ``w <- b[p] * w - w[p] * b``.  The state outputs are
+one integer table, ``_weights``, that ``gps_decorate`` and the search share.
+``Distribution`` and ``Fraction`` appear only at the API boundary, where
+``gps_det_step`` and ``gps_det_output`` run the same linear kernels on
+rational vectors.
 """
 
 from __future__ import annotations
@@ -126,10 +126,11 @@ def gps_decorate(g: Gps, semantics: str) -> GpsDecorated:
     return GpsDecorated(semantics, g, outs)
 
 
-def _int_step(row: Sequence[Tuple[Tuple[int, int], ...]], vec: Dict[int, int]
-              ) -> Dict[int, int]:
-    """One action's integer matrix (``ScaledGps.rows[label]``) applied to an
-    integer vector; zero entries dropped."""
+def _step(row: Sequence[Tuple[Tuple[int, int], ...]], vec: Dict[int, int]
+          ) -> Dict[int, int]:
+    """One action's integer matrix (``ScaledGps.rows[label]``) applied to a
+    vector, integer in the search and rational at the boundary; zero entries
+    dropped."""
     out: Dict[int, int] = {}
     for x, p in vec.items():
         for y, q in row[x]:
@@ -137,10 +138,11 @@ def _int_step(row: Sequence[Tuple[Tuple[int, int], ...]], vec: Dict[int, int]
     return {y: p for y, p in out.items() if p}
 
 
-def _int_output(weights: Sequence[Tuple[Tuple[int, int], ...]], vec: Dict[int, int]
-                ) -> Dict[int, int]:
-    """Linear extension of integer state outputs (``_weights``) to an
-    integer vector, as mask -> weight; zero weights kept."""
+def _output(weights: Sequence[Tuple[Tuple[int, object], ...]], vec: Dict[int, int]
+            ) -> Dict[int, int]:
+    """Linear extension of state outputs given as ``(mask, weight)`` pairs
+    (``_weights``, or a decoration's fractions) to a vector, as mask ->
+    weight; zero weights kept."""
     acc: Dict[int, int] = {}
     for x, p in vec.items():
         for mask, w in weights[x]:
@@ -148,44 +150,23 @@ def _int_output(weights: Sequence[Tuple[Tuple[int, int], ...]], vec: Dict[int, i
     return acc
 
 
-def _int_weights(dec: GpsDecorated
-                 ) -> Tuple[Tuple[Tuple[Tuple[int, int], ...], ...], int]:
-    """``_weights`` for a decoration of any denominators: every weight
-    multiplied by the lcm of the weights' denominators; and that lcm."""
-    pairs = [((0, o.value),) if o.kind == "prob" else o.value for o in dec.outputs]
-    scale = math.lcm(*(w.denominator for ps in pairs for _, w in ps))
-    return tuple(tuple((m, w.numerator * (scale // w.denominator)) for m, w in ps)
-                 for ps in pairs), scale
-
-
-def _int_vector(phi: Distribution) -> Tuple[Dict[int, int], int]:
-    """``phi`` as an integer vector and the scale ``phi`` was multiplied by."""
-    scale = math.lcm(*(p.denominator for _, p in phi.entries))
-    return {x: p.numerator * (scale // p.denominator) for x, p in phi.entries}, scale
-
-
 def gps_det_step(g: Gps, phi: Distribution, label: str) -> Distribution:
     """Push a distribution through one action: the linear image under the
     action's substochastic matrix."""
     if label not in g.alphabet:
         raise ValueError(f"unknown label {label!r}")
-    vec, scale = _int_vector(phi)
-    scale *= g._scaled.denom
-    out = _int_step(g._scaled.rows[label], vec)
-    return Distribution.from_dict({y: Fraction(p, scale) for y, p in out.items()},
+    out = _step(g._scaled.rows[label], phi.as_dict())
+    return Distribution.from_dict({y: Fraction(p, g._scaled.denom) for y, p in out.items()},
                                   signed=phi.signed)
 
 
 def gps_det_output(dec: GpsDecorated, phi: Distribution) -> Output:
     """Linear extension of the state outputs to a distribution."""
-    vec, vscale = _int_vector(phi)
-    weights, wscale = _int_weights(dec)
-    acc = _int_output(weights, vec)
-    scale = vscale * wscale
+    acc = _output([((0, o.value),) if o.kind == "prob" else o.value for o in dec.outputs],
+                  phi.as_dict())
     if dec.semantics in ("g_trace", "g_mtrace"):
-        return Output("prob", Fraction(acc.get(0, 0), scale))
-    return Output("prob_family",
-                  tuple(sorted((m, Fraction(w, scale)) for m, w in acc.items() if w)))
+        return Output("prob", Fraction(acc.get(0, 0)))
+    return Output("prob_family", tuple(sorted((m, w) for m, w in acc.items() if w)))
 
 
 def _primitive(vec: Dict[int, int]) -> Dict[int, int]:
@@ -213,34 +194,42 @@ def gps_equiv(g: Gps, semantics: str, x: int, y: int
     vanish on exactly the same vectors, and the search, which only asks
     whether an output is zero, returns the same verdicts and words."""
     weights = _weights(g, "g_mfailure" if semantics == "g_failure" else semantics)
-    queue: List[Tuple[Dict[int, int], Tuple[str, ...]]] = [
-        ({x: 1, y: -1} if x != y else {}, ())]
+    # (vector, index of the vector it was stepped from, the label stepped)
+    queue: List[Tuple[Dict[int, int], int, str]] = [({x: 1, y: -1} if x != y else {}, -1, "")]
     # Row-echelon basis: pivot state -> primitive vector, nonzero at the pivot
     # and zero at every earlier-inserted pivot.
     basis: Dict[int, Dict[int, int]] = {}
-    qi = 0
-    while qi < len(queue):
-        vec, word = queue[qi]
-        qi += 1
-        w = vec
+    for qi, (vec, _, _) in enumerate(queue):  # the list grows while it is walked
+        w = vec  # copied at the first pivot it meets, then reduced in place
         for pivot, b in basis.items():
             c = w.get(pivot)
             if c:
                 # w <- b[pivot] * w - c * b, which is zero at the pivot
                 bp = b[pivot]
-                w = {s: bp * p for s, p in w.items()}
+                if w is vec:
+                    w = {s: bp * p for s, p in w.items()} if bp != 1 else dict(w)
+                elif bp != 1:
+                    for s in w:
+                        w[s] *= bp
                 for s, p in b.items():
-                    w[s] = w.get(s, 0) - c * p
-                w = {s: p for s, p in w.items() if p}
+                    v = w.get(s, 0) - c * p
+                    if v:
+                        w[s] = v
+                    else:
+                        del w[s]
         if not w:
             continue
-        if any(_int_output(weights, vec).values()):
-            return False, word
+        if any(_output(weights, vec).values()):
+            word = []
+            while qi:
+                _, qi, a = queue[qi]
+                word.append(a)
+            return False, tuple(reversed(word))
         basis[min(w)] = _primitive(w)
         for a, row in g._scaled.rows.items():  # in alphabet order
-            nxt = _int_step(row, vec)
+            nxt = _step(row, vec)
             if nxt:
-                queue.append((_primitive(nxt), word + (a,)))
+                queue.append((_primitive(nxt), qi, a))
     return True, None
 
 

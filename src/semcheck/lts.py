@@ -23,6 +23,7 @@ TAU = "tau"
 StateSet = FrozenSet[int]
 
 _LABEL_RE = re.compile(r"[A-Za-z0-9_]+\Z")
+_RATIO_RE = re.compile(r"([0-9]+)/(0*[1-9][0-9]*)\Z")  # ASCII p/q, q > 0
 
 
 class FormatError(ValueError):
@@ -187,12 +188,39 @@ class ScaledGps(NamedTuple):
     enabled: Tuple[int, ...]
 
 
+def _scaled_gps(n: int, alphabet: Tuple[str, ...],
+                edges: List[Tuple[int, str, int, Tuple[int, int]]]) -> ScaledGps:
+    """The integer form of a GPS given as ``(src, label, dst, (p, q))``
+    transitions of probability p/q, repeated ones adding up.  Weights are
+    summed over the lcm of every q, then divided by their gcd with it, which
+    leaves ``denom`` the lcm of the summed probabilities' reduced denominators."""
+    pqs = {e[3] for e in edges}
+    denom = math.lcm(*(q for _, q in pqs))
+    weight = {pq: pq[0] * (denom // pq[1]) for pq in pqs}
+    rows: Dict[str, List[Dict[int, int]]] = {a: [{} for _ in range(n)] for a in alphabet}
+    for src, lab, dst, pq in edges:
+        row = rows[lab][src]
+        row[dst] = row.get(dst, 0) + weight[pq]
+    common = math.gcd(denom, *(w for row in rows.values() for r in row for w in r.values()))
+    if common > 1:
+        rows = {a: [{y: w // common for y, w in r.items()} for r in row]
+                for a, row in rows.items()}
+    return ScaledGps(
+        denom // common, {a: tuple(tuple(r.items()) for r in rows[a]) for a in alphabet},
+        tuple(sum(sum(rows[a][x].values()) for a in alphabet) for x in range(n)),
+        tuple(sum(1 << i for i, a in enumerate(alphabet) if rows[a][x]) for x in range(n)))
+
+
 @dataclass
 class Gps(_NamedStates):
     """A generative probabilistic system: each state emits each action with an
     exact rational probability; the row over all actions sums to at most 1 and
     the deficit is the probability of termination.  Instances are treated as
     immutable after construction.
+
+    ``transitions`` maps ``(state, label)`` to ``{succ: Fraction}``;
+    :func:`parse_gps` builds the integer form ``_scaled`` instead, and
+    ``__getattr__`` derives ``transitions`` from it on first use.
     """
 
     n_states: int
@@ -200,22 +228,22 @@ class Gps(_NamedStates):
     transitions: Dict[Tuple[int, str], Dict[int, Fraction]] = field(default_factory=dict)
     names: Optional[Tuple[str, ...]] = None
 
+    def __getattr__(self, name: str):
+        if name != "transitions":
+            raise AttributeError(name)
+        denom, rows = self._scaled.denom, self._scaled.rows
+        self.transitions = {(x, a): {y: Fraction(w, denom) for y, w in row[x]}
+                            for a, row in rows.items() for x in range(self.n_states) if row[x]}
+        return self.transitions
+
     def row(self, x: int, label: str) -> Dict[int, Fraction]:
         return self.transitions.get((x, label), {})
 
     @cached_property
     def _scaled(self) -> ScaledGps:
-        denom = math.lcm(*(p.denominator for row in self.transitions.values()
-                           for p in row.values()))
-        rows = {a: tuple(tuple((y, p.numerator * (denom // p.denominator))
-                               for y, p in self.row(x, a).items())
-                         for x in range(self.n_states))
-                for a in self.alphabet}
-        emission = tuple(sum(q for a in self.alphabet for _, q in rows[a][x])
-                         for x in range(self.n_states))
-        enabled = tuple(sum(1 << i for i, a in enumerate(self.alphabet) if rows[a][x])
-                        for x in range(self.n_states))
-        return ScaledGps(denom, rows, emission, enabled)
+        return _scaled_gps(self.n_states, self.alphabet, [
+            (x, a, y, (p.numerator, p.denominator))
+            for (x, a), row in self.transitions.items() for y, p in row.items()])
 
     def emission_mass(self, x: int) -> Fraction:
         return Fraction(self._scaled.emission[x], self._scaled.denom)
@@ -240,9 +268,9 @@ class Gps(_NamedStates):
 def _content_lines(text: str) -> List[Tuple[int, List[str]]]:
     out = []
     for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append((i, line.split()))
+        toks = raw.split("#", 1)[0].split()
+        if toks:
+            out.append((i, toks))
     return out
 
 
@@ -272,6 +300,7 @@ def _parse_header(lines, kind: str):
 
 
 def _parse_state(tok: str, n: int, ln: int) -> int:
+    """A state token missing from the parsers' ``{str(i): i}``: ``007``, or an error."""
     if not tok.isdigit() or int(tok) >= n:
         raise FormatError(f"bad state index {tok!r}", ln)
     return int(tok)
@@ -295,6 +324,7 @@ def parse_lts(text: str) -> Lts:
     on any violation (unknown labels, out-of-range states, bad header)."""
     lines = _content_lines(text)
     n, alphabet = _parse_header(lines, "lts")
+    index = {str(i): i for i in range(n)}
     finals: Optional[StateSet] = None
     names: Optional[Tuple[str, ...]] = None
     trans: Dict[Tuple[int, str], set] = {}
@@ -302,61 +332,69 @@ def parse_lts(text: str) -> Lts:
         if toks[0] == "final":
             if finals is not None:
                 raise FormatError("duplicate 'final' line", ln)
-            finals = frozenset(_parse_state(t, n, ln) for t in toks[1:])
+            finals = frozenset(index[t] if t in index else _parse_state(t, n, ln)
+                               for t in toks[1:])
         elif toks[0] == "names":
             names = _parse_names(toks, n, ln, names)
         else:
             if len(toks) != 3:
                 raise FormatError("expected '<src> <label> <dst>'", ln)
-            src = _parse_state(toks[0], n, ln)
-            lab = toks[1]
+            s, lab, d = toks
+            src = index[s] if s in index else _parse_state(s, n, ln)
             if lab != TAU and lab not in alphabet:
                 raise FormatError(f"unknown label {lab!r}", ln)
-            dst = _parse_state(toks[2], n, ln)
+            dst = index[d] if d in index else _parse_state(d, n, ln)
             trans.setdefault((src, lab), set()).add(dst)
     return Lts(n, alphabet, {k: frozenset(v) for k, v in trans.items()}, finals, names)
 
 
-def _probability(token: str) -> Fraction:
-    """``Fraction(token)``, with ``<digits>/<digits>`` (ASCII) read by two
-    ``int`` calls instead of the general string parser."""
-    num, slash, den = token.partition("/")
-    if slash and num.isascii() and num.isdigit() and den.isascii() and den.isdigit():
-        return Fraction(int(num), int(den))
-    return Fraction(token)
+def _probability(token: str, ln: int) -> Tuple[int, int]:
+    """The probability ``Fraction(token)`` as ``(p, q)``, ``0 < p <= q``, not
+    necessarily reduced; an ASCII ``p/q`` token makes no ``Fraction``."""
+    ratio = _RATIO_RE.match(token)
+    if ratio:
+        p, q = int(ratio[1]), int(ratio[2])
+    else:
+        try:
+            f = Fraction(token)
+        except (ValueError, ZeroDivisionError):
+            raise FormatError(f"bad probability {token!r}", ln) from None
+        p, q = f.numerator, f.denominator
+    if not 0 < p <= q:
+        raise FormatError(f"probability {token} outside (0, 1]", ln)
+    return p, q
 
 
 def parse_gps(text: str) -> Gps:
     """Parse the GPS text format.  Probabilities are exact rationals ``p/q``;
-    each state's total emission mass must be at most 1."""
+    each state's total emission mass must be at most 1.  The GPS is built in
+    its integer form, ``Gps._scaled``."""
     lines = _content_lines(text)
     n, alphabet = _parse_header(lines, "gps")
+    index = {str(i): i for i in range(n)}
+    probs: Dict[str, Tuple[int, int]] = {}  # each distinct valid token, read once
     names: Optional[Tuple[str, ...]] = None
-    trans: Dict[Tuple[int, str], Dict[int, Fraction]] = {}
+    edges: List[Tuple[int, str, int, Tuple[int, int]]] = []
     for ln, toks in lines[2:]:
         if toks[0] == "names":
             names = _parse_names(toks, n, ln, names)
             continue
         if len(toks) != 4:
             raise FormatError("expected '<src> <label> <p>/<q> <dst>'", ln)
-        src = _parse_state(toks[0], n, ln)
-        lab = toks[1]
+        s, lab, tok, d = toks
+        src = index[s] if s in index else _parse_state(s, n, ln)
         if lab not in alphabet:
             raise FormatError(f"unknown label {lab!r}", ln)
-        try:
-            p = _probability(toks[2])
-        except (ValueError, ZeroDivisionError):
-            raise FormatError(f"bad probability {toks[2]!r}", ln) from None
-        if not 0 < p.numerator <= p.denominator:
-            raise FormatError(f"probability {toks[2]} outside (0, 1]", ln)
-        dst = _parse_state(toks[3], n, ln)
-        row = trans.setdefault((src, lab), {})
-        row[dst] = row[dst] + p if dst in row else p
-    g = Gps(n, alphabet, trans, names)
-    scaled = g._scaled
+        pq = probs.get(tok)
+        if pq is None:
+            pq = probs[tok] = _probability(tok, ln)
+        edges.append((src, lab, index[d] if d in index else _parse_state(d, n, ln), pq))
+    scaled = _scaled_gps(n, alphabet, edges)
     for x, e in enumerate(scaled.emission):
         if e > scaled.denom:
             raise FormatError(f"state {x} emits total mass {Fraction(e, scaled.denom)} > 1")
+    g = Gps.__new__(Gps)
+    g.__dict__.update(n_states=n, alphabet=alphabet, names=names, _scaled=scaled)
     return g
 
 

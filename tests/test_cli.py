@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import semcheck
 from semcheck.cli import main
 
 from conftest import FIXTURES
@@ -206,6 +209,30 @@ def test_gps_equiv_with_trace_strengthens(capsys, tmp_path):
         capsys, "gps-equiv", "--sem", "g_mtrace", "--with-trace", str(f), "0", "1")
     assert code == 1
     assert payload["counterexample"] == ["a"]
+
+
+def test_gps_equiv_on_5000_state_chain(tmp_path):
+    # Two copies of a 2500-state chain, each state emitting a and b towards
+    # the next; x and its copy are equal.  The span search inserts 2500 basis
+    # vectors of two entries each: sparse vectors keep that small, where
+    # dense ones would queue |A| * n^2 ints.  Memory is read off the child.
+    n = 2500
+    lines = [f"gps {2 * n}", "alphabet a b"]
+    for x in (*range(n - 1), *range(n, 2 * n - 1)):
+        lines += [f"{x} a 1/2 {x + 1}", f"{x} b 1/3 {x + 1}"]
+    f = tmp_path / "gps-chain-5000.lts"
+    f.write_text("\n".join(lines) + "\n")
+    child = ("import resource, sys\nfrom semcheck.cli import main\ncode = main(sys.argv[1:])\n"
+             "print('maxrss_kb', resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,"
+             " file=sys.stderr)\nsys.exit(code)\n")
+    src = str(Path(semcheck.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", child, "gps-equiv", "--sem", "g_ready",
+                           str(f), "0", str(n)], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"] is True
+    assert proc.stderr.startswith("equivalent under g_ready")
+    assert int(proc.stderr.split("maxrss_kb")[1]) < 100 * 1024
 
 
 # -- gen and bench -----------------------------------------------------------

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from semcheck import (
     FormatError,
+    Gps,
     Lts,
     disjoint_union,
     divergent_states,
@@ -301,6 +302,30 @@ def test_format_parse_roundtrip_fixture():
 def test_format_parse_roundtrip_gps():
     gps = load_gps("gps-pu-alt")
     assert parse_gps(format_gps(gps)) == gps
+
+
+def test_parsed_gps_equals_hand_built_gps_either_way():
+    # parse_gps builds the integer form; ``transitions`` is a view built on
+    # first use, which equality and format_gps read.
+    checked = 0
+    for seed in range(400):
+        text = _random_gps_text(seed)
+        expected = _reference_parse_gps(text)
+        if isinstance(expected, str):
+            continue
+        names, trans, _ = expected
+        g = parse_gps(text)
+        assert "transitions" not in vars(g)
+        built = Gps(g.n_states, g.alphabet, trans, names)
+        assert g == built and built == parse_gps(text), (seed, text)
+        assert parse_gps(format_gps(g)) == g and parse_gps(format_gps(built)) == built
+        assert format_gps(built) == format_gps(parse_gps(text))
+        assert tuple(built._scaled) == tuple(parse_gps(text)._scaled)
+        other = Gps(g.n_states, g.alphabet,
+                    {**trans, (0, g.alphabet[0]): {0: Fraction(1, 7)}}, names)
+        assert parse_gps(text) != other and other != parse_gps(text)
+        checked += 1
+    assert checked >= 100
 
 
 @settings(max_examples=60, derandomize=True)
