@@ -200,15 +200,13 @@ def gps_equiv(g: Gps, semantics: str, x: int, y: int
     # and zero at every earlier-inserted pivot.
     basis: Dict[int, Dict[int, int]] = {}
     for qi, (vec, _, _) in enumerate(queue):  # the list grows while it is walked
-        w = vec  # copied at the first pivot it meets, then reduced in place
+        w = dict(vec)  # reduced in place
         for pivot, b in basis.items():
             c = w.get(pivot)
             if c:
                 # w <- b[pivot] * w - c * b, which is zero at the pivot
                 bp = b[pivot]
-                if w is vec:
-                    w = {s: bp * p for s, p in w.items()} if bp != 1 else dict(w)
-                elif bp != 1:
+                if bp != 1:
                     for s in w:
                         w[s] *= bp
                 for s, p in b.items():

@@ -23,7 +23,6 @@ TAU = "tau"
 StateSet = FrozenSet[int]
 
 _LABEL_RE = re.compile(r"[A-Za-z0-9_]+\Z")
-_RATIO_RE = re.compile(r"([0-9]+)/(0*[1-9][0-9]*)\Z")  # ASCII p/q, q > 0
 
 
 class FormatError(ValueError):
@@ -350,10 +349,12 @@ def parse_lts(text: str) -> Lts:
 
 def _probability(token: str, ln: int) -> Tuple[int, int]:
     """The probability ``Fraction(token)`` as ``(p, q)``, ``0 < p <= q``, not
-    necessarily reduced; an ASCII ``p/q`` token makes no ``Fraction``."""
-    ratio = _RATIO_RE.match(token)
-    if ratio:
-        p, q = int(ratio[1]), int(ratio[2])
+    necessarily reduced: ``<digits>/<digits>`` (ASCII) is read by two ``int``
+    calls, any other token by the general string parser."""
+    num, slash, den = token.partition("/")
+    if slash and num.isascii() and num.isdigit() and den.isascii() and den.isdigit() \
+            and int(den):
+        p, q = int(num), int(den)
     else:
         try:
             f = Fraction(token)
