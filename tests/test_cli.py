@@ -214,8 +214,9 @@ def test_gps_equiv_with_trace_strengthens(capsys, tmp_path):
 def test_gps_equiv_on_5000_state_chain(tmp_path):
     # Two copies of a 2500-state chain, each state emitting a and b towards
     # the next; x and its copy are equal.  The span search inserts 2500 basis
-    # vectors of two entries each: sparse vectors keep that small, where
-    # dense ones would queue |A| * n^2 ints.  Memory is read off the child.
+    # vectors of two entries each: sparse vectors, and a parent index rather
+    # than a word per queued vector, keep that small, where dense vectors
+    # would queue |A| * n^2 ints.  Memory is read off the child.
     n = 2500
     lines = [f"gps {2 * n}", "alphabet a b"]
     for x in (*range(n - 1), *range(n, 2 * n - 1)):
@@ -228,7 +229,8 @@ def test_gps_equiv_on_5000_state_chain(tmp_path):
     src = str(Path(semcheck.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", child, "gps-equiv", "--sem", "g_ready",
-                           str(f), "0", str(n)], capture_output=True, text=True, env=env)
+                           str(f), "0", str(n)], capture_output=True, text=True, env=env,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["result"] is True
     assert proc.stderr.startswith("equivalent under g_ready")
