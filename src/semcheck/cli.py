@@ -176,8 +176,8 @@ def cmd_gen(args) -> int:
 def _check_spec(spec) -> None:
     """Raise ``ValueError`` unless a bench spec has the shape ``cmd_bench``
     reads: an object whose ``cases`` list holds objects with string ``file``,
-    ``left`` and ``right``, with optional string lists ``semantics`` and
-    ``algorithms`` and an optional positive int ``cap``."""
+    ``left`` and ``right``, with optional lists of known ``semantics`` and
+    ``algorithms`` names and an optional positive int ``cap``."""
     if not isinstance(spec, dict):
         raise ValueError("bench spec must be a JSON object")
     cases = spec.get("cases")
@@ -187,10 +187,13 @@ def _check_spec(spec) -> None:
             for c in cases):
         raise ValueError("bench spec 'cases' must be a list of objects with "
                          "string 'file', 'left' and 'right'")
-    for key in ("semantics", "algorithms"):
+    for key, known in (("semantics", SEMANTICS), ("algorithms", ALGORITHMS)):
         value = spec.get(key, [])
         if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
             raise ValueError(f"bench spec '{key}' must be a list of strings")
+        for x in value:
+            if x not in known:
+                raise ValueError(f"bench spec '{key}' has unknown name {x!r}")
     cap = spec.get("cap", DEFAULT_CAP)
     if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
         raise ValueError("bench spec 'cap' must be a positive integer")

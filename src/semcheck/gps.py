@@ -37,8 +37,8 @@ class Distribution:
     """A sparse rational vector over states.
 
     Unsigned distributions (``signed=False``) are sub-probability: entries
-    positive, total mass at most 1.  Signed vectors arise as differences
-    inside the equivalence check and relax both constraints."""
+    positive, total mass at most 1.  Signed vectors, such as the differences
+    :meth:`sub` returns, relax both constraints."""
 
     entries: Tuple[Tuple[int, Fraction], ...]
     signed: bool = False

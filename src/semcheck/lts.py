@@ -143,7 +143,7 @@ class _NamedStates:
         """Map a display name or numeric index to a state; names win ties."""
         if self.names and token in self.names:
             return self.names.index(token)
-        if token.isdigit() and int(token) < self.n_states:
+        if token.isdecimal() and int(token) < self.n_states:
             return int(token)
         raise ValueError(f"unknown state {token!r}")
 
@@ -277,7 +277,7 @@ def _parse_header(lines, kind: str):
     if not lines:
         raise FormatError("empty description")
     ln, toks = lines[0]
-    if len(toks) != 2 or toks[0] != kind or not toks[1].isdigit():
+    if len(toks) != 2 or toks[0] != kind or not toks[1].isdecimal():
         raise FormatError(f"expected '{kind} <n_states>'", ln)
     n = int(toks[1])
     if n < 1:
@@ -300,7 +300,7 @@ def _parse_header(lines, kind: str):
 
 def _parse_state(tok: str, n: int, ln: int) -> int:
     """A state token missing from the parsers' ``{str(i): i}``: ``007``, or an error."""
-    if not tok.isdigit() or int(tok) >= n:
+    if not tok.isdecimal() or int(tok) >= n:
         raise FormatError(f"bad state index {tok!r}", ln)
     return int(tok)
 

@@ -301,6 +301,10 @@ def test_malformed_input_is_exit_two(capsys, tmp_path):
     [1, 2],
     {"cases": [{"file": fx("ct-w"), "left": "w0", "right": "w0p"}], "cap": "big"},
     {"cases": [{"file": 3, "left": "0", "right": "1"}]},
+    {"cases": [{"file": fx("ct-w"), "left": "w0", "right": "w0p"}],
+     "semantics": ["mustt"]},
+    {"cases": [{"file": fx("ct-w"), "left": "w0", "right": "w0p"}],
+     "algorithms": ["hkc", "bogus"]},
 ])
 def test_malformed_bench_spec_is_exit_two(capsys, tmp_path, spec):
     sf = tmp_path / "spec.json"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from semcheck import (
     downclose_masks,
     downset_to_antichain,
     full_mask,
+    hkc_check,
     is_downclosed,
     join_all,
     join_outputs,
@@ -281,6 +283,31 @@ def test_every_semantics_decorates_a_plain_lts():
         assert len(d.outputs) == lts.n_states
     with pytest.raises(ValueError):
         decorate(lts, "no_such_semantics")
+
+
+# Finer => coarser pairs of the linear-time spectrum.  ctrace stays out until
+# the open ROADMAP.md decision on which relation it names is taken.
+SPECTRUM_IMPLICATIONS = (
+    ("rtrace", "ready"), ("ready", "failure"), ("failure", "trace"),
+    ("rtrace", "ftrace"), ("ftrace", "failure"), ("pfutures", "ready"),
+)
+
+
+def test_spectrum_implications_on_random_systems():
+    """On 300 seeded systems with tau, six random start-set pairs each: a pair
+    equivalent under a finer semantics is equivalent under the coarser one."""
+    tags = {t for pair in SPECTRUM_IMPLICATIONS for t in pair}
+    for seed in range(300):
+        lts = random_lts(seed)
+        ds = {t: decorate(lts, t) for t in tags}
+        rng = random.Random(seed)
+        states = range(lts.n_states)
+        for _ in range(6):
+            left, right = (frozenset(rng.sample(states, rng.randint(1, lts.n_states)))
+                           for _ in range(2))
+            equal = {t: hkc_check(d, left, right).equal for t, d in ds.items()}
+            for finer, coarser in SPECTRUM_IMPLICATIONS:
+                assert equal[coarser] or not equal[finer], (seed, left, right, finer)
 
 
 # -- rendering ---------------------------------------------------------------

@@ -93,10 +93,19 @@ def test_parse_rejects_tau_in_alphabet():
         parse_lts("lts 1\nalphabet a tau\n")
 
 
-def test_parse_rejects_bad_state_index():
+@pytest.mark.parametrize("text, line", [
+    ("lts 2\nalphabet a\n0 a 2\n", 3),
+    # '²' passes str.isdigit but int() rejects it.
+    ("lts 2\nalphabet a\n0 a ²\n", 3),
+    ("lts 2\nalphabet a\nfinal ²\n", 3),
+    ("gps 2\nalphabet a\n0 a 1/2 ²\n", 3),
+    ("lts ²\nalphabet a\n", 1),
+], ids=["out-of-range", "lts-edge", "final", "gps-edge", "header"])
+def test_parse_rejects_bad_state_index(text, line):
+    parse = parse_gps if text.startswith("gps") else parse_lts
     with pytest.raises(FormatError) as exc:
-        parse_lts("lts 2\nalphabet a\n0 a 2\n")
-    assert exc.value.line == 3
+        parse(text)
+    assert exc.value.line == line
 
 
 def test_parse_rejects_unknown_label():
