@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -182,6 +183,63 @@ def test_isomorphism_across_decorations_compares_outputs():
     _, mq = brzozowski_minimize(decorate(q, "ready"), s(1))
     assert mp.values != mq.values and mp.outputs == mq.outputs
     assert moore_isomorphic(mp, mq)
+
+
+def _reference_isomorphic(m1, m2):
+    """Isomorphism by a synchronous walk from the initial states that builds
+    the bijection in both directions, failing on any clash of outputs or of
+    the maps; every state must be reached."""
+    if m1.alphabet != m2.alphabet:
+        raise VariantMismatch("cannot compare machines over different alphabets")
+    if m1.n_states != m2.n_states:
+        return False
+    out1, out2 = ((m1.values, m2.values) if m1.decode == m2.decode
+                  else (m1.outputs, m2.outputs))
+    fwd, bwd = {}, {}
+    queue = [(m1.inits[0], m2.inits[0])]
+    for p, q in queue:
+        if p in fwd or q in bwd:
+            if fwd.get(p) != q or bwd.get(q) != p:
+                return False
+            continue
+        if out1[p] != out2[q]:
+            return False
+        fwd[p], bwd[q] = q, p
+        queue.extend((m1.steps[p][a], m2.steps[q][a]) for a in m1.alphabet)
+    return len(fwd) == m1.n_states
+
+
+def _random_machine(rng, alphabet):
+    """A machine of 1-5 states over ``alphabet`` with outputs in {0, 1, 2};
+    states that no step reaches stay in it, unreachable."""
+    n = rng.randint(1, 5)
+    return MooreMachine("trace", alphabet, [rng.randrange(3) for _ in range(n)],
+                        [{a: rng.randrange(n) for a in alphabet} for _ in range(n)],
+                        [rng.randrange(n)])
+
+
+def _permuted(m, rng):
+    perm = list(range(m.n_states))
+    rng.shuffle(perm)
+    inv = {p: q for q, p in enumerate(perm)}
+    return MooreMachine(m.semantics, m.alphabet, [m.values[p] for p in perm],
+                        [{a: inv[m.steps[p][a]] for a in m.alphabet} for p in perm],
+                        [inv[m.inits[0]]])
+
+
+def test_isomorphism_agrees_with_reference_walk_on_random_machines():
+    rng = random.Random(15)
+    verdicts = []
+    for i in range(4000):
+        alphabet = ("a", "b")[:rng.randint(1, 2)]
+        m1 = _random_machine(rng, alphabet)
+        m2 = _permuted(m1, rng) if i % 2 else _random_machine(rng, alphabet)
+        if i % 3 == 0:  # another decoding: outputs are compared, not raw values
+            m2.decode = int
+        expected = _reference_isomorphic(m1, m2)
+        assert moore_isomorphic(m1, m2) == expected, (m1, m2)
+        verdicts.append(expected)
+    assert 500 < sum(verdicts) < 3500
 
 
 # -- end-to-end equivalence via minimisation ---------------------------------
