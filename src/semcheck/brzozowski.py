@@ -5,8 +5,8 @@ are output-valued coordinate vectors; doing this twice — once over the base
 system, once over the intermediate machine — produces the minimal machine for
 the original behaviour (reachable and fully distinguishable), without ever
 determinising the input forwards.  Two minimal machines realise the same
-behaviour exactly when they are isomorphic, which a synchronous traversal
-decides.
+behaviour exactly when they are isomorphic, which equal canonical numberings
+by ``explore`` decide.
 
 Both passes run over raw output values: a reversal state is a tuple of
 ints (or TOP), one per coordinate, a step ORs them, and equal tuples are
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import compress
 from operator import itemgetter
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .decorations import (
     TOP,
@@ -153,33 +153,26 @@ def brzozowski_minimize(d: DecoratedLts, inits: StateSet,
     return first, second
 
 
+def _canonical(m: MooreMachine, outputs: Sequence[object]) -> Optional[Tuple[list, list]]:
+    """``m`` renumbered by :func:`explore` from its initial state, as its
+    outputs and step rows in that order; ``None`` if some state is
+    unreachable."""
+    order, steps, _ = explore([m.inits[0]], lambda q, a: m.steps[q][a], m.alphabet,
+                              m.n_states, "isomorphism")
+    return ([outputs[q] for q in order], steps) if len(order) == m.n_states else None
+
+
 def moore_isomorphic(m1: MooreMachine, m2: MooreMachine) -> bool:
-    """Whether a synchronous traversal from the initial states induces a
-    bijection preserving outputs and steps.  Demands equal alphabets."""
+    """Whether two reachable machines are isomorphic: ``explore`` numbers
+    states canonically, so they are exactly when both numberings give equal
+    outputs and steps.  Demands equal alphabets."""
     if m1.alphabet != m2.alphabet:
         raise VariantMismatch("cannot compare machines over different alphabets")
-    if m1.n_states != m2.n_states:
-        return False
     # raw values compare only within one decoding; otherwise compare outputs
     out1, out2 = ((m1.values, m2.values) if m1.decode == m2.decode
                   else (m1.outputs, m2.outputs))
-    fwd: Dict[int, int] = {}
-    bwd: Dict[int, int] = {}
-    queue = [(m1.inits[0], m2.inits[0])]
-    qi = 0
-    while qi < len(queue):
-        p, q = queue[qi]
-        qi += 1
-        if p in fwd or q in bwd:
-            if fwd.get(p) != q or bwd.get(q) != p:
-                return False
-            continue
-        if out1[p] != out2[q]:
-            return False
-        fwd[p], bwd[q] = q, p
-        for label in m1.alphabet:
-            queue.append((m1.steps[p][label], m2.steps[q][label]))
-    return len(fwd) == m1.n_states
+    form = _canonical(m1, out1)
+    return form is not None and form == _canonical(m2, out2)
 
 
 def equiv_via_minimization(d: DecoratedLts, left: StateSet, right: StateSet,
