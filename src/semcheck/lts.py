@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -282,6 +283,8 @@ def _parse_header(lines, kind: str):
     n = int(toks[1])
     if n < 1:
         raise FormatError("need at least one state", ln)
+    if n > sys.maxsize:  # no list can index more states
+        raise FormatError(f"more than {sys.maxsize} states", ln)
     if len(lines) < 2:
         raise FormatError("missing 'alphabet' line", ln)
     ln2, toks2 = lines[1]
@@ -323,7 +326,8 @@ def parse_lts(text: str) -> Lts:
     on any violation (unknown labels, out-of-range states, bad header)."""
     lines = _content_lines(text)
     n, alphabet = _parse_header(lines, "lts")
-    index = {str(i): i for i in range(n)}
+    # a text names fewer states than it has characters; _parse_state reads the rest
+    index = {str(i): i for i in range(min(n, len(text)))}
     finals: Optional[StateSet] = None
     names: Optional[Tuple[str, ...]] = None
     trans: Dict[Tuple[int, str], set] = {}
@@ -372,7 +376,8 @@ def parse_gps(text: str) -> Gps:
     its integer form, ``Gps._scaled``."""
     lines = _content_lines(text)
     n, alphabet = _parse_header(lines, "gps")
-    index = {str(i): i for i in range(n)}
+    # a text names fewer states than it has characters; _parse_state reads the rest
+    index = {str(i): i for i in range(min(n, len(text)))}
     probs: Dict[str, Tuple[int, int]] = {}  # each distinct valid token, read once
     names: Optional[Tuple[str, ...]] = None
     edges: List[Tuple[int, str, int, Tuple[int, int]]] = []

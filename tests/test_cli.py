@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -294,6 +295,29 @@ def test_malformed_input_is_exit_two(capsys, tmp_path):
     code, _, err = run_cli(capsys, "equiv", "--sem", "trace", str(bad), "0", "1")
     assert code == 2
     assert "line 3" in err
+
+
+def _limit_address_space():
+    gib = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (gib, gib))
+
+
+@pytest.mark.parametrize("text, argv", [
+    ("lts 100000000000000000000\nalphabet a\n0 a 1\n", ["equiv", "--sem", "trace"]),
+    ("gps 100000000000000000000\nalphabet a\n0 a 1/2 1\n", ["gps-equiv", "--sem", "g_trace"]),
+], ids=["lts", "gps"])
+def test_state_count_beyond_any_list_is_exit_two(text, argv):
+    # A child process under a 1 GiB address-space limit: a parser that
+    # allocated by the declared count would fail there, not exhaust the host.
+    src = str(Path(semcheck.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    child = "import sys\nfrom semcheck.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    proc = subprocess.run([sys.executable, "-c", child, *argv, "-", "0", "1"], input=text,
+                          capture_output=True, text=True, env=env, timeout=60,
+                          preexec_fn=_limit_address_space)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"semcheck: error: line 1: more than {sys.maxsize} states\n"
 
 
 @pytest.mark.parametrize("spec", [

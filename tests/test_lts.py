@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -142,6 +143,18 @@ def test_parse_reports_line_numbers():
 def test_parse_requires_header():
     with pytest.raises(FormatError):
         parse_lts("alphabet a\n")
+
+
+def test_parse_memory_follows_the_text_not_the_state_count():
+    tracemalloc.start()
+    try:
+        lts = parse_lts("lts 1000000\nalphabet a\n0 a 999999\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lts.n_states == 1000000
+    assert lts.successors(0, "a") == frozenset({999999})
+    assert peak < 1 << 20
 
 
 def test_tau_edges_allowed_without_declaration():
