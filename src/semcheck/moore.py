@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import (Callable, Dict, Hashable, Iterable, List, Optional,
-                    Sequence, Tuple, Union)
+from typing import Callable, Dict, Hashable, Iterable, List, Sequence, Tuple, Union
 
 from .decorations import (
     DEFAULT_CAP,
@@ -129,8 +128,8 @@ class MooreMachine:
     def state_keys(self) -> List[object]:
         return [self.decode_key(k) for k in self.keys]
 
-    def run(self, word: Iterable[EffLabel], start: Optional[int] = None) -> Output:
-        q = self.inits[0] if start is None else start
+    def run(self, word: Iterable[EffLabel]) -> Output:
+        q = self.inits[0]
         for label in word:
             q = self.steps[q][label]
         return self.decode(self.values[q])
