@@ -163,9 +163,9 @@ def _canonical(m: MooreMachine, outputs: Sequence[object]) -> Optional[Tuple[lis
 
 
 def moore_isomorphic(m1: MooreMachine, m2: MooreMachine) -> bool:
-    """Whether two reachable machines are isomorphic: ``explore`` numbers
-    states canonically, so they are exactly when both numberings give equal
-    outputs and steps.  Demands equal alphabets."""
+    """Whether the machines are isomorphic and every state is reachable:
+    ``explore`` numbers states canonically, so they are exactly when both
+    numberings give equal outputs and steps.  Demands equal alphabets."""
     if m1.alphabet != m2.alphabet:
         raise VariantMismatch("cannot compare machines over different alphabets")
     # raw values compare only within one decoding; otherwise compare outputs
