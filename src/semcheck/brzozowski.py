@@ -168,6 +168,8 @@ def moore_isomorphic(m1: MooreMachine, m2: MooreMachine) -> bool:
     numberings give equal outputs and steps.  Demands equal alphabets."""
     if m1.alphabet != m2.alphabet:
         raise VariantMismatch("cannot compare machines over different alphabets")
+    if m1.n_states != m2.n_states:
+        return False
     # raw values compare only within one decoding; otherwise compare outputs
     out1, out2 = ((m1.values, m2.values) if m1.decode == m2.decode
                   else (m1.outputs, m2.outputs))

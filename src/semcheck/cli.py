@@ -20,13 +20,7 @@ from typing import List, Optional, Sequence
 from .bench import (ALGORITHMS, BenchCase, decide, default_cases, gen_chain,
                     gen_cycles, gen_interleave, run_matrix)
 from .brzozowski import brzozowski_minimize
-from .decorations import (
-    SEMANTICS,
-    TOP,
-    decorate,
-    render_eff_label,
-    render_output,
-)
+from .decorations import SEMANTICS, TOP, decorate, render_eff_label, render_output
 from .gps import GPS_SEMANTICS, gps_equiv
 from .hkc import hkc_check, naive_bisim, preorder_check
 from .lts import FormatError, Lts, format_lts, parse_gps, parse_lts

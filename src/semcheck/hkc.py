@@ -39,27 +39,18 @@ def _covers(z: DetState, goal: DetState) -> bool:
     return z is TOP or (goal is not TOP and not goal & ~z)
 
 
-def _mask_pair(pair) -> Pair:
-    u, v = pair
-    if (type(u) is int or u is TOP) and (type(v) is int or v is TOP):
-        return pair
-    return to_mask(u), to_mask(v)
-
-
 class Generators:
     """A multiset of pairs, indexed as the Horn rules of their congruence.
 
     Each distinct pair ``(u, v)`` contributes ``u => v`` and ``v => u``; both
-    fire only while the pair's multiplicity is positive.  States are masks;
-    pairs of frozensets are converted as they come in, and ``close`` answers
-    a frozenset with a frozenset.  A rule sits in the watch list of one of
-    its premise states, at first the highest; a rule with an empty premise
-    sits under -1, which every saturation visits.  A saturation that meets a
-    rule of a pair no longer live parks the rule on the pair until the pair
-    is added again.  A rule with a TOP premise fires only from TOP, where
-    nothing is left to add, and a rule whose conclusion lies inside its
-    premise adds nothing, so neither is indexed.  A TOP conclusion makes the
-    saturated set TOP."""
+    fire only while the pair's multiplicity is positive.  States are masks (or
+    TOP).  A rule sits in the watch list of one of its premise states, at
+    first the highest; a rule with an empty premise sits under -1, which every
+    saturation visits.  A saturation that meets a rule of a pair no longer
+    live parks the rule on the pair until the pair is added again.  A rule
+    with a TOP premise fires only from TOP, where nothing is left to add, and
+    a rule whose conclusion lies inside its premise adds nothing, so neither
+    is indexed.  A TOP conclusion makes the saturated set TOP."""
 
     def __init__(self, pairs: Iterable[Pair] = ()):
         # pair -> [multiplicity, parked rules], the cell of the pair's rules
@@ -69,7 +60,6 @@ class Generators:
             self.add(pair)
 
     def add(self, pair: Pair) -> None:
-        pair = _mask_pair(pair)
         cell = self._live.get(pair)
         if cell is None:
             cell = self._live[pair] = [0, []]
@@ -86,19 +76,15 @@ class Generators:
         cell[0] += 1
 
     def remove(self, pair: Pair) -> None:
-        self._live[_mask_pair(pair)][0] -= 1
+        self._live[pair][0] -= 1
 
     def __contains__(self, pair: Pair) -> bool:
-        cell = self._live.get(_mask_pair(pair))
+        cell = self._live.get(pair)
         return cell is not None and cell[0] > 0
 
     def close(self, z: DetState, goal: Optional[DetState] = None) -> DetState:
         """The least set above ``z`` closed under the live rules; with a
         ``goal``, stop as soon as the set covers it."""
-        if type(z) is not int and z is not TOP:
-            return to_stateset(self.close(to_mask(z), goal))
-        if goal is not None:
-            goal = to_mask(goal)
         if z is TOP or (goal is not None and _covers(z, goal)):
             return z
         # 0 never stops the walk early: an empty goal is covered before it
@@ -123,19 +109,26 @@ class Generators:
                     continue
                 kept.append(rule)
                 if conclusion is TOP:
-                    kept.extend(rules[i + 1:])
-                    rules[:] = kept
-                    return TOP
+                    acc = TOP
+                    break
                 new = conclusion & ~acc
                 if new:
                     acc |= new
                     queue.extend(mask_bits(new))
                     if wanted and not wanted & ~acc:
-                        kept.extend(rules[i + 1:])
-                        rules[:] = kept
-                        return acc
-            rules[:] = kept
+                        break
+            else:
+                rules[:] = kept
+                continue
+            rules[:] = kept + rules[i + 1:]   # TOP or goal covered: the rest stay watched
+            return acc
         return acc
+
+
+def _index(pairs: Iterable[Pair]) -> Generators:
+    """A live index as it is; a sequence of pairs indexed as masks."""
+    return pairs if isinstance(pairs, Generators) else Generators(
+        (to_mask(u), to_mask(v)) for u, v in pairs)
 
 
 def saturate(pairs: Iterable[Pair], z: DetState,
@@ -145,10 +138,11 @@ def saturate(pairs: Iterable[Pair], z: DetState,
 
     ``pairs`` is a sequence of pairs or a live :class:`Generators` index.
     With a ``goal``, the widening stops as soon as it covers ``goal``, so the
-    result covers ``goal`` exactly when the fixpoint does.  Given a
-    frozenset ``z``, the result is a frozenset (or TOP)."""
-    gens = pairs if isinstance(pairs, Generators) else Generators(pairs)
-    return gens.close(z, goal)
+    result covers ``goal`` exactly when the fixpoint does.  States are masks
+    or frozensets: this and ``in_congruence`` convert them, so the index sees
+    masks only.  Given a frozenset ``z``, the result is a frozenset (or TOP)."""
+    acc = _index(pairs).close(to_mask(z), None if goal is None else to_mask(goal))
+    return acc if type(z) is int else to_stateset(acc)
 
 
 def in_congruence(pairs: Iterable[Pair], left: DetState, right: DetState) -> bool:
@@ -158,7 +152,7 @@ def in_congruence(pairs: Iterable[Pair], left: DetState, right: DetState) -> boo
     Saturation is a closure operator, so both sides saturate to the same set
     exactly when each side lies below the other's saturation; each side's
     widening stops as soon as it covers the other side."""
-    gens = pairs if isinstance(pairs, Generators) else Generators(pairs)
+    gens = _index(pairs)
     left, right = to_mask(left), to_mask(right)
     return (_covers(saturate(gens, left, right), right)
             and _covers(saturate(gens, right, left), left))
@@ -258,19 +252,20 @@ def hkc_check(d: DecoratedLts, left: DetState, right: DetState,
     pair discovers at most one pair per label, so the walk needs no bound of
     its own."""
     gens = Generators()
-    queued = related = 0   # todo[:queued] and relation[:related] are in gens
+    queued = 0   # todo[:queued] has been added to gens
 
     def up_to_congruence(pair: Pair, relation, todo, qi) -> bool:
-        nonlocal queued, related
+        nonlocal queued
         if qi > cap:
             raise CapExceeded("pair exploration", qi)
         for p in todo[queued:]:
             gens.add(p)
-        for p in relation[related:]:
-            gens.add(p)
-        queued, related = len(todo), len(relation)
+        queued = len(todo)
         gens.remove(pair)   # dequeued: the live pairs are relation + todo[qi:]
-        return pair in gens or in_congruence(gens, *pair)
+        if pair in gens or in_congruence(gens, *pair):
+            return True
+        gens.add(pair)   # it joins the relation, or the walk ends on its output
+        return False
 
     equal, relation, processed, word = product_walk(
         d, to_mask(left), to_mask(right), math.inf, up_to_congruence)

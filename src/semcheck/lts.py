@@ -144,8 +144,8 @@ class _NamedStates:
         """Map a display name or numeric index to a state; names win ties."""
         if self.names and token in self.names:
             return self.names.index(token)
-        if token.isdecimal() and int(token) < self.n_states:
-            return int(token)
+        if token.isdecimal() and (x := _numeral(token, self.n_states)) < self.n_states:
+            return x
         raise ValueError(f"unknown state {token!r}")
 
 
@@ -280,7 +280,7 @@ def _parse_header(lines, kind: str):
     ln, toks = lines[0]
     if len(toks) != 2 or toks[0] != kind or not toks[1].isdecimal():
         raise FormatError(f"expected '{kind} <n_states>'", ln)
-    n = int(toks[1])
+    n = _numeral(toks[1], sys.maxsize + 1)
     if n < 1:
         raise FormatError("need at least one state", ln)
     if n > sys.maxsize:  # no list can index more states
@@ -301,11 +301,19 @@ def _parse_header(lines, kind: str):
     return n, alphabet
 
 
+def _numeral(tok: str, default: int) -> int:
+    """``int(tok)`` of a decimal token, or ``default`` if it is too long for ``int()``."""
+    try:
+        return int(tok)
+    except ValueError:
+        return default
+
+
 def _parse_state(tok: str, n: int, ln: int) -> int:
     """A state token missing from the parsers' ``{str(i): i}``: ``007``, or an error."""
-    if not tok.isdecimal() or int(tok) >= n:
+    if not tok.isdecimal() or (x := _numeral(tok, n)) >= n:
         raise FormatError(f"bad state index {tok!r}", ln)
-    return int(tok)
+    return x
 
 
 def _parse_names(toks: List[str], n: int, ln: int,
@@ -356,15 +364,14 @@ def _probability(token: str, ln: int) -> Tuple[int, int]:
     necessarily reduced: ``<digits>/<digits>`` (ASCII) is read by two ``int``
     calls, any other token by the general string parser."""
     num, slash, den = token.partition("/")
-    if slash and num.isascii() and num.isdigit() and den.isascii() and den.isdigit() \
-            and int(den):
-        p, q = int(num), int(den)
-    else:
-        try:
-            f = Fraction(token)
-        except (ValueError, ZeroDivisionError):
-            raise FormatError(f"bad probability {token!r}", ln) from None
-        p, q = f.numerator, f.denominator
+    try:  # int() also refuses a numeral too long for it
+        if slash and num.isascii() and num.isdigit() and den.isascii() \
+                and den.isdigit() and int(den):
+            p, q = int(num), int(den)
+        else:
+            p, q = Fraction(token).as_integer_ratio()
+    except (ValueError, ZeroDivisionError):
+        raise FormatError(f"bad probability {token!r}", ln) from None
     if not 0 < p <= q:
         raise FormatError(f"probability {token} outside (0, 1]", ln)
     return p, q

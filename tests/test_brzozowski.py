@@ -15,6 +15,7 @@ from semcheck import (
     Output,
     VariantMismatch,
     behavior,
+    brzozowski,
     brzozowski_minimize,
     decorate,
     equiv_via_minimization,
@@ -150,6 +151,22 @@ def test_isomorphism_rejects_size_mismatch():
     m2 = MooreMachine("trace", ("a",), [Output("bit", 1), Output("bit", 0)],
                       [{"a": 1}, {"a": 1}], [0])
     assert not moore_isomorphic(m1, m2)
+
+
+def test_isomorphism_of_unequal_sizes_explores_nothing(monkeypatch):
+    calls = []
+    explore = brzozowski.explore
+
+    def counting(*args):
+        calls.append(args)
+        return explore(*args)
+
+    monkeypatch.setattr(brzozowski, "explore", counting)
+    m1 = MooreMachine("trace", ("a",), [1], [{"a": 0}], [0])
+    m2 = MooreMachine("trace", ("a",), [1, 1], [{"a": 1}, {"a": 0}], [0])
+    assert not moore_isomorphic(m1, m2)
+    assert calls == []
+    assert moore_isomorphic(m2, m2) and len(calls) == 2
 
 
 def test_isomorphism_rejects_output_mismatch():

@@ -289,6 +289,13 @@ def test_unknown_state_is_exit_two(capsys):
     assert "semcheck: error:" in err
 
 
+def test_state_argument_too_long_for_int_is_unknown(capsys):
+    state = "1" + "0" * 5000
+    code, out, err = run_cli(capsys, "equiv", "--sem", "trace", fx("ct-w"), "0", state)
+    assert (code, out) == (2, "")
+    assert err == f"semcheck: error: unknown state {state!r}\n"
+
+
 def test_malformed_input_is_exit_two(capsys, tmp_path):
     bad = tmp_path / "bad.lts"
     bad.write_text("lts 2\nalphabet a\n0 a 7\n")

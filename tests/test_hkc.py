@@ -58,6 +58,7 @@ def test_live_generators_saturate_like_their_pairs():
     # goal must be covered exactly when that fixpoint covers it, and a pair
     # is in the congruence exactly when both sides reach the same fixpoint.
     from semcheck.hkc import Generators
+    from semcheck.moore import to_mask
 
     rng = random.Random(3)
 
@@ -68,6 +69,9 @@ def test_live_generators_saturate_like_their_pairs():
     def covers(z, goal):
         return z is TOP or (goal is not TOP and goal <= z)
 
+    def masks(pair):
+        return to_mask(pair[0]), to_mask(pair[1])
+
     for _ in range(400):
         n = rng.randint(1, 9)
         pool = [(state(n), state(n)) for _ in range(rng.randint(1, 8))]
@@ -76,10 +80,10 @@ def test_live_generators_saturate_like_their_pairs():
             op = rng.random()
             if op < 0.4 or not live:
                 pair = rng.choice(pool)
-                gens.add(pair)
+                gens.add(masks(pair))
                 live.append(pair)
             elif op < 0.7:
-                gens.remove(live.pop(rng.randrange(len(live))))
+                gens.remove(masks(live.pop(rng.randrange(len(live)))))
             else:
                 z, goal = state(n), state(n)
                 full = _reference_saturate(live, z)
@@ -87,7 +91,7 @@ def test_live_generators_saturate_like_their_pairs():
                 assert covers(saturate(gens, z, goal), goal) == covers(full, goal)
                 same = full == _reference_saturate(live, goal)
                 assert in_congruence(gens, z, goal) == in_congruence(live, z, goal) == same
-            assert all((pair in gens) == (pair in live) for pair in pool)
+            assert all((masks(pair) in gens) == (pair in live) for pair in pool)
 
 
 # -- equivalence checks ------------------------------------------------------

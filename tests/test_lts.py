@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -107,6 +108,37 @@ def test_parse_rejects_bad_state_index(text, line):
     with pytest.raises(FormatError) as exc:
         parse(text)
     assert exc.value.line == line
+
+
+# More digits than int() converts by default (4,300): each site reports the
+# numeral as the bad token it is, with its line.
+LONG = "1" + "0" * 5000
+
+
+@pytest.mark.parametrize("text, message", [
+    (f"lts {LONG}\nalphabet a\n", "line 1: more than {} states"),
+    (f"lts 2\nalphabet a\n0 a {LONG}\n", "line 3: bad state index"),
+    (f"lts 2\nalphabet a\nfinal {LONG}\n", "line 3: bad state index"),
+    (f"gps 2\nalphabet a\n0 a 1/2 1\n{LONG} a 1/2 1\n", "line 4: bad state index"),
+    (f"gps 2\nalphabet a\n0 a 1/{LONG} 1\n", "line 3: bad probability"),
+    (f"gps 2\nalphabet a\n0 a {LONG}/3 1\n", "line 3: bad probability"),
+], ids=["lts-header", "lts-edge", "final", "gps-edge", "denominator", "numerator"])
+def test_parse_rejects_numerals_too_long_for_int(text, message):
+    with pytest.raises(ValueError):
+        int(LONG)
+    parse = parse_gps if text.startswith("gps") else parse_lts
+    with pytest.raises(FormatError) as exc:
+        parse(text)
+    assert str(exc.value).startswith(message.format(sys.maxsize))
+
+
+def test_parse_keeps_long_numerals_that_int_reads():
+    index = "0" * 4000 + "1"
+    lts = parse_lts(f"lts {'0' * 4000}2\nalphabet a\n0 a {index}\n")
+    assert lts.n_states == 2 and lts.successors(0, "a") == frozenset({1})
+    assert lts.resolve_state(index) == 1
+    g = parse_gps(f"gps 2\nalphabet a\n0 a {index}/{'0' * 4000}2 {index}\n")
+    assert g.row(0, "a") == {1: Fraction(1, 2)}
 
 
 def test_parse_rejects_unknown_label():
