@@ -303,6 +303,59 @@ def test_moore_partition_seeds_blocks_by_equal_outputs():
     assert moore_partition_classes(m) == (0, 0)
 
 
+def _round_based_classes(machine):
+    """Reference refinement: every state's signature (its block and its
+    successors' blocks) rebuilt once a round until no block splits, blocks
+    numbered by first occurrence.  Quadratic; kept only to compare against."""
+    def renumber(sig):
+        ids = {}
+        return tuple(ids.setdefault(s, len(ids)) for s in sig)
+
+    blocks = renumber(machine.values)
+    while True:
+        sig = [(blocks[q], tuple(blocks[machine.steps[q][a]] for a in machine.alphabet))
+               for q in range(machine.n_states)]
+        refined = renumber(sig)
+        if refined == blocks:
+            return blocks
+        blocks = refined
+
+
+def _random_machine(rng, max_states):
+    """A total Moore machine of 0..``max_states`` states over 1-3 labels whose
+    values are ints, ints and TOP, or family outputs; an output's frozenset
+    is filled in a random order, so equal values are built differently."""
+    n = rng.randint(0, max_states)
+    alphabet = tuple("abc"[: rng.randint(1, 3)])
+    kind = rng.choice(("int", "top", "output"))
+    palette = {"int": [0, 1, 2], "top": [0, 5, TOP],
+               "output": [(8, 0, 2), (1,), ()]}[kind][: rng.randint(1, 3)]
+
+    def value():
+        v = rng.choice(palette)
+        return Output("family", frozenset(rng.sample(v, len(v)))) if kind == "output" else v
+
+    values = [value() for _ in range(n)]
+    steps = [{a: rng.randrange(n) for a in alphabet} for _ in range(n)]
+    return MooreMachine("failure", alphabet, values, steps, [0] if n else [])
+
+
+def test_moore_partition_classes_match_round_based_refinement():
+    rng = random.Random(1971)
+    merged = 0
+    for _ in range(2000):
+        m = _random_machine(rng, 14)
+        classes = moore_partition_classes(m)
+        assert classes == _round_based_classes(m), (m.values, m.steps)
+        merged += len(set(classes)) < m.n_states
+    assert merged > 500
+    assert moore_partition_classes(MooreMachine("trace", ("a",), [], [], [])) == ()
+    for seed in range(300):
+        lts = random_lts(seed)
+        m = reachable_machine(decorate(lts, "trace"), [1 << x for x in range(lts.n_states)])
+        assert moore_partition_classes(m) == _round_based_classes(m), seed
+
+
 # -- spectrum coarsenings ----------------------------------------------------
 
 
