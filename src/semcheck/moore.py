@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
+from operator import itemgetter
 from typing import Callable, Dict, Hashable, Iterable, List, Sequence, Tuple, Union
 
 from .decorations import (
@@ -178,20 +180,78 @@ def reachable_machine(d: DecoratedLts, inits: Sequence[Union[DetState, StateSet]
 
 def moore_partition_classes(machine: MooreMachine) -> Tuple[int, ...]:
     """Coarsest output-and-step-respecting partition of the machine's states,
-    as block identifiers numbered by first occurrence."""
-    def renumber(sig: List[object]) -> Tuple[int, ...]:
-        ids: Dict[object, int] = {}
-        return tuple(ids.setdefault(s, len(ids)) for s in sig)
+    as block identifiers numbered by first occurrence.
 
-    blocks = renumber(machine.values)
-    while True:
-        sig = [(blocks[q],
-                tuple(blocks[machine.steps[q][a]] for a in machine.alphabet))
-               for q in range(machine.n_states)]
-        refined = renumber(sig)
-        if refined == blocks:
-            return blocks
-        blocks = refined
+    Hopcroft's refinement (1971) on the flat refinable partition of Valmari
+    and Lehtinen (STACS 2008): blocks start as the classes of equal values;
+    a splitter block's predecessors under each label are moved to the front
+    of their blocks, and every block they cut splits there.  Of two halves
+    only the smaller needs to split others later, so a state joins O(log n)
+    splitters and the whole run is O(m log n) for m transitions."""
+    ids: Dict[object, int] = {}
+    block = [ids.setdefault(v, len(ids)) for v in machine.values]
+    sizes = [0] * len(ids)
+    for b in block:
+        sizes[b] += 1
+    # block b holds elems[start[b]:end[b]]; state q sits at elems[loc[q]]
+    elems = sorted(range(len(block)), key=block.__getitem__)
+    loc = [0] * len(block)
+    for i, q in enumerate(elems):
+        loc[q] = i
+    end = list(accumulate(sizes))
+    start = [e - size for e, size in zip(end, sizes)]
+    marked = [0] * len(sizes)   # a block's marked states fill its front
+    preds = []
+    for a in machine.alphabet:
+        into: List[List[int]] = [[] for _ in block]
+        for p, q in enumerate(map(itemgetter(a), machine.steps)):
+            into[q].append(p)
+        preds.append(into)
+
+    # the largest initial block need not split: the rest and the whole set do it
+    waiting = sorted(range(len(sizes)), key=sizes.__getitem__)[:-1]
+    queued = [False] * len(sizes)
+    for b in waiting:
+        queued[b] = True
+    while waiting:
+        s = waiting.pop()
+        queued[s] = False
+        splitter = elems[start[s]:end[s]]
+        for into in preds:
+            touched = []
+            for q in splitter:
+                for p in into[q]:
+                    b = block[p]
+                    k = marked[b]
+                    if not k:
+                        touched.append(b)
+                    marked[b] = k + 1
+                    i, j = start[b] + k, loc[p]
+                    r = elems[i]
+                    elems[i], elems[j], loc[p], loc[r] = p, r, i, j
+            for b in touched:
+                k, marked[b] = marked[b], 0
+                lo = start[b]
+                if lo + k == end[b]:
+                    continue
+                # the marked front becomes block c, the rest stays b
+                c = len(start)
+                start.append(lo)
+                end.append(lo + k)
+                start[b] = lo + k
+                marked.append(0)
+                for p in elems[lo:lo + k]:
+                    block[p] = c
+                if queued[b] or k <= end[b] - start[b]:
+                    waiting.append(c)
+                    queued.append(True)
+                else:
+                    waiting.append(b)
+                    queued[b] = True
+                    queued.append(False)
+
+    ids = {}
+    return tuple(ids.setdefault(b, len(ids)) for b in block)
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,17 @@ def test_equiv_cap_bounds_pfutures_decoration(capsys):
     assert "determinisation" in err
 
 
+def test_equiv_pfutures_on_a_2000_state_chain(capsys, tmp_path):
+    # 0 -a-> 1 -a-> ... -a-> 1999: states 0 and 1 lie in different trace
+    # classes, so their pfutures outputs differ before any step.
+    n = 2000
+    f = tmp_path / "a-chain.lts"
+    f.write_text(f"lts {n}\nalphabet a\n" + "".join(f"{i} a {i + 1}\n" for i in range(n - 1)))
+    code, payload, _ = run_cli(capsys, "equiv", "--sem", "pfutures", str(f), "0", "1")
+    assert code == 1
+    assert payload["result"] is False and payload["counterexample"] == []
+
+
 def _wide_deadlock(tmp_path, width: int) -> str:
     """Two states over ``width`` labels: state 0 offers l0 into state 1,
     which deadlocks, so state 1 refuses every one of the 2**width subsets."""

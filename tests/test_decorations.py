@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -250,6 +251,19 @@ def test_pfutures_decoration_separates_trace_classes():
     d = decorate(merged, "pfutures")
     assert d.output_kind == "class_set"
     assert d.output(merged.resolve_state("p1")) != d.output(merged.resolve_state("p2"))
+
+
+def test_pfutures_decoration_of_a_2000_state_chain_is_fast():
+    # 0 -a-> 1 -a-> ... -a-> 1999: every state is its own trace class.  The
+    # classes come from refining a 2001-state machine; a refinement that
+    # re-signatures every state once a round needs a round per class.
+    n = 2000
+    lts = parse_lts(f"lts {n}\nalphabet a\n" + "".join(f"{i} a {i + 1}\n" for i in range(n - 1)))
+    t0 = time.perf_counter()
+    d = decorate(lts, "pfutures")
+    assert time.perf_counter() - t0 < 1.0
+    assert trace_class_of(lts) == tuple(range(n))
+    assert d.output(0) != d.output(1)
 
 
 def test_relabel_for_trace_decorations():

@@ -356,6 +356,34 @@ def test_moore_partition_classes_match_round_based_refinement():
         assert moore_partition_classes(m) == _round_based_classes(m), seed
 
 
+def _outputs_along_words(m, q):
+    """``q``'s values after every word of length at most ``n - 1``, words in
+    length-then-label order."""
+    seen, frontier = [], [q]
+    for _ in range(m.n_states):
+        seen += [m.values[s] for s in frontier]
+        frontier = [m.steps[s][a] for s in frontier for a in m.alphabet]
+    return seen
+
+
+def test_partition_blocks_are_output_equality_on_short_words():
+    # n - 1 refinement rounds stabilise any partition of n states, so two
+    # states are equivalent exactly when no word of length < n tells them apart.
+    rng = random.Random(1956)
+    merged = split = 0
+    for _ in range(300):
+        m = _random_machine(rng, 7)
+        classes = moore_partition_classes(m)
+        words = [_outputs_along_words(m, q) for q in range(m.n_states)]
+        for p in range(m.n_states):
+            for q in range(p):
+                same = classes[p] == classes[q]
+                assert same == (words[p] == words[q]), (m.values, m.steps, p, q)
+                merged += same
+                split += not same and m.values[p] == m.values[q]
+    assert merged > 700 and split > 400  # 768 and 479
+
+
 # -- spectrum coarsenings ----------------------------------------------------
 
 
