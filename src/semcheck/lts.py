@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import re
 import sys
+import unicodedata
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -301,10 +302,21 @@ def _parse_header(lines, kind: str):
     return n, alphabet
 
 
+def _unpadded(tok: str) -> str:
+    """A decimal token without its leading zero digits (``0`` or any other
+    digit whose value is 0), keeping its last digit: ``int()`` limits the
+    digits it reads, padding included."""
+    i = 0
+    while i < len(tok) - 1 and unicodedata.decimal(tok[i]) == 0:
+        i += 1
+    return tok[i:]
+
+
 def _numeral(tok: str, default: int) -> int:
-    """``int(tok)`` of a decimal token, or ``default`` if it is too long for ``int()``."""
+    """The value of a decimal token, or ``default`` if it is too long for
+    ``int()`` even without its zero padding."""
     try:
-        return int(tok)
+        return int(_unpadded(tok))
     except ValueError:
         return default
 
@@ -361,13 +373,12 @@ def parse_lts(text: str) -> Lts:
 
 def _probability(token: str, ln: int) -> Tuple[int, int]:
     """The probability ``Fraction(token)`` as ``(p, q)``, ``0 < p <= q``, not
-    necessarily reduced: ``<digits>/<digits>`` (ASCII) is read by two ``int``
-    calls, any other token by the general string parser."""
+    necessarily reduced: ``<digits>/<digits>`` is read by two ``int`` calls
+    on the unpadded numerals, any other token by the general string parser."""
     num, slash, den = token.partition("/")
     try:  # int() also refuses a numeral too long for it
-        if slash and num.isascii() and num.isdigit() and den.isascii() \
-                and den.isdigit() and int(den):
-            p, q = int(num), int(den)
+        if slash and num.isdecimal() and den.isdecimal() and (q := int(_unpadded(den))):
+            p = int(_unpadded(num))
         else:
             p, q = Fraction(token).as_integer_ratio()
     except (ValueError, ZeroDivisionError):

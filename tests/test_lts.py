@@ -115,20 +115,52 @@ def test_parse_rejects_bad_state_index(text, line):
 LONG = "1" + "0" * 5000
 
 
-@pytest.mark.parametrize("text, message", [
+TOO_LONG = [
     (f"lts {LONG}\nalphabet a\n", "line 1: more than {} states"),
     (f"lts 2\nalphabet a\n0 a {LONG}\n", "line 3: bad state index"),
     (f"lts 2\nalphabet a\nfinal {LONG}\n", "line 3: bad state index"),
     (f"gps 2\nalphabet a\n0 a 1/2 1\n{LONG} a 1/2 1\n", "line 4: bad state index"),
     (f"gps 2\nalphabet a\n0 a 1/{LONG} 1\n", "line 3: bad probability"),
     (f"gps 2\nalphabet a\n0 a {LONG}/3 1\n", "line 3: bad probability"),
-], ids=["lts-header", "lts-edge", "final", "gps-edge", "denominator", "numerator"])
+]
+
+
+@pytest.mark.parametrize("text, message", TOO_LONG, ids=[
+    "lts-header", "lts-edge", "final", "gps-edge", "denominator", "numerator"])
 def test_parse_rejects_numerals_too_long_for_int(text, message):
     with pytest.raises(ValueError):
         int(LONG)
     parse = parse_gps if text.startswith("gps") else parse_lts
     with pytest.raises(FormatError) as exc:
         parse(text)
+    assert str(exc.value).startswith(message.format(sys.maxsize))
+
+
+# Zero padding is not value: '0' and every other digit whose value is 0 (here
+# ARABIC-INDIC ZERO) pass str.isdecimal, and int() would count them as digits.
+@pytest.mark.parametrize("zero", ["0", "\u0660"], ids=["ascii", "arabic-indic"])
+def test_parse_reads_zero_padded_numerals(zero):
+    pad = zero * 5000
+    lts = parse_lts(f"lts {pad}2\nalphabet a\n{pad}0 a {pad}1\nfinal {pad}1\n")
+    assert lts.n_states == 2 and lts.successors(0, "a") == frozenset({1})
+    assert lts.finals == frozenset({1})
+    assert lts.resolve_state(pad + "1") == 1
+    assert lts.resolve_state(pad) == 0  # all padding reads as 0
+    with pytest.raises(ValueError, match="unknown state"):
+        lts.resolve_state(pad + "2")
+    g = parse_gps(f"gps {pad}2\nalphabet a\n{pad}0 a {pad}1/{pad}2 {pad}1\n")
+    assert g.n_states == 2 and g.row(0, "a") == {1: Fraction(1, 2)}
+    assert g.resolve_state(pad + "1") == 1
+    with pytest.raises(FormatError, match="line 3: bad probability"):
+        parse_gps(f"gps 2\nalphabet a\n0 a 1/{pad} 1\n")  # 1/0
+
+
+@pytest.mark.parametrize("text, message", TOO_LONG, ids=[
+    "lts-header", "lts-edge", "final", "gps-edge", "denominator", "numerator"])
+def test_padded_numerals_too_long_for_int_keep_their_error(text, message):
+    parse = parse_gps if text.startswith("gps") else parse_lts
+    with pytest.raises(FormatError) as exc:
+        parse(text.replace(LONG, "0" * 100 + LONG))
     assert str(exc.value).startswith(message.format(sys.maxsize))
 
 
