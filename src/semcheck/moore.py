@@ -185,9 +185,10 @@ def moore_partition_classes(machine: MooreMachine) -> Tuple[int, ...]:
     Hopcroft's refinement (1971) on the flat refinable partition of Valmari
     and Lehtinen (STACS 2008): blocks start as the classes of equal values;
     a splitter block's predecessors under each label are moved to the front
-    of their blocks, and every block they cut splits there.  Of two halves
-    only the smaller needs to split others later, so a state joins O(log n)
-    splitters and the whole run is O(m log n) for m transitions."""
+    of their blocks, and every block they cut splits there.  When a block
+    that already served as a splitter splits, only its smaller half is
+    queued, so a state joins O(log n) splitters and the whole run is
+    O(m log n) for m transitions."""
     ids: Dict[object, int] = {}
     block = [ids.setdefault(v, len(ids)) for v in machine.values]
     sizes = [0] * len(ids)
@@ -208,7 +209,8 @@ def moore_partition_classes(machine: MooreMachine) -> Tuple[int, ...]:
             into[q].append(p)
         preds.append(into)
 
-    # the largest initial block need not split: the rest and the whole set do it
+    # steps are total, so a partition stable under the whole set and every
+    # other block is stable under the largest one: it is not queued
     waiting = sorted(range(len(sizes)), key=sizes.__getitem__)[:-1]
     queued = [False] * len(sizes)
     for b in waiting:

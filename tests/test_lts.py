@@ -116,17 +116,19 @@ LONG = "1" + "0" * 5000
 
 
 TOO_LONG = [
-    (f"lts {LONG}\nalphabet a\n", "line 1: more than {} states"),
-    (f"lts 2\nalphabet a\n0 a {LONG}\n", "line 3: bad state index"),
-    (f"lts 2\nalphabet a\nfinal {LONG}\n", "line 3: bad state index"),
-    (f"gps 2\nalphabet a\n0 a 1/2 1\n{LONG} a 1/2 1\n", "line 4: bad state index"),
-    (f"gps 2\nalphabet a\n0 a 1/{LONG} 1\n", "line 3: bad probability"),
-    (f"gps 2\nalphabet a\n0 a {LONG}/3 1\n", "line 3: bad probability"),
+    pytest.param(f"lts {LONG}\nalphabet a\n", "line 1: more than {} states", id="lts-header"),
+    pytest.param(f"lts 2\nalphabet a\n0 a {LONG}\n", "line 3: bad state index", id="lts-edge"),
+    pytest.param(f"lts 2\nalphabet a\nfinal {LONG}\n", "line 3: bad state index", id="final"),
+    pytest.param(f"gps 2\nalphabet a\n0 a 1/2 1\n{LONG} a 1/2 1\n", "line 4: bad state index",
+                 id="gps-edge"),
+    pytest.param(f"gps 2\nalphabet a\n0 a 1/{LONG} 1\n", "line 3: bad probability",
+                 id="denominator"),
+    pytest.param(f"gps 2\nalphabet a\n0 a {LONG}/3 1\n", "line 3: bad probability",
+                 id="numerator"),
 ]
 
 
-@pytest.mark.parametrize("text, message", TOO_LONG, ids=[
-    "lts-header", "lts-edge", "final", "gps-edge", "denominator", "numerator"])
+@pytest.mark.parametrize("text, message", TOO_LONG)
 def test_parse_rejects_numerals_too_long_for_int(text, message):
     with pytest.raises(ValueError):
         int(LONG)
@@ -155,8 +157,7 @@ def test_parse_reads_zero_padded_numerals(zero):
         parse_gps(f"gps 2\nalphabet a\n0 a 1/{pad} 1\n")  # 1/0
 
 
-@pytest.mark.parametrize("text, message", TOO_LONG, ids=[
-    "lts-header", "lts-edge", "final", "gps-edge", "denominator", "numerator"])
+@pytest.mark.parametrize("text, message", TOO_LONG)
 def test_padded_numerals_too_long_for_int_keep_their_error(text, message):
     parse = parse_gps if text.startswith("gps") else parse_lts
     with pytest.raises(FormatError) as exc:
