@@ -14,6 +14,7 @@ from semcheck import (
     DOWNCLOSED_FAMILY_SEMANTICS,
     SEMANTICS,
     TOP,
+    Lts,
     Output,
     VariantMismatch,
     antichain_min,
@@ -29,8 +30,10 @@ from semcheck import (
     join_all,
     join_outputs,
     mask_of,
+    moore_partition_classes,
     parse_lts,
     random_lts,
+    reachable_machine,
     relabel_for_trace_decorations,
     render_eff_label,
     render_output,
@@ -38,7 +41,7 @@ from semcheck import (
     trace_class_of,
 )
 
-from conftest import FIXTURES, load_lts
+from conftest import FIXTURES, kth_lts, load_lts, perm2r_lts
 
 AB = ("a", "b")
 
@@ -264,6 +267,39 @@ def test_pfutures_decoration_of_a_2000_state_chain_is_fast():
     assert time.perf_counter() - t0 < 1.0
     assert trace_class_of(lts) == tuple(range(n))
     assert d.output(0) != d.output(1)
+
+
+def _a_chain(n: int) -> Lts:
+    return parse_lts(f"lts {n}\nalphabet a\n" + "".join(f"{i} a {i + 1}\n" for i in range(n - 1)))
+
+
+def _forward_trace_classes(lts: Lts):
+    """Trace classes by the forward construction alone: the trace machine
+    determinised from every singleton, refined to its coarsest partition."""
+    singletons = [1 << x for x in range(lts.n_states)]
+    machine = reachable_machine(decorate(lts, "trace"), singletons)
+    return moore_partition_classes(machine)[:lts.n_states]
+
+
+def _trace_class_corpus():
+    for path in sorted(FIXTURES.glob("*.lts")):
+        if not path.stem.startswith("gps-"):
+            yield path.stem, parse_lts(path.read_text())
+    for seed in range(300):
+        lts = random_lts(seed)   # with tau edges
+        rng = random.Random(seed)
+        finals = frozenset(x for x in range(lts.n_states) if rng.random() < 0.5)
+        yield f"seed {seed}", Lts(lts.n_states, lts.alphabet, lts.transitions, finals)
+    yield "a-chain", _a_chain(2000)
+    for k in range(1, 11):
+        yield f"kth {k}", kth_lts(k)
+    for k in range(2, 11):
+        yield f"perm2r {k}", perm2r_lts(k)
+
+
+def test_trace_class_of_matches_the_forward_construction():
+    for name, lts in _trace_class_corpus():
+        assert trace_class_of(lts) == _forward_trace_classes(lts), name
 
 
 def test_relabel_for_trace_decorations():
