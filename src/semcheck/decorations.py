@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
+from math import inf
 from operator import or_
 from typing import Dict, FrozenSet, Iterable, List, Tuple, Union
 
@@ -265,15 +266,89 @@ class DecoratedLts:
 
 def trace_class_of(lts: Lts, cap: int = DEFAULT_CAP) -> Tuple[int, ...]:
     """Trace-equivalence class of every state, as small integers numbered by
-    first occurrence.  Classes are read off the trace-decorated Moore machine
-    built from all singleton state sets and refined to its coarsest partition."""
-    from .moore import moore_partition_classes, reachable_machine
+    first occurrence.
 
-    singletons = [1 << x for x in range(lts.n_states)]
-    machine = reachable_machine(decorate(lts, "trace"), singletons, cap=cap)
-    # The singletons are the machine's first n states, so their blocks are
-    # already numbered by first occurrence.
-    return moore_partition_classes(machine)[:lts.n_states]
+    Two exact searches over the trace decoration's visible rows run in
+    lockstep, and the classes come from whichever settles first.  Forward:
+    the subset machine reachable from the singletons, refined to its
+    coarsest partition.  Backward: the sets S_w of states with trace w, by
+    predecessors from the full set (w empty); each new set splits the
+    blocks, until they are singletons or no set is new.  Each search can be
+    exponential where the other is small, so the side that has done less
+    work (base states stepped times labels, plus blocks scanned) steps next.
+    ``cap`` bounds the sets each side stores; a side past it drops out, and
+    :class:`CapExceeded` is raised once both have."""
+    from .moore import MooreMachine, explore_steps, moore_partition_classes
+
+    d = decorate(lts, "trace")
+    n, labels, width = lts.n_states, d.eff_alphabet, len(d.eff_alphabet)
+    preds = {a: [0] * n for a in labels}
+    for a in labels:
+        for x, row in enumerate(d.masks[a]):
+            for y in mask_bits(row):
+                preds[a][y] |= 1 << x
+
+    def union_step(table):
+        def step(s: int, a: EffLabel) -> int:
+            row, acc = table[a], 0
+            while s:
+                low = s & -s
+                acc |= row[low.bit_length() - 1]
+                s ^= low
+            return acc
+        return step
+
+    def forward():
+        search = explore_steps([1 << x for x in range(n)], union_step(d.masks),
+                               labels, cap, "determinisation")
+        sets, steps, inits = next(search)
+        work = 0
+        for s in search:
+            work += s.bit_count() * width
+            yield work
+        machine = MooreMachine("trace", labels, [int(s != 0) for s in sets], steps, inits)
+        # the singletons are the first n states, so their blocks are
+        # already numbered by first occurrence
+        return moore_partition_classes(machine)[:n]
+
+    def backward():
+        search = explore_steps([(1 << n) - 1], union_step(preds), labels, cap,
+                               "determinisation")
+        sets, _, _ = next(search)
+        blocks = sets[:]
+        work, done = 0, 1   # the sets the blocks are split by so far
+        for s in search:
+            work += s.bit_count() * width
+            for t in sets[done:]:
+                work += len(blocks)
+                for i in range(len(blocks)):
+                    b = blocks[i]
+                    inside = b & t
+                    if inside and inside != b:
+                        blocks[i] = inside
+                        blocks.append(b ^ inside)
+            done = len(sets)
+            if len(blocks) == n:
+                break
+            yield work
+        block_of = [0] * n
+        for i, b in enumerate(blocks):
+            for x in mask_bits(b):
+                block_of[x] = i
+        ids: Dict[int, int] = {}
+        return tuple(ids.setdefault(i, len(ids)) for i in block_of)
+
+    sides, work = (forward(), backward()), [0, 0]   # a side past the cap is at inf
+    while True:
+        i = 1 if work[1] < work[0] else 0   # the side behind steps; forward on ties
+        try:
+            work[i] = next(sides[i])
+        except StopIteration as settled:
+            return settled.value
+        except CapExceeded:
+            if work[1 - i] == inf:
+                raise
+            work[i] = inf
 
 
 def relabel_for_trace_decorations(lts: Lts) -> Lts:

@@ -16,11 +16,13 @@ decode, and so do a machine's ``outputs`` and ``state_keys``.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 from operator import itemgetter
-from typing import Callable, Dict, Hashable, Iterable, List, Sequence, Tuple, Union
+from typing import (Callable, Dict, Hashable, Iterable, Iterator, List, Sequence, Tuple,
+                    Union)
 
 from .decorations import (
     DEFAULT_CAP,
@@ -42,6 +44,9 @@ from .lts import StateSet, full_mask, mask_bits, mask_states, state_mask
 #: distributions instead; those live in :mod:`semcheck.gps` as
 #: ``Distribution``.
 DetState = Union[int, Top]
+
+#: runs an iterator to its end, keeping nothing
+_drain = deque(maxlen=0).extend
 
 
 def to_mask(state: Union[DetState, StateSet]) -> DetState:
@@ -137,16 +142,11 @@ class MooreMachine:
         return self.decode(self.values[q])
 
 
-def explore(inits: Sequence[Hashable], step: Callable[[Hashable, EffLabel], Hashable],
-            alphabet: Sequence[EffLabel], cap: int,
-            stage: str) -> Tuple[List[Hashable], List[Dict[EffLabel, int]], List[int]]:
-    """First-in-first-out interning search over ``step`` from ``inits``.
-
-    States are numbered in discovery order, successors taken in alphabet
-    order; equal states are one, so states must be hashable and canonical.
-    Returns the stored states, one step row per state and the indices of
-    ``inits``.  Raises :class:`CapExceeded` naming ``stage`` once more than
-    ``cap`` states would be stored."""
+def explore_steps(inits: Sequence[Hashable], step: Callable[[Hashable, EffLabel], Hashable],
+                  alphabet: Sequence[EffLabel], cap: int, stage: str) -> Iterator:
+    """:func:`explore`, resumable: a generator that first yields the lists
+    :func:`explore` returns (they grow as the search goes on), then each
+    state once its step row is stored.  Exhausted, the search is complete."""
     index: Dict[Hashable, int] = {}
     states: List[Hashable] = []
 
@@ -161,9 +161,26 @@ def explore(inits: Sequence[Hashable], step: Callable[[Hashable, EffLabel], Hash
 
     init_idx = [intern(s) for s in inits]
     steps: List[Dict[EffLabel, int]] = []
+    yield states, steps, init_idx
     for s in states:  # the list grows while it is walked: that is the queue
         steps.append({label: intern(step(s, label)) for label in alphabet})
-    return states, steps, init_idx
+        yield s
+
+
+def explore(inits: Sequence[Hashable], step: Callable[[Hashable, EffLabel], Hashable],
+            alphabet: Sequence[EffLabel], cap: int,
+            stage: str) -> Tuple[List[Hashable], List[Dict[EffLabel, int]], List[int]]:
+    """First-in-first-out interning search over ``step`` from ``inits``.
+
+    States are numbered in discovery order, successors taken in alphabet
+    order; equal states are one, so states must be hashable and canonical.
+    Returns the stored states, one step row per state and the indices of
+    ``inits``.  Raises :class:`CapExceeded` naming ``stage`` once more than
+    ``cap`` states would be stored."""
+    search = explore_steps(inits, step, alphabet, cap, stage)
+    found = next(search)
+    _drain(search)
+    return found
 
 
 def reachable_machine(d: DecoratedLts, inits: Sequence[Union[DetState, StateSet]],

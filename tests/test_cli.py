@@ -14,9 +14,10 @@ from pathlib import Path
 import pytest
 
 import semcheck
+from semcheck import Lts, disjoint_union, format_lts
 from semcheck.cli import main
 
-from conftest import FIXTURES
+from conftest import FIXTURES, kth_lts, perm2r_lts
 
 
 def run_cli(capsys, *argv):
@@ -110,12 +111,47 @@ def test_equiv_on_5000_state_tau_chain(capsys, tmp_path, sem):
 
 
 def test_equiv_cap_bounds_pfutures_decoration(capsys):
-    # the trace-class construction behind pfutures builds 57 states here,
-    # while hkc needs only 41 pairs
-    code, _, err = run_cli(capsys, "equiv", "--sem", "pfutures", "--cap", "50",
+    # the trace classes behind pfutures take 57 forward sets or 11 backward
+    # sets here, while hkc needs only 41 pairs; either search alone decides,
+    # so the cap sits below both
+    code, _, err = run_cli(capsys, "equiv", "--sem", "pfutures", "--cap", "8",
                            fx("pf-pq"), "p0", "q0")
     assert code == 2
     assert "determinisation" in err
+
+
+def test_equiv_cap_bounds_both_trace_class_searches(capsys, tmp_path):
+    # k-th-from-last (k = 20) beside the two-copy permutation system (k = 16):
+    # the forward sets blow up on the first, the backward sets on the second
+    kth = kth_lts(20)
+    f = tmp_path / "kth-perm2r.lts"
+    f.write_text(format_lts(disjoint_union(Lts(kth.n_states, ("a", "b", "c"), kth.transitions),
+                                           perm2r_lts(16))))
+    t0 = time.perf_counter()
+    code, _, err = run_cli(capsys, "equiv", "--sem", "pfutures", "--cap", "1000",
+                           str(f), "0", "1")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert "determinisation" in err
+
+
+def test_equiv_pfutures_on_kth_from_last(tmp_path):
+    # kth_lts(20): determinising from the singletons builds more than 2**20
+    # sets, past the default cap, while the backward sets number 21.  Run in
+    # a child, so a search that does blow up is cut by the timeout.
+    f = tmp_path / "kth20.lts"
+    f.write_text(format_lts(kth_lts(20)))
+    child = ("import sys, time\nfrom semcheck.cli import main\nt0 = time.perf_counter()\n"
+             "code = main(sys.argv[1:])\nprint('elapsed_s', time.perf_counter() - t0,"
+             " file=sys.stderr)\nsys.exit(code)\n")
+    src = str(Path(semcheck.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", child, "equiv", "--sem", "pfutures",
+                           str(f), "0", "1"], capture_output=True, text=True, env=env,
+                          timeout=30)
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stdout)["counterexample"] == []
+    assert float(proc.stderr.split("elapsed_s")[1]) < 1.0
 
 
 def test_equiv_pfutures_on_a_2000_state_chain(capsys, tmp_path):

@@ -14,6 +14,7 @@ from semcheck import (
     DOWNCLOSED_FAMILY_SEMANTICS,
     SEMANTICS,
     TOP,
+    CapExceeded,
     Lts,
     Output,
     VariantMismatch,
@@ -22,6 +23,7 @@ from semcheck import (
     bottom_output,
     compact_output,
     decorate,
+    disjoint_union,
     downclose_masks,
     downset_to_antichain,
     full_mask,
@@ -300,6 +302,40 @@ def _trace_class_corpus():
 def test_trace_class_of_matches_the_forward_construction():
     for name, lts in _trace_class_corpus():
         assert trace_class_of(lts) == _forward_trace_classes(lts), name
+
+
+def test_trace_classes_of_kth_from_last_past_the_forward_blow_up():
+    # the forward construction needs more than 2**20 sets; the backward
+    # search settles after 21, so the race decides well inside the cap
+    lts = kth_lts(20)
+    t0 = time.perf_counter()
+    assert trace_class_of(lts, cap=1000) == tuple(range(21))
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_pfutures_decoration_past_the_backward_blow_up():
+    # the backward search builds 63,020 sets here, the forward one 33
+    lts = perm2r_lts(16)
+    t0 = time.perf_counter()
+    d = decorate(lts, "pfutures", cap=1000)
+    assert time.perf_counter() - t0 < 1.0
+    assert trace_class_of(lts) == _forward_trace_classes(lts)
+    assert d.values == tuple(1 << c for c in trace_class_of(lts))
+
+
+def test_trace_class_cap_needs_both_searches_to_blow_up():
+    kth = kth_lts(20)
+    lts = disjoint_union(Lts(kth.n_states, ("a", "b", "c"), kth.transitions), perm2r_lts(16))
+    t0 = time.perf_counter()
+    with pytest.raises(CapExceeded) as info:
+        trace_class_of(lts, cap=1000)
+    assert time.perf_counter() - t0 < 1.0
+    assert info.value.stage == "determinisation"
+    # below both sizes on pf-pq (57 forward sets, 11 backward), and above one
+    pq = load_lts("pf-pq")
+    with pytest.raises(CapExceeded):
+        trace_class_of(pq, cap=10)
+    assert trace_class_of(pq, cap=11) == trace_class_of(pq, cap=57) == _forward_trace_classes(pq)
 
 
 def test_relabel_for_trace_decorations():

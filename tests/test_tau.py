@@ -86,21 +86,28 @@ def test_tau_layer_matches_pinned_digest():
 # -- the may preorder is weak-trace inclusion --------------------------------
 
 
+def _tau_star(lts: Lts, states) -> set:
+    """``states`` and every state they reach by tau steps, by plain
+    breadth-first search over ``lts.transitions``."""
+    seen, todo = set(states), list(states)
+    while todo:
+        for z in lts.transitions.get((todo.pop(), TAU), ()):
+            if z not in seen:
+                seen.add(z)
+                todo.append(z)
+    return seen
+
+
+def _weak_step(lts: Lts, states, a) -> set:
+    return _tau_star(lts, {z for y in states for z in lts.transitions.get((y, a), ())})
+
+
 def _weak_reach(lts: Lts, x: int, word) -> frozenset:
     """The states ``x`` reaches by ``word`` with any tau steps around each
-    visible step, by plain breadth-first search over ``lts.transitions``."""
-    def tau_star(states):
-        seen, todo = set(states), list(states)
-        while todo:
-            for z in lts.transitions.get((todo.pop(), TAU), ()):
-                if z not in seen:
-                    seen.add(z)
-                    todo.append(z)
-        return seen
-
-    states = tau_star({x})
+    visible step."""
+    states = _tau_star(lts, {x})
     for a in word:
-        states = tau_star({z for y in states for z in lts.transitions.get((y, a), ())})
+        states = _weak_step(lts, states, a)
     return frozenset(states)
 
 
@@ -123,4 +130,63 @@ def test_may_preorder_is_weak_trace_inclusion():
                     word = rep.counterexample
                     assert _weak_reach(lts, x, word), (seed, x, y, word)
                     assert not _weak_reach(lts, y, word), (seed, x, y, word)
+    assert pairs > 5000 and 0 < below < pairs
+
+
+# -- the must preorder is per-word inclusion of must outputs -----------------
+
+
+def _must_walk(lts: Lts, x: int, words):
+    """``x``'s determinised must output after each of ``words`` (a list
+    closed under prefixes, shorter words first), by a plain walk: TOP once
+    the walk passes a divergent state, otherwise the sets of labels refused
+    by some stable state it reached, each set a mask over the alphabet."""
+    divergent = {y for y in range(lts.n_states)
+                 if any(z in _tau_star(lts, lts.transitions.get((z, TAU), ()))
+                        for z in _tau_star(lts, {y}))}
+    full = (1 << len(lts.alphabet)) - 1
+    refuses = {y: full & ~sum(1 << i for i, a in enumerate(lts.alphabet)
+                              if lts.transitions.get((y, a)))
+               for y in range(lts.n_states) if not lts.transitions.get((y, TAU))}
+    reached = {(): _tau_star(lts, {x})}
+    outputs = {}
+    for w in words:
+        states = reached[w[:-1]] if w else reached[()]
+        if states is not TOP and w:
+            states = _weak_step(lts, states, w[-1])
+        if states is not TOP and states & divergent:
+            states = TOP
+        reached[w] = states
+        outputs[w] = TOP if states is TOP else frozenset(
+            sub for y in states if y in refuses
+            for sub in range(full + 1) if sub & refuses[y] == sub)
+    return outputs
+
+
+def _below(lower, upper) -> bool:
+    return upper is TOP or (lower is not TOP and lower <= upper)
+
+
+def test_must_preorder_is_per_word_must_output_inclusion():
+    """preorder_check(must, x, y) says below exactly when y's must output
+    after every word lies below x's: checked on every word up to length 4
+    for a verdict of below, and on the counterexample word otherwise."""
+    pairs = below = 0
+    for seed in range(300):
+        lts = tau_rich_lts(seed)
+        d = decorate(lts, "must")
+        words = [w for k in range(5) for w in itertools.product(lts.alphabet, repeat=k)]
+        outputs = [_must_walk(lts, x, words) for x in range(lts.n_states)]
+        for x in range(lts.n_states):
+            for y in range(lts.n_states):
+                rep = preorder_check(d, "must", x, y)
+                pairs += 1
+                if rep.equal:
+                    below += 1
+                    assert all(_below(outputs[y][w], outputs[x][w]) for w in words), (seed, x, y)
+                else:
+                    word = tuple(rep.counterexample)
+                    prefixes = [word[:k] for k in range(len(word) + 1)]
+                    after_x, after_y = (_must_walk(lts, z, prefixes)[word] for z in (x, y))
+                    assert not _below(after_y, after_x), (seed, x, y, word)
     assert pairs > 5000 and 0 < below < pairs
