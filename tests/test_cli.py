@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import semcheck
-from semcheck import Lts, disjoint_union, format_lts
+from semcheck import disjoint_union, format_lts
 from semcheck.cli import main
 
 from conftest import FIXTURES, kth_lts, perm2r_lts
@@ -123,10 +123,8 @@ def test_equiv_cap_bounds_pfutures_decoration(capsys):
 def test_equiv_cap_bounds_both_trace_class_searches(capsys, tmp_path):
     # k-th-from-last (k = 20) beside the two-copy permutation system (k = 16):
     # the forward sets blow up on the first, the backward sets on the second
-    kth = kth_lts(20)
     f = tmp_path / "kth-perm2r.lts"
-    f.write_text(format_lts(disjoint_union(Lts(kth.n_states, ("a", "b", "c"), kth.transitions),
-                                           perm2r_lts(16))))
+    f.write_text(format_lts(disjoint_union(kth_lts(20, ("a", "b", "c")), perm2r_lts(16))))
     t0 = time.perf_counter()
     code, _, err = run_cli(capsys, "equiv", "--sem", "pfutures", "--cap", "1000",
                            str(f), "0", "1")

@@ -324,8 +324,7 @@ def test_pfutures_decoration_past_the_backward_blow_up():
 
 
 def test_trace_class_cap_needs_both_searches_to_blow_up():
-    kth = kth_lts(20)
-    lts = disjoint_union(Lts(kth.n_states, ("a", "b", "c"), kth.transitions), perm2r_lts(16))
+    lts = disjoint_union(kth_lts(20, ("a", "b", "c")), perm2r_lts(16))
     t0 = time.perf_counter()
     with pytest.raises(CapExceeded) as info:
         trace_class_of(lts, cap=1000)
