@@ -145,7 +145,15 @@ def test_det_output_takes_weights_of_any_denominator():
 
 def test_gps_equiv_agrees_with_word_enumeration():
     """Two states are equal exactly when no word of length below n_states
-    separates them; an unequal verdict returns a shortest separating word."""
+    separates them; an unequal verdict returns the shortlex-first separating
+    word (``words`` is in shortlex order).
+
+    That word does not depend on what the search prunes: a vector with
+    nonzero output is never in the span of the zero-output vectors it is
+    compared against, and every extension of a pruned prefix is a
+    combination of extensions of words earlier in shortlex order.  So any
+    exact reduction of the system, such as a lumping quotient, returns the
+    same word."""
     for seed in range(400):
         g = random_gps(seed, max_states=3)
         words = [w for k in range(g.n_states)
@@ -162,8 +170,7 @@ def test_gps_equiv_agrees_with_word_enumeration():
                 equal, word = gps_equiv(g, sem, x, y)
                 assert equal == (not separating), (seed, sem, x, y)
                 if not equal:
-                    assert word in separating, (seed, sem, x, y, word)
-                    assert len(word) == len(separating[0]), (seed, sem, x, y, word)
+                    assert word == separating[0], (seed, sem, x, y, word)
                 elif sem in ("g_ready", "g_failure", "g_mfailure"):
                     # why gps-equiv --with-trace searches again only under g_mtrace
                     assert gps_equiv(g, "g_trace", x, y)[0], (seed, sem, x, y)
