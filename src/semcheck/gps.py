@@ -17,6 +17,20 @@ one integer table, ``_weights``, that ``gps_decorate`` and the search share.
 ``Distribution`` and ``Fraction`` appear only at the API boundary, where
 ``gps_det_step`` and ``gps_det_output`` run the same linear kernels on
 rational vectors.
+
+The search runs on the lumping quotient, not on the system itself.  Each GPS
+caches its coarsest lumping (``Gps._lumped``, computed in O(m log n) on first
+use): a partition of the states in which every state of a block sends the
+same weight, under each label, into each block, so every state output is
+constant on blocks too.  Lumping preserves behaviour, behaviour(d) =
+behaviour(dV) for the block-indicator matrix V, so ``gps_equiv`` maps both
+states to their blocks and searches the quotient; two states of one block
+start from the zero vector and are equal at once.  Verdicts and words cannot
+change: the search returns the shortlex-first separating word whatever it
+prunes, because a vector with nonzero output is never in the span of the
+zero-output vectors it is compared against, and every extension of a pruned
+prefix is a combination of extensions of words earlier in shortlex order.
+So any exact quotient returns the same word.
 """
 
 from __future__ import annotations
@@ -27,7 +41,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .decorations import Output, VariantMismatch
-from .lts import Gps, full_mask, submasks
+from .lts import Gps, ScaledGps, full_mask, submasks
 
 GPS_SEMANTICS = ("g_ready", "g_failure", "g_mfailure", "g_trace", "g_mtrace")
 
@@ -86,10 +100,11 @@ class GpsDecorated:
     outputs: Tuple[Output, ...]
 
 
-def _weights(g: Gps, semantics: str) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+def _weights(scaled: ScaledGps, semantics: str) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
     """Each state's output under ``semantics`` as integer ``(mask, weight)``
-    pairs, a ``prob`` output being one pair under mask 0.  Weights are over 1,
-    except under g_mtrace, where they are over ``g._scaled.denom``.
+    pairs, a ``prob`` output being one pair under mask 0, for the states of
+    ``scaled``: a GPS's ``_scaled`` or its lumping quotient.  Weights are
+    over 1, except under g_mtrace, where they are over ``scaled.denom``.
 
     g_ready     unit weight on the enabled-action set
     g_failure   unit weight on every refusable set
@@ -97,8 +112,7 @@ def _weights(g: Gps, semantics: str) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
     g_trace     the constant 1
     g_mtrace    the termination mass
     """
-    scaled = g._scaled
-    full = full_mask(g.alphabet)
+    full = (1 << len(scaled.rows)) - 1
     if semantics == "g_ready":
         return tuple(((m, 1),) for m in scaled.enabled)
     if semantics == "g_failure":
@@ -107,7 +121,7 @@ def _weights(g: Gps, semantics: str) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
     if semantics == "g_mfailure":
         return tuple(((full & ~m, 1),) for m in scaled.enabled)
     if semantics == "g_trace":
-        return tuple(((0, 1),) for _ in range(g.n_states))
+        return tuple(((0, 1),) for _ in scaled.emission)
     if semantics == "g_mtrace":
         return tuple(((0, scaled.denom - e),) for e in scaled.emission)
     raise ValueError(f"unknown GPS semantics {semantics!r}")
@@ -115,7 +129,7 @@ def _weights(g: Gps, semantics: str) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
 
 def gps_decorate(g: Gps, semantics: str) -> GpsDecorated:
     """Attach probabilistic outputs: the ``_weights`` table as fractions."""
-    weights = _weights(g, semantics)
+    weights = _weights(g._scaled, semantics)
     if semantics == "g_trace":
         outs = tuple(Output("prob", Fraction(w)) for ((_, w),) in weights)
     elif semantics == "g_mtrace":
@@ -186,6 +200,9 @@ def gps_equiv(g: Gps, semantics: str, x: int, y: int
     basis, so the search terminates.  Zero output and span membership do not
     change when a vector is multiplied by a nonzero scalar, so every vector
     is carried as a primitive integer vector, a multiple of the exact one.
+    The vectors live on the blocks of the GPS's lumping (``Gps._lumped``),
+    which answers a pair in one block before any search and returns the
+    same words as a search on the states would.
 
     g_failure searches on g_mfailure's weights, one set a state instead of
     all 2^|A| refusable ones.  A vector's g_failure weight on a set Z is the
@@ -193,7 +210,9 @@ def gps_equiv(g: Gps, semantics: str, x: int, y: int
     invertible (Moebius inversion on the subset lattice), so both outputs
     vanish on exactly the same vectors, and the search, which only asks
     whether an output is zero, returns the same verdicts and words."""
-    weights = _weights(g, "g_mfailure" if semantics == "g_failure" else semantics)
+    block, lumped = g._lumped
+    x, y = block[x], block[y]
+    weights = _weights(lumped, "g_mfailure" if semantics == "g_failure" else semantics)
     # (vector, index of the vector it was stepped from, the label stepped)
     queue: List[Tuple[Dict[int, int], int, str]] = [({x: 1, y: -1} if x != y else {}, -1, "")]
     # Row-echelon basis: pivot state -> primitive vector, nonzero at the pivot
@@ -224,7 +243,7 @@ def gps_equiv(g: Gps, semantics: str, x: int, y: int
                 word.append(a)
             return False, tuple(reversed(word))
         basis[min(w)] = _primitive(w)
-        for a, row in g._scaled.rows.items():  # in alphabet order
+        for a, row in lumped.rows.items():  # in alphabet order
             nxt = _step(row, vec)
             if nxt:
                 queue.append((_primitive(nxt), qi, a))

@@ -14,6 +14,7 @@ import math
 import re
 import sys
 import unicodedata
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -212,6 +213,104 @@ def _scaled_gps(n: int, alphabet: Tuple[str, ...],
         tuple(sum(1 << i for i, a in enumerate(alphabet) if rows[a][x]) for x in range(n)))
 
 
+def _lumped_gps(scaled: ScaledGps) -> Tuple[Tuple[int, ...], ScaledGps]:
+    """The coarsest lumping of a scaled GPS and its quotient.
+
+    A lumping is a partition of the states in which every state of a block
+    sends the same weight, under each label, into each block.  Returns each
+    state's block and the quotient: one row per block, taken from any one of
+    its states, with weights summed per target block.
+
+    Weighted Hopcroft refinement (Valmari & Franceschinis, TACAS 2010).  The
+    whole state set is the first splitter, so per-label totals, and with
+    them the enabled sets and the emission, are constant on blocks.  A
+    splitter's predecessors are grouped by block, then by their weights into
+    the splitter, and each group a block does not wholly share becomes a
+    block of its own.  When a block that is not queued splits, every part but
+    the largest is queued, since stability under the others and under the
+    whole block gives stability under it; so a state's predecessors are read
+    O(log n) times and the run is O(m log n) for m transitions.
+
+    States that emit nothing send zero weight into every set, so they never
+    split: they stay in block 0, which is never listed and never a splitter.
+    When there are such states, the live block is queued in its place, and
+    the per-state cost is that of a few C-level passes."""
+    n = len(scaled.emission)
+    # a state's weights into a set under every label, packed into one int:
+    # label i's weight sits at bit i * shift, and no weight reaches 1 << shift
+    shift = max(scaled.emission, default=0).bit_length()
+    preds: Dict[int, List[Tuple[int, int]]] = defaultdict(list)
+    into: Dict[int, int] = {}  # weights into the splitter, first the whole set
+    for i, row in enumerate(scaled.rows.values()):
+        i *= shift
+        for x in compress(range(n), row):
+            for y, w in row[x]:
+                w <<= i
+                preds[y].append((x, w))
+                into[x] = into.get(x, 0) + w
+    dead = len(into) < n
+    block = [0] * n
+    members = [set(), set(into)] if dead else [set(into)]
+    if dead:
+        for x in into:
+            block[x] = 1
+    waiting, queued = ([1], [False, True]) if dead else ([], [False])
+    while True:
+        cut: Dict[int, List[int]] = {}
+        for x in into:
+            cut.setdefault(block[x], []).append(x)
+        for b, xs in cut.items():
+            rest = members[b]
+            if len(xs) == len(rest) and len({into[x] for x in xs}) == 1:
+                continue
+            groups: Dict[int, List[int]] = {}
+            for x in xs:
+                groups.setdefault(into[x], []).append(x)
+            parts = list(groups.values())
+            if len(xs) == len(rest):
+                parts.pop()  # every state moved: b keeps the last group
+            ids = [b]
+            for part in parts:
+                c = len(members)
+                members.append(set(part))
+                rest.difference_update(part)
+                for x in part:
+                    block[x] = c
+                queued.append(False)
+                ids.append(c)
+            if not queued[b]:
+                ids.remove(max(ids, key=lambda c: len(members[c])))
+            for c in ids:
+                if not queued[c]:
+                    waiting.append(c)
+                    queued[c] = True
+        if not waiting:
+            break
+        s = waiting.pop()
+        queued[s] = False
+        into = {}
+        for y in members[s]:
+            for x, w in preds.get(y, ()):
+                into[x] = into.get(x, 0) + w
+
+    reps = [min(m) for m in members[dead:] if m]  # empty when no state emits
+    if dead:
+        reps.insert(0, scaled.emission.index(0))
+    classes = tuple(block)
+    rows = {}
+    for a, row in scaled.rows.items():
+        lumped = []
+        for x in reps:
+            sums: Dict[int, int] = {}
+            for y, w in row[x]:
+                c = classes[y]
+                sums[c] = sums.get(c, 0) + w
+            lumped.append(tuple(sums.items()))
+        rows[a] = tuple(lumped)
+    return classes, ScaledGps(scaled.denom, rows, tuple(scaled.emission[x] for x in reps),
+                              tuple(scaled.enabled[x] for x in reps))
+
+
 @dataclass
 class Gps(_NamedStates):
     """A generative probabilistic system: each state emits each action with an
@@ -222,6 +321,11 @@ class Gps(_NamedStates):
     ``transitions`` maps ``(state, label)`` to ``{succ: Fraction}``;
     :func:`parse_gps` builds the integer form ``_scaled`` instead, and
     ``__getattr__`` derives ``transitions`` from it on first use.
+
+    ``_lumped`` caches the coarsest lumping of ``_scaled`` (see
+    :func:`_lumped_gps`): each state's block and the quotient ``ScaledGps``
+    with one row per block.  It does not depend on the semantics, and it is
+    computed on first use, by the first ``gps_equiv`` on the system.
     """
 
     n_states: int
@@ -245,6 +349,10 @@ class Gps(_NamedStates):
         return _scaled_gps(self.n_states, self.alphabet, [
             (x, a, y, (p.numerator, p.denominator))
             for (x, a), row in self.transitions.items() for y, p in row.items()])
+
+    @cached_property
+    def _lumped(self) -> Tuple[Tuple[int, ...], ScaledGps]:
+        return _lumped_gps(self._scaled)
 
     def emission_mass(self, x: int) -> Fraction:
         return Fraction(self._scaled.emission[x], self._scaled.denom)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import time
 from fractions import Fraction
 
@@ -210,3 +211,69 @@ def test_collapses_commute_with_determinised_outputs():
         assert ready_to_trace_collapse(r) == gps_det_output(trace, cur)
         assert failure_from_ready(r, g.alphabet) == gps_det_output(fail, cur)
         assert mfailure_from_ready(r, g.alphabet) == gps_det_output(mfail, cur)
+
+
+# -- the lumping quotient ----------------------------------------------------
+
+# x splits its a-mass between a b-state and a c-state; y moves it to one state
+# that splits it between b and c.  Different blocks, equal traces.
+CROSS_BLOCK = ("gps 6\nalphabet a b c\nnames x x1 x2 y y1 z\n"
+               "0 a 1/2 1\n0 a 1/2 2\n1 b 1/1 5\n2 c 1/1 5\n"
+               "3 a 1/1 4\n4 b 1/2 5\n4 c 1/2 5\n")
+
+
+def test_gps_equiv_equal_across_blocks(tmp_path):
+    g = parse_gps(CROSS_BLOCK)
+    x, y = g.resolve_state("x"), g.resolve_state("y")
+    block, _ = g._lumped
+    assert block[x] != block[y]
+    expected = {"g_trace": (True, None), "g_mtrace": (True, None), "g_ready": (False, ("a",)),
+                "g_failure": (False, ("a",)), "g_mfailure": (False, ("a",))}
+    f = tmp_path / "cross-block.lts"
+    f.write_text(CROSS_BLOCK)
+    for sem, answer in expected.items():
+        assert gps_equiv(g, sem, x, y) == answer, sem
+        assert main(["gps-equiv", "--sem", sem, str(f), "x", "y"]) == (0 if answer[0] else 1), sem
+
+
+def _dense_gps_with_copy(seed: int, n: int) -> str:
+    """A seeded dense GPS of n states over ``a b`` (three successors a label,
+    weights over a denominator of 8-12, some termination mass) and a copy of
+    it in states n..2n-1, in the text format."""
+    rng = random.Random(seed)
+    lines = [f"gps {2 * n}", "alphabet a b"]
+    for x in range(n):
+        den = rng.choice((8, 9, 10, 12))
+        weights = [1] * 6
+        for _ in range(den - 6 - rng.randint(1, 2)):
+            weights[rng.randrange(6)] += 1
+        k = 0
+        for a in ("a", "b"):
+            for y in rng.sample(range(n), 3):
+                lines += [f"{x} {a} {weights[k]}/{den} {y}",
+                          f"{x + n} {a} {weights[k]}/{den} {y + n}"]
+                k += 1
+    return "\n".join(lines) + "\n"
+
+
+def test_gps_equiv_on_a_70_state_copy_in_under_a_second():
+    g = parse_gps(_dense_gps_with_copy(70, 70))
+    t0 = time.perf_counter()
+    for sem in GPS_SEMANTICS:
+        assert gps_equiv(g, sem, 0, 70) == (True, None), sem
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_lumping_a_5000_state_chain_in_under_a_second():
+    # the two chains of test_gps_equiv_on_5000_state_chain: a round-based
+    # refinement would take one round per chain state, 2,500 of them
+    n = 2500
+    lines = [f"gps {2 * n}", "alphabet a b"]
+    for x in (*range(n - 1), *range(n, 2 * n - 1)):
+        lines += [f"{x} a 1/2 {x + 1}", f"{x} b 1/3 {x + 1}"]
+    g = parse_gps("\n".join(lines) + "\n")
+    t0 = time.perf_counter()
+    block, lumped = g._lumped
+    assert time.perf_counter() - t0 < 1.0
+    assert len(lumped.emission) == n
+    assert all(block[x] == block[x + n] for x in range(n))

@@ -29,6 +29,7 @@ from semcheck import (
     gps_equiv,
     submasks,
 )
+from semcheck.gps import _weights
 
 from conftest import FIXTURES, load_gps
 
@@ -174,3 +175,57 @@ def test_gps_equiv_agrees_with_word_enumeration():
                 elif sem in ("g_ready", "g_failure", "g_mfailure"):
                     # why gps-equiv --with-trace searches again only under g_mtrace
                     assert gps_equiv(g, "g_trace", x, y)[0], (seed, sem, x, y)
+
+
+# -- the lumping behind the search -------------------------------------------
+
+
+def _round_based_lumping(g: Gps) -> Tuple[int, ...]:
+    """Reference lumping: every state's signature (its block and, per label,
+    its weight into each block) rebuilt once a round from ``Gps.row`` until
+    no block splits, blocks numbered by first occurrence.  Quadratic; kept
+    only to compare against."""
+    def renumber(sig):
+        ids: Dict[object, int] = {}
+        return tuple(ids.setdefault(s, len(ids)) for s in sig)
+
+    blocks = (0,) * g.n_states
+    while True:
+        sig = []
+        for x in range(g.n_states):
+            into = []
+            for a in g.alphabet:
+                acc: Dict[int, Fraction] = {}
+                for y, p in g.row(x, a).items():
+                    acc[blocks[y]] = acc.get(blocks[y], Fraction(0)) + p
+                into.append(tuple(sorted(acc.items())))
+            sig.append((blocks[x], tuple(into)))
+        refined = renumber(sig)
+        if refined == blocks:
+            return blocks
+        blocks = refined
+
+
+def test_lumping_matches_round_based_refinement():
+    """The cached lumping equals the reference up to numbering; every block
+    sends equal weight per label into every block, and every state output
+    the search reads is constant on blocks, so searching the quotient asks
+    the same questions as searching the system."""
+    merged = 0
+    for name, g in _corpus():
+        block, lumped = g._lumped
+        ids: Dict[int, int] = {}
+        assert tuple(ids.setdefault(b, len(ids)) for b in block) == _round_based_lumping(g), name
+        assert len(lumped.emission) == len(ids) == max(block, default=-1) + 1, name
+        merged += len(ids) < g.n_states
+        scaled = g._scaled
+        for x in range(g.n_states):
+            for a in g.alphabet:
+                into: Dict[int, int] = {}
+                for y, w in scaled.rows[a][x]:
+                    into[block[y]] = into.get(block[y], 0) + w
+                assert dict(lumped.rows[a][block[x]]) == into, (name, x, a)
+        for sem in GPS_SEMANTICS:
+            table, quotient = _weights(scaled, sem), _weights(lumped, sem)
+            assert all(table[x] == quotient[block[x]] for x in range(g.n_states)), (name, sem)
+    assert merged > 250
