@@ -250,11 +250,12 @@ def _lumped_gps(scaled: ScaledGps) -> Tuple[Tuple[int, ...], ScaledGps]:
                 into[x] = into.get(x, 0) + w
     dead = len(into) < n
     block = [0] * n
-    members = [set(), set(into)] if dead else [set(into)]
-    if dead:
+    members, waiting, queued = [set(into)], [], [False]
+    if dead:  # they keep block 0, unlisted; the live block 1 is queued
+        members.insert(0, set())
+        waiting, queued = [1], [False, True]
         for x in into:
             block[x] = 1
-    waiting, queued = ([1], [False, True]) if dead else ([], [False])
     while True:
         cut: Dict[int, List[int]] = {}
         for x in into:
@@ -293,22 +294,21 @@ def _lumped_gps(scaled: ScaledGps) -> Tuple[Tuple[int, ...], ScaledGps]:
             for x, w in preds.get(y, ()):
                 into[x] = into.get(x, 0) + w
 
-    reps = [min(m) for m in members[dead:] if m]  # empty when no state emits
+    reps = [min(m) for m in members if m]
     if dead:
         reps.insert(0, scaled.emission.index(0))
-    classes = tuple(block)
     rows = {}
     for a, row in scaled.rows.items():
         lumped = []
         for x in reps:
             sums: Dict[int, int] = {}
             for y, w in row[x]:
-                c = classes[y]
+                c = block[y]
                 sums[c] = sums.get(c, 0) + w
             lumped.append(tuple(sums.items()))
         rows[a] = tuple(lumped)
-    return classes, ScaledGps(scaled.denom, rows, tuple(scaled.emission[x] for x in reps),
-                              tuple(scaled.enabled[x] for x in reps))
+    return tuple(block), ScaledGps(scaled.denom, rows, tuple(scaled.emission[x] for x in reps),
+                                   tuple(scaled.enabled[x] for x in reps))
 
 
 @dataclass
