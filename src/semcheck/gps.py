@@ -112,7 +112,7 @@ def _weights(scaled: ScaledGps, semantics: str) -> Tuple[Tuple[Tuple[int, int], 
     g_trace     the constant 1
     g_mtrace    the termination mass
     """
-    full = (1 << len(scaled.rows)) - 1
+    full = full_mask(tuple(scaled.rows))
     if semantics == "g_ready":
         return tuple(((m, 1),) for m in scaled.enabled)
     if semantics == "g_failure":
@@ -200,9 +200,9 @@ def gps_equiv(g: Gps, semantics: str, x: int, y: int
     basis, so the search terminates.  Zero output and span membership do not
     change when a vector is multiplied by a nonzero scalar, so every vector
     is carried as a primitive integer vector, a multiple of the exact one.
-    The vectors live on the blocks of the GPS's lumping (``Gps._lumped``),
-    which answers a pair in one block before any search and returns the
-    same words as a search on the states would.
+    The vectors live on the blocks of the GPS's lumping (``Gps._lumped``):
+    two states of one block start from the zero vector and are equal at
+    once, and every word is the one a search on the states would return.
 
     g_failure searches on g_mfailure's weights, one set a state instead of
     all 2^|A| refusable ones.  A vector's g_failure weight on a set Z is the

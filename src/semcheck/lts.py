@@ -225,11 +225,12 @@ def _lumped_gps(scaled: ScaledGps) -> Tuple[Tuple[int, ...], ScaledGps]:
     whole state set is the first splitter, so per-label totals, and with
     them the enabled sets and the emission, are constant on blocks.  A
     splitter's predecessors are grouped by block, then by their weights into
-    the splitter, and each group a block does not wholly share becomes a
-    block of its own.  When a block that is not queued splits, every part but
-    the largest is queued, since stability under the others and under the
-    whole block gives stability under it; so a state's predecessors are read
-    O(log n) times and the run is O(m log n) for m transitions.
+    the splitter; a block whose states do not all send one weight splits
+    into those groups and the states that send none.  When a block that is
+    not queued splits, every part but the largest is queued, since stability
+    under the others and under the whole block gives stability under it; so
+    a state's predecessors are read O(log n) times and the run is
+    O(m log n) for m transitions.
 
     States that emit nothing send zero weight into every set, so they never
     split: they stay in block 0, which is never listed and never a splitter.
@@ -242,16 +243,15 @@ def _lumped_gps(scaled: ScaledGps) -> Tuple[Tuple[int, ...], ScaledGps]:
     preds: Dict[int, List[Tuple[int, int]]] = defaultdict(list)
     into: Dict[int, int] = {}  # weights into the splitter, first the whole set
     for i, row in enumerate(scaled.rows.values()):
-        i *= shift
         for x in compress(range(n), row):
             for y, w in row[x]:
-                w <<= i
+                w <<= i * shift
                 preds[y].append((x, w))
                 into[x] = into.get(x, 0) + w
-    dead = len(into) < n
+    dead = len(into) < n  # some state emits nothing
     block = [0] * n
     members, waiting, queued = [set(into)], [], [False]
-    if dead:  # they keep block 0, unlisted; the live block 1 is queued
+    if dead:  # block 0 keeps those states, unlisted; the live block 1 is queued
         members.insert(0, set())
         waiting, queued = [1], [False, True]
         for x in into:

@@ -277,3 +277,55 @@ def test_lumping_a_5000_state_chain_in_under_a_second():
     assert time.perf_counter() - t0 < 1.0
     assert len(lumped.emission) == n
     assert all(block[x] == block[x + n] for x in range(n))
+
+
+def twisted_copy(n: int) -> str:
+    """Base states b0..b{n-1} over ``a b`` and a twisted copy of them, in the
+    text format.  Under each label, b_i sends w to b_j, w to b_k and u to
+    b_t; c_i sends 2w to the mixture state m_{jk} and u to c_t, and m_{jk}
+    takes half of c_j's and half of c_k's rows.  So c_i behaves as b_i and
+    m_{jk} as the average of b_j and b_k, while no two states are lumped
+    together: an equal pair the span search must decide in full."""
+    rng = random.Random(n)
+    rows = {}
+    for i in range(n):
+        den = rng.choice((12, 14, 16))
+        for a in ("a", "b"):
+            j, k, t = rng.sample(range(n), 3)
+            rows[i, a] = (min(j, k), max(j, k), F(rng.randint(1, 2), den), t,
+                          F(rng.randint(1, 2), den))
+    pairs = sorted({r[:2] for r in rows.values()})
+    names = ([f"b{i}" for i in range(n)] + [f"c{i}" for i in range(n)]
+             + [f"m{j}_{k}" for j, k in pairs])
+    index = {name: x for x, name in enumerate(names)}
+    edges = {}
+
+    def add(src, a, dst, p):
+        key = (index[src], a, index[dst])
+        edges[key] = edges.get(key, 0) + p
+
+    for (i, a), (j, k, w, t, u) in rows.items():
+        add(f"b{i}", a, f"b{j}", w)
+        add(f"b{i}", a, f"b{k}", w)
+        add(f"b{i}", a, f"b{t}", u)
+        add(f"c{i}", a, f"m{j}_{k}", 2 * w)
+        add(f"c{i}", a, f"c{t}", u)
+    for j, k in pairs:
+        for s in (j, k):
+            for a in ("a", "b"):
+                jj, kk, w, t, u = rows[s, a]
+                add(f"m{j}_{k}", a, f"m{jj}_{kk}", w)
+                add(f"m{j}_{k}", a, f"c{t}", u / 2)
+    lines = [f"gps {len(names)}", "alphabet a b", "names " + " ".join(names)]
+    lines += [f"{x} {a} {p.numerator}/{p.denominator} {y}" for (x, a, y), p in edges.items()]
+    return "\n".join(lines) + "\n"
+
+
+def test_twisted_copy_is_equal_but_never_lumped():
+    for n in (3, 6, 10):
+        g = parse_gps(twisted_copy(n))
+        block, lumped = g._lumped
+        assert len(lumped.emission) == g.n_states, n
+        b0, c0 = g.resolve_state("b0"), g.resolve_state("c0")
+        for sem in GPS_SEMANTICS:
+            assert gps_equiv(g, sem, b0, c0) == (True, None), (n, sem)
