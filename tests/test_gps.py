@@ -324,7 +324,7 @@ def twisted_copy(n: int) -> str:
 def test_twisted_copy_is_equal_but_never_lumped():
     for n in (3, 6, 10):
         g = parse_gps(twisted_copy(n))
-        block, lumped = g._lumped
+        _, lumped = g._lumped
         assert len(lumped.emission) == g.n_states, n
         b0, c0 = g.resolve_state("b0"), g.resolve_state("c0")
         for sem in GPS_SEMANTICS:
