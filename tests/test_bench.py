@@ -164,6 +164,14 @@ def test_run_matrix_records_cap_errors_without_crashing():
     assert report.disagreements == []
 
 
+def test_run_matrix_records_a_decoration_error_as_one_row():
+    lts = load_lts("ct-w")   # no final line
+    report = run_matrix([BenchCase("ct-w", lts, s(0), s(1))], ("language",))
+    assert [(r.algorithm, r.equal, r.error) for r in report.records] == [
+        ("-", None, "language semantics needs a 'final' line")]
+    assert report.disagreements == []
+
+
 def test_csv_output_has_header_and_rows():
     report = run_matrix(default_cases()[:1], ("trace",), ("hkc",))
     text = report.to_csv()

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 import os
 import resource
+import shlex
 import subprocess
 import sys
 import time
@@ -18,6 +20,8 @@ from semcheck import disjoint_union, format_lts
 from semcheck.cli import main
 
 from conftest import FIXTURES, kth_lts, perm2r_lts
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -317,7 +321,59 @@ def test_bench_with_spec_file(capsys, tmp_path):
     assert len(lines) == 1 + 2 * 2
 
 
+def test_bench_exits_one_on_a_disagreement(capsys, monkeypatch):
+    import semcheck.bench as bench
+
+    decide = bench.decide
+
+    def flipped(d, algorithm, *args):
+        equal, states, pairs = decide(d, algorithm, *args)
+        return (not equal if algorithm == "naive" else equal), states, pairs
+
+    monkeypatch.setattr(bench, "decide", flipped)
+    code, payload, err = run_cli(capsys, "bench")
+    assert code == 1
+    assert len(payload["disagreements"]) == 15   # 3 cases x 5 semantics
+    assert "15 disagreements" in err
+
+
+def _readme_commands():
+    """The ``semcheck`` lines of README's command-line usage block, as argv."""
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command-line usage", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("semcheck ")]
+
+
+def test_readme_examples_run(capsys, monkeypatch):
+    # in process, from the repository root; CI runs the one pipe through
+    # the installed script
+    monkeypatch.chdir(REPO)
+    commands = _readme_commands()
+    assert sum("|" in argv for argv in commands) == 1
+    for argv in commands:
+        if "|" in argv:
+            continue
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert code in (0, 1), argv
+        if "csv" in argv:
+            rows = list(csv.reader(io.StringIO(out)))
+            assert code == 0
+            assert rows[0] == ["case", "semantics", "algorithm", "equal", "states", "pairs",
+                               "time_ms", "error"]
+            assert len(rows) == 1 + 60
+        else:
+            assert json.loads(out)["schema"] == 1, argv
+
+
 # -- error handling ----------------------------------------------------------
+
+
+def test_gen_rejects_a_family_size_below_one(capsys):
+    code, out, err = run_cli(capsys, "gen", "--family", "chain", "--n", "0")
+    assert (code, out) == (2, "")
+    assert err == "semcheck: error: n must be positive\n"
 
 
 def test_missing_file_is_exit_two(capsys):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import random
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -222,6 +223,8 @@ def test_may_decoration_uses_weak_rows():
     x = lts.resolve_state("x")
     assert d.row(x, "a") == frozenset({1, 2, 3})
     assert all(v == Output("bit", 1) for v in d.outputs)
+    with pytest.raises(ValueError, match="unknown label 'zz'"):
+        d.row(x, "zz")
 
 
 def test_must_decoration_outputs():
@@ -404,6 +407,9 @@ def test_render_output_forms():
     assert render_output(fam(0), AB) == "{{}}"
     assert render_output(fam(0b01, 0b10), AB) == "{{a},{b}}"
     assert render_output(Output("top_or_family", TOP), AB) == "TOP"
+    assert render_output(Output("prob", Fraction(1, 3)), AB) == "1/3"
+    assert render_output(Output("prob_family", ((0b01, Fraction(1, 2)), (0, Fraction(1, 4)))),
+                         AB) == "{{a}:1/2,{}:1/4}"
 
 
 def test_render_eff_label_pair():

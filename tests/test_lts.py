@@ -208,6 +208,9 @@ def test_parse_reports_line_numbers():
 def test_parse_requires_header():
     with pytest.raises(FormatError):
         parse_lts("alphabet a\n")
+    with pytest.raises(FormatError, match="need at least one state") as exc:
+        parse_lts("lts 0\nalphabet a\n")
+    assert exc.value.line == 1
 
 
 def test_parse_memory_follows_the_text_not_the_state_count():
@@ -434,6 +437,8 @@ def test_disjoint_union_shifts_second_component():
     assert u.finals == frozenset({1, 5, 6})
     assert u.names[6] == "loop"
     assert u.resolve_state("x") == 0
+    with pytest.raises(ValueError, match="alphabet mismatch"):
+        disjoint_union(a, parse_lts("lts 1\nalphabet c\n"))
 
 
 def test_disjoint_union_renames_clashing_names():
