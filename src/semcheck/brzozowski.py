@@ -32,7 +32,7 @@ from .decorations import (
     compact_output,  # noqa: F401  not called; perfbench counts brzozowski.compact_output
     join_outputs,  # noqa: F401  not called; perfbench counts brzozowski.join_outputs
 )
-from .lts import StateSet, mask_bits, mask_flags
+from .lts import StateSet, join_at, mask_bits, mask_flags
 from .moore import DEFAULT_CAP, MooreMachine, explore, to_mask
 
 #: A reversal state: one raw output value per (reachable) base state.
@@ -100,16 +100,10 @@ def reverse_determinize(d: DecoratedLts, inits: StateSet) -> LazyReversal:
                             else tuple(compress(pos, mask_flags(label_rows[x])))
                             for x in domain)
 
-    def fold(state: FunctionState, row: Tuple[int, ...]) -> Value:
-        acc = 0  # bottom, the identity of every join
-        for p in row:
-            acc |= state[p]   # TOP absorbs
-        return acc
-
     def step(state: FunctionState, label: EffLabel) -> FunctionState:
-        return tuple([TOP if row is TOP else fold(state, row) for row in rows[label]])
+        return tuple([TOP if row is TOP else join_at(state, row) for row in rows[label]])
 
-    return LazyReversal(d.semantics, d.eff_alphabet, initial, partial(fold, row=init_pos),
+    return LazyReversal(d.semantics, d.eff_alphabet, initial, partial(join_at, indices=init_pos),
                         step, d.decode)
 
 

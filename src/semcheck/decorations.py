@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import inf
-from operator import or_
 from typing import Dict, FrozenSet, Iterable, List, Tuple, Union
 
 from .lts import (
@@ -40,6 +39,7 @@ from .lts import (
     downclose_masks,
     full_mask,
     initial_actions,
+    join_at,
     labels_of,
     mask_bits,
     mask_states,
@@ -272,10 +272,11 @@ def trace_class_of(lts: Lts, cap: int = DEFAULT_CAP) -> Tuple[int, ...]:
     lockstep, and the classes come from whichever settles first.  Forward:
     the subset machine reachable from the singletons, refined to its
     coarsest partition.  Backward: the sets S_w of states with trace w, by
-    predecessors from the full set (w empty); each new set splits the
-    blocks, until they are singletons or no set is new.  Each search can be
-    exponential where the other is small, so the side that has done less
-    work (base states stepped times labels, plus blocks scanned) steps next.
+    predecessors from the full set (w empty); each new set moves its part of
+    every block it cuts into a new block, until the blocks are singletons or
+    no set is new.  Each search can be exponential where the other is small,
+    so the side that has done less work (base states stepped times labels,
+    plus the blocks each new set meets) steps next.
     ``cap`` bounds the sets each side stores; a side past it drops out, and
     :class:`CapExceeded` is raised once both have."""
     from .moore import MooreMachine, explore_steps, moore_partition_classes
@@ -288,18 +289,9 @@ def trace_class_of(lts: Lts, cap: int = DEFAULT_CAP) -> Tuple[int, ...]:
             for y in mask_bits(row):
                 preds[a][y] |= 1 << x
 
-    def union_step(table):
-        def step(s: int, a: EffLabel) -> int:
-            row, acc = table[a], 0
-            while s:
-                low = s & -s
-                acc |= row[low.bit_length() - 1]
-                s ^= low
-            return acc
-        return step
-
     def forward():
-        search = explore_steps([1 << x for x in range(n)], union_step(d.masks),
+        search = explore_steps([1 << x for x in range(n)],
+                               lambda s, a: join_at(d.masks[a], mask_bits(s)),
                                labels, cap, "determinisation")
         sets, steps, inits = next(search)
         work = 0
@@ -312,31 +304,30 @@ def trace_class_of(lts: Lts, cap: int = DEFAULT_CAP) -> Tuple[int, ...]:
         return moore_partition_classes(machine)[:n]
 
     def backward():
-        search = explore_steps([(1 << n) - 1], union_step(preds), labels, cap,
-                               "determinisation")
+        search = explore_steps([(1 << n) - 1], lambda s, a: join_at(preds[a], mask_bits(s)),
+                               labels, cap, "determinisation")
         sets, _, _ = next(search)
-        blocks = sets[:]
+        block, size = [0] * n, [n]   # each state's block, each block's size
         work, done = 0, 1   # the sets the blocks are split by so far
         for s in search:
             work += s.bit_count() * width
             for t in sets[done:]:
-                work += len(blocks)
-                for i in range(len(blocks)):
-                    b = blocks[i]
-                    inside = b & t
-                    if inside and inside != b:
-                        blocks[i] = inside
-                        blocks.append(b ^ inside)
+                met: Dict[int, List[int]] = {}   # t's part of each block it meets
+                for x in mask_bits(t):
+                    met.setdefault(block[x], []).append(x)
+                work += len(met)
+                for b, xs in met.items():
+                    if len(xs) < size[b]:   # t cuts b: its part is a new block
+                        size[b] -= len(xs)
+                        for x in xs:
+                            block[x] = len(size)
+                        size.append(len(xs))
             done = len(sets)
-            if len(blocks) == n:
+            if len(size) == n:
                 break
             yield work
-        block_of = [0] * n
-        for i, b in enumerate(blocks):
-            for x in mask_bits(b):
-                block_of[x] = i
         ids: Dict[int, int] = {}
-        return tuple(ids.setdefault(i, len(ids)) for i in block_of)
+        return tuple(ids.setdefault(b, len(ids)) for b in block)
 
     sides, work = (forward(), backward()), [0, 0]   # a side past the cap is at inf
     while True:
@@ -430,15 +421,14 @@ def decorate(lts: Lts, semantics: str, cap: int = DEFAULT_CAP) -> DecoratedLts:
         has = [state_mask(j for j, s in enumerate(atoms) if s >> i & 1)
                for i in range(len(alphabet))]   # has[i]: the atoms with label i
         every = (1 << len(atoms)) - 1
-        below = {r: every & ~reduce(or_, map(has.__getitem__, mask_bits(full & ~r)), 0)
-                 for r in atoms}
+        below = {r: every & ~join_at(has, mask_bits(full & ~r)) for r in atoms}
         own = [below[refusal[y]] if y in refusal else 0 for y in states]
         stable = state_mask(refusal)
         # must: TOP on diverging states, else the join over the stable states
         # in the tau-closure (a convergent state tau-reaches at least one)
         values = own if semantics != "must" else [
-            TOP if div >> x & 1 else reduce(or_, map(own.__getitem__, mask_bits(
-                tau.closure[x] & stable))) for x in states]
+            TOP if div >> x & 1 else join_at(own, mask_bits(tau.closure[x] & stable))
+            for x in states]
 
     return DecoratedLts(semantics, lts.n_states, alphabet, eff_alphabet,
                         tuple(values), atoms, masks, cap)

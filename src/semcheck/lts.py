@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from itertools import compress
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 TAU = "tau"
 
@@ -114,6 +114,18 @@ def mask_bits(mask: int) -> List[int]:
 def mask_states(mask: int) -> StateSet:
     """The set of states a state mask stands for."""
     return frozenset(mask_bits(mask))
+
+
+def join_at(table: Sequence, indices: Iterable[int]):
+    """The ``|``-join of ``table[i]`` over ``indices``, 0 (bottom) when there
+    are none: the one member-wise join of the generalised subset step, which
+    gives a set of states its members' joined values or united rows.  Entries
+    are ints or TOP, which absorbs through its own ``__or__``/``__ror__``;
+    a repeated index changes nothing."""
+    acc = 0
+    for i in indices:
+        acc |= table[i]
+    return acc
 
 
 def is_downclosed(masks: FrozenSet[int]) -> bool:
@@ -727,11 +739,7 @@ def converges_on(lts: Lts, x: int, word: Iterable[str]) -> bool:
         if frontier & div:
             return False
         if frontier:
-            rows = _weak_row(lts, a)
-            reach = 0
-            for y in mask_bits(frontier):
-                reach |= rows[y]
-            frontier = reach
+            frontier = join_at(_weak_row(lts, a), mask_bits(frontier))
     return not frontier & div
 
 

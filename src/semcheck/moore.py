@@ -7,9 +7,10 @@ machine (``det_output`` / ``det_step`` / ``behavior``), the interning search
 (``explore``) that builds the reachable part of it and of the reversal
 machines, and partition refinement to the coarsest quotient.
 
-A set of base states is an int mask, bit ``x`` standing for state ``x``, so a
-step is an OR of row masks; an output is a raw value, so ``det_value`` is an
-OR too.  Frozensets and :class:`Output` values are boundary views:
+A set of base states is an int mask, bit ``x`` standing for state ``x``, and
+an output is a raw value, so ``det_step`` and ``det_value`` are one join,
+:func:`semcheck.lts.join_at` over the set's members: of their row masks and
+of their raw values.  Frozensets and :class:`Output` values are boundary views:
 ``det_step`` answers a frozenset in kind, ``det_output`` and ``behavior``
 decode, and so do a machine's ``outputs`` and ``state_keys``.
 """
@@ -37,7 +38,7 @@ from .decorations import (
     antichain_to_downset,
     join_outputs,  # noqa: F401  not called; perfbench counts moore.join_outputs
 )
-from .lts import StateSet, full_mask, mask_bits, mask_states, state_mask
+from .lts import StateSet, full_mask, join_at, mask_bits, mask_states, state_mask
 
 #: A determinised state: the mask of a set of base states, or the absorbing
 #: top element (must testing only).  Probabilistic systems determinise into
@@ -64,10 +65,7 @@ def det_value(d: DecoratedLts, state: Union[DetState, StateSet]) -> Value:
     """The raw output of a determinised state: its members' values ORed."""
     if state is TOP:
         return TOP
-    values, acc = d.values, 0
-    for x in mask_bits(state if type(state) is int else state_mask(state)):
-        acc |= values[x]   # TOP absorbs
-    return acc
+    return join_at(d.values, mask_bits(state if type(state) is int else state_mask(state)))
 
 
 def det_output(d: DecoratedLts, state: Union[DetState, StateSet]) -> Output:
@@ -89,13 +87,7 @@ def det_step(d: DecoratedLts, state: Union[DetState, StateSet],
         return TOP
     if type(state) is not int:
         return to_stateset(det_step(d, state_mask(state), label))
-    acc = 0
-    for x in mask_bits(state):
-        row = rows[x]
-        if row is TOP:
-            return TOP
-        acc |= row
-    return acc
+    return join_at(rows, mask_bits(state))
 
 
 def behavior(d: DecoratedLts, state: DetState, word: Iterable[EffLabel]) -> Output:

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semcheck import (
+    TOP,
     FormatError,
     Gps,
     Lts,
@@ -35,7 +36,7 @@ from semcheck import (
     weak_successors,
 )
 
-from semcheck.lts import mask_bits, mask_flags, state_mask
+from semcheck.lts import join_at, mask_bits, mask_flags, state_mask
 
 from conftest import load_gps, load_lts
 
@@ -65,6 +66,17 @@ def test_mask_bits_and_flags_read_every_set_bit(states):
     assert len(flags) == max(mask.bit_length(), 1)
     assert [i for i, f in enumerate(flags) if f] == sorted(states)
     assert set(flags) <= {0, 1}
+
+
+def test_join_at_joins_the_indexed_entries():
+    table = [0b001, 0b010, TOP, 0b100]
+    assert join_at(table, []) == 0
+    assert join_at(table, [0, 3]) == 0b101
+    assert join_at(table, [1, 0, 1, 1]) == join_at(table, [0, 1]) == 0b011
+    for where in range(4):   # TOP absorbs wherever it comes
+        order = [0, 1, 3]
+        order.insert(where, 2)
+        assert join_at(table, order) is TOP, order
 
 
 # -- parsing -----------------------------------------------------------------
