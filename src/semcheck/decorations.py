@@ -44,7 +44,6 @@ from .lts import (
     mask_bits,
     mask_states,
     state_mask,
-    tau_pass,
     weak_successors,  # noqa: F401  not called; perfbench counts decorations.weak_successors
 )
 
@@ -268,7 +267,7 @@ def trace_class_of(lts: Lts, cap: int = DEFAULT_CAP) -> Tuple[int, ...]:
     """Trace-equivalence class of every state, as small integers numbered by
     first occurrence.
 
-    Two exact searches over the trace decoration's visible rows run in
+    Two exact searches over the system's visible rows (``lts._rows``) run in
     lockstep, and the classes come from whichever settles first.  Forward:
     the subset machine reachable from the singletons, refined to its
     coarsest partition.  Backward: the sets S_w of states with trace w, by
@@ -281,17 +280,17 @@ def trace_class_of(lts: Lts, cap: int = DEFAULT_CAP) -> Tuple[int, ...]:
     :class:`CapExceeded` is raised once both have."""
     from .moore import MooreMachine, explore_steps, moore_partition_classes
 
-    d = decorate(lts, "trace")
-    n, labels, width = lts.n_states, d.eff_alphabet, len(d.eff_alphabet)
+    rows, labels = lts._rows, lts.alphabet
+    n, width = lts.n_states, len(labels)
     preds = {a: [0] * n for a in labels}
     for a in labels:
-        for x, row in enumerate(d.masks[a]):
+        for x, row in enumerate(rows[a]):
             for y in mask_bits(row):
                 preds[a][y] |= 1 << x
 
     def forward():
         search = explore_steps([1 << x for x in range(n)],
-                               lambda s, a: join_at(d.masks[a], mask_bits(s)),
+                               lambda s, a: join_at(rows[a], mask_bits(s)),
                                labels, cap, "determinisation")
         sets, steps, inits = next(search)
         work = 0
@@ -361,15 +360,6 @@ def relabel_for_trace_decorations(lts: Lts) -> Lts:
     return Lts(lts.n_states, alphabet, pair_trans, lts.finals, lts.names)
 
 
-def _row_masks(lts: Lts) -> Dict[EffLabel, Tuple[int, ...]]:
-    """The visible rows of ``lts`` as state masks, label by label."""
-    rows = {a: [0] * lts.n_states for a in lts.alphabet}
-    for (x, a), ys in lts.transitions.items():
-        if a != TAU:
-            rows[a][x] = state_mask(ys)
-    return {a: tuple(r) for a, r in rows.items()}
-
-
 def decorate(lts: Lts, semantics: str, cap: int = DEFAULT_CAP) -> DecoratedLts:
     """Decorate ``lts`` for the given semantics tag.
 
@@ -381,7 +371,7 @@ def decorate(lts: Lts, semantics: str, cap: int = DEFAULT_CAP) -> DecoratedLts:
     if semantics == "language" and lts.finals is None:
         raise ValueError("language semantics needs a 'final' line")
     states, alphabet = range(lts.n_states), lts.alphabet
-    tau = tau_pass(lts) if semantics in ("may", "must") else None
+    tau = lts._tau if semantics in ("may", "must") else None
     div = tau.divergent if semantics == "must" else 0
 
     eff_alphabet: Tuple[EffLabel, ...] = alphabet
@@ -389,13 +379,13 @@ def decorate(lts: Lts, semantics: str, cap: int = DEFAULT_CAP) -> DecoratedLts:
     if semantics in ("rtrace", "ftrace"):
         relabelled = relabel_for_trace_decorations(lts)
         eff_alphabet = relabelled.alphabet
-        masks = _row_masks(relabelled)
+        masks = relabelled._rows
     elif tau is not None:  # may: div is empty, so no row is TOP
         masks = {a: tuple(TOP if div >> x & 1 or ws & div else ws
                           for x, ws in enumerate(rows))
                  for a, rows in tau.weak.items()}
     else:
-        masks = _row_masks(lts)
+        masks = lts._rows
 
     values: List[Value]
     atoms: Tuple[int, ...] = ()

@@ -171,7 +171,7 @@ class Lts(_NamedStates):
     ``transitions`` maps ``(state, label)`` to the (possibly empty) set of
     successors; absent keys mean the empty set.  The label ``"tau"`` is the
     internal action and never part of ``alphabet``.  Instances are treated as
-    immutable after construction.
+    immutable after construction; ``_rows`` and ``_tau`` are cached on first use.
     """
 
     n_states: int
@@ -182,6 +182,15 @@ class Lts(_NamedStates):
 
     def successors(self, x: int, label: str) -> StateSet:
         return self.transitions.get((x, label), frozenset())
+
+    @cached_property
+    def _rows(self) -> Dict[str, Tuple[int, ...]]:
+        """Each visible label's rows as state masks; tau edges are left out."""
+        rows = {a: [0] * self.n_states for a in self.alphabet}
+        for (x, a), ys in self.transitions.items():
+            if a != TAU:
+                rows[a][x] = state_mask(ys)
+        return {a: tuple(r) for a, r in rows.items()}
 
     @cached_property
     def _tau(self) -> "TauPass":
@@ -693,11 +702,6 @@ def _tau_pass(lts: Lts) -> TauPass:
         weak[a] = tuple(rows[c] for c in comp_of)
     return TauPass(tuple(closure[c] for c in comp_of), weak,
                    state_mask(x for x, c in enumerate(comp_of) if divergent[c]))
-
-
-def tau_pass(lts: Lts) -> TauPass:
-    """The tau layer of ``lts`` as state masks, computed once and cached."""
-    return lts._tau
 
 
 def tau_closure(lts: Lts, x: int) -> StateSet:
