@@ -225,6 +225,17 @@ def cmd_bench(args) -> int:
     return EXIT_HOLDS if n_dis == 0 else EXIT_FAILS
 
 
+def _positive_int(token: str) -> int:
+    """A ``--cap`` value: a positive integer, as a bench spec's ``cap`` is."""
+    try:
+        value = int(token)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, not {token!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="semcheck",
@@ -234,31 +245,32 @@ def build_parser() -> argparse.ArgumentParser:
                    help="re-raise errors with their traceback")
     sub = p.add_subparsers(dest="command", required=True)
 
-    eq = sub.add_parser("equiv", help="decide equivalence of two state sets")
+    capped = argparse.ArgumentParser(add_help=False)
+    capped.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP,
+                        help="state/pair budget (default %(default)s)")
+
+    eq = sub.add_parser("equiv", parents=[capped],
+                        help="decide equivalence of two state sets")
     eq.add_argument("--sem", required=True, choices=SEMANTICS)
     eq.add_argument("--algo", default="hkc",
                     choices=["naive", "hkc", "brzozowski"])
-    eq.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                    help="state/pair budget (default %(default)s)")
     eq.add_argument("file")
     eq.add_argument("left", help="state or comma-separated state set")
     eq.add_argument("right", help="state or comma-separated state set")
     eq.set_defaults(fn=cmd_equiv)
 
-    po = sub.add_parser("preorder", help="decide a testing preorder")
+    po = sub.add_parser("preorder", parents=[capped], help="decide a testing preorder")
     po.add_argument("--sem", required=True, choices=["may", "must"])
-    po.add_argument("--cap", type=int, default=DEFAULT_CAP)
     po.add_argument("file")
     po.add_argument("left")
     po.add_argument("right")
     po.set_defaults(fn=cmd_preorder)
 
-    mi = sub.add_parser("minimize",
+    mi = sub.add_parser("minimize", parents=[capped],
                         help="minimal Moore machine by double reversal")
     mi.add_argument("--sem", required=True, choices=SEMANTICS)
     mi.add_argument("--init", required=True,
                     help="comma-separated initial state set")
-    mi.add_argument("--cap", type=int, default=DEFAULT_CAP)
     mi.add_argument("file")
     mi.set_defaults(fn=cmd_minimize)
 

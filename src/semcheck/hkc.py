@@ -196,7 +196,7 @@ def product_walk(d: DecoratedLts, left: DetState, right: DetState, cap: float,
             succ = (det_step(d, l, label), det_step(d, r, label))
             if succ not in parent:
                 if len(parent) >= cap:
-                    raise CapExceeded("pair exploration", len(parent))
+                    raise CapExceeded("pair exploration", len(parent), "pairs")
                 parent[succ] = (pair, label)
             todo.append(succ)
         relation.append(pair)
@@ -257,7 +257,7 @@ def hkc_check(d: DecoratedLts, left: DetState, right: DetState,
     def up_to_congruence(pair: Pair, relation, todo, qi) -> bool:
         nonlocal queued
         if qi > cap:
-            raise CapExceeded("pair exploration", qi)
+            raise CapExceeded("pair exploration", qi, "pairs")
         for p in todo[queued:]:
             gens.add(p)
         queued = len(todo)

@@ -488,7 +488,24 @@ def test_cap_exhaustion_is_exit_two(capsys):
     code, _, err = run_cli(capsys, "equiv", "--sem", "failure", "--algo",
                            "naive", "--cap", "2", fx("fail-pq"), "p0", "q0")
     assert code == 2
-    assert "exceeded cap" in err
+    assert err == "semcheck: error: pair exploration: exceeded cap after building 2 pairs\n"
+    code, _, err = run_cli(capsys, "equiv", "--sem", "failure", "--algo",
+                           "hkc", "--cap", "2", fx("fail-pq"), "p0", "q0")
+    assert code == 2
+    assert err == "semcheck: error: pair exploration: exceeded cap after building 3 pairs\n"
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ["equiv", "--sem", "failure", fx("fail-pq"), "p0", "q0"],
+    ["preorder", "--sem", "may", fx("must-xy"), "x", "y"],
+    ["minimize", "--sem", "must", "--init", "0", fx("brz-must")],
+])
+def test_cap_must_be_positive(capsys, argv, cap):
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:1] + ["--cap", cap] + argv[1:])
+    assert exc.value.code == 2
+    assert f"argument --cap: must be a positive integer, not '{cap}'" in capsys.readouterr().err
 
 
 def test_installed_entry_point_runs():
