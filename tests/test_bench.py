@@ -152,24 +152,43 @@ def test_run_matrix_default_cases_agree():
     assert len(payload["records"]) == len(report.records)
 
 
+def _case(lts, left, right):
+    return BenchCase("case", lts, s(lts.names.index(left)), s(lts.names.index(right)))
+
+
+def _cap_error(stage, n, unit):
+    return f"{stage}: exceeded cap after building {n} {unit}"
+
+
 def test_run_matrix_records_cap_errors_without_crashing():
-    lts = gen_interleave(6)
-    case = BenchCase("blowup", lts, s(lts.names.index("x")),
-                     s(lts.names.index("y")))
-    report = run_matrix([case], ("must",), ("oracle", "hkc"), cap=20)
-    oracle_rec = next(r for r in report.records if r.algorithm == "oracle")
-    hkc_rec = next(r for r in report.records if r.algorithm == "hkc")
-    assert oracle_rec.error is not None and oracle_rec.equal is None
-    assert hkc_rec.equal is True  # congruence closure stays within the cap
-    assert report.disagreements == []
+    for case, sem, cap, rows in [
+        # the oracle's subset machine blows up; the congruence closure stays small
+        (_case(gen_interleave(6), "x", "y"), "must", 20, [
+            ("oracle", None, 20, None, _cap_error("determinisation", 20, "states")),
+            ("hkc", True, None, 8, None)]),
+        # each count sits under the unit its stage counted
+        (_case(load_lts("fail-pq"), "p0", "q0"), "failure", 2, [
+            ("oracle", None, 2, None, _cap_error("determinisation", 2, "states")),
+            ("naive", None, None, 2, _cap_error("pair exploration", 2, "pairs")),
+            ("hkc", None, None, 2, _cap_error("pair exploration", 2, "pairs")),
+            ("brzozowski", None, 2, None, _cap_error("reverse pass 1", 2, "states"))]),
+    ]:
+        report = run_matrix([case], (sem,), [row[0] for row in rows], cap=cap)
+        assert [(r.algorithm, r.equal, r.states, r.pairs, r.error)
+                for r in report.records] == rows
+        assert report.disagreements == []
 
 
 def test_run_matrix_records_a_decoration_error_as_one_row():
-    lts = load_lts("ct-w")   # no final line
-    report = run_matrix([BenchCase("ct-w", lts, s(0), s(1))], ("language",))
-    assert [(r.algorithm, r.equal, r.error) for r in report.records] == [
-        ("-", None, "language semantics needs a 'final' line")]
-    assert report.disagreements == []
+    for name, sem, cap, states, error in [
+        ("ct-w", "language", 100, None, "language semantics needs a 'final' line"),
+        # the cap bounds the trace classes behind pfutures too
+        ("pf-pq", "pfutures", 8, 8, _cap_error("determinisation", 8, "states")),
+    ]:
+        report = run_matrix([BenchCase(name, load_lts(name), s(0), s(1))], (sem,), cap=cap)
+        assert [(r.algorithm, r.equal, r.states, r.pairs, r.error)
+                for r in report.records] == [("-", None, states, None, error)]
+        assert report.disagreements == []
 
 
 def test_csv_output_has_header_and_rows():

@@ -492,7 +492,24 @@ def test_cap_exhaustion_is_exit_two(capsys):
     code, _, err = run_cli(capsys, "equiv", "--sem", "failure", "--algo",
                            "hkc", "--cap", "2", fx("fail-pq"), "p0", "q0")
     assert code == 2
-    assert err == "semcheck: error: pair exploration: exceeded cap after building 3 pairs\n"
+    assert err == "semcheck: error: pair exploration: exceeded cap after building 2 pairs\n"
+
+
+@pytest.mark.parametrize("argv, k, stage, unit", [
+    (["equiv", "--sem", "failure", "--algo", "naive", fx("fail-pq"), "p0", "q0"],
+     2, "pair exploration", "pairs"),
+    (["equiv", "--sem", "failure", "--algo", "hkc", fx("fail-pq"), "p0", "q0"],
+     2, "pair exploration", "pairs"),
+    (["preorder", "--sem", "may", fx("must-xy"), "x", "y"], 1, "pair exploration", "pairs"),
+    (["preorder", "--sem", "must", fx("must-xy"), "x", "y"], 1, "pair exploration", "pairs"),
+    (["equiv", "--sem", "failure", "--algo", "brzozowski", fx("fail-pq"), "p0", "q0"],
+     2, "reverse pass 1", "states"),
+    (["equiv", "--sem", "pfutures", fx("pf-pq"), "p0", "q0"], 8, "determinisation", "states"),
+], ids=["naive", "hkc", "may", "must", "brzozowski", "pfutures"])
+def test_every_capped_stage_stops_at_the_cap(capsys, argv, k, stage, unit):
+    code, _, err = run_cli(capsys, *argv[:1], "--cap", str(k), *argv[1:])
+    assert code == 2
+    assert err == f"semcheck: error: {stage}: exceeded cap after building {k} {unit}\n"
 
 
 @pytest.mark.parametrize("cap", ["0", "-1"])
