@@ -15,7 +15,7 @@ import io
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import brzozowski
@@ -199,9 +199,7 @@ class BenchReport:
 
     def to_csv(self) -> str:
         buf = io.StringIO()
-        fields = ["case", "semantics", "algorithm", "equal", "states",
-                  "pairs", "time_ms", "error"]
-        writer = csv.DictWriter(buf, fieldnames=fields)
+        writer = csv.DictWriter(buf, fieldnames=[f.name for f in fields(BenchRecord)])
         writer.writeheader()
         for r in self.records:
             writer.writerow(vars(r))
@@ -228,34 +226,39 @@ def decide(d: DecoratedLts, algorithm: str, left: StateSet, right: StateSet,
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
+def _counts(exc: Exception) -> Tuple[Optional[int], Optional[int]]:
+    """``(states, pairs)`` of a run that raised: a budget failure's count
+    under the unit it counted, none for any other error."""
+    n = getattr(exc, "states_built", None)
+    return (None, n) if getattr(exc, "unit", None) == "pairs" else (n, None)
+
+
 def run_matrix(cases: Sequence[BenchCase], semantics: Sequence[str],
                algorithms: Sequence[str] = ALGORITHMS,
                cap: int = DEFAULT_CAP) -> BenchReport:
     """Run every case under every semantics and algorithm, recording results
-    and flagging any (case, semantics) where the algorithms disagree."""
+    and flagging any (case, semantics) where the algorithms disagree.
+    ``cap`` bounds decoration too; a failed decoration is one ``-`` row."""
     report = BenchReport()
     for case in cases:
         for sem in semantics:
             try:
-                d = decorate(case.lts, sem)
-            except ValueError as exc:
+                d = decorate(case.lts, sem, cap)
+            except (ValueError, CapExceeded) as exc:
                 report.records.append(BenchRecord(
-                    case.name, sem, "-", None, None, None, 0.0, str(exc)))
+                    case.name, sem, "-", None, *_counts(exc), 0.0, str(exc)))
                 continue
             verdicts = set()
             for algo in algorithms:
                 t0 = time.perf_counter()
                 try:
-                    equal, states, pairs = decide(d, algo, case.left,
-                                                  case.right, cap)
+                    equal, *counts = decide(d, algo, case.left, case.right, cap)
+                    verdicts.add(equal)
                     err = None
                 except CapExceeded as exc:
-                    equal, states, pairs, err = None, exc.states_built, None, str(exc)
+                    equal, counts, err = None, _counts(exc), str(exc)
                 ms = (time.perf_counter() - t0) * 1000.0
-                report.records.append(BenchRecord(
-                    case.name, sem, algo, equal, states, pairs, ms, err))
-                if equal is not None:
-                    verdicts.add(equal)
+                report.records.append(BenchRecord(case.name, sem, algo, equal, *counts, ms, err))
             if len(verdicts) > 1:
                 report.disagreements.append((case.name, sem))
     return report

@@ -70,11 +70,10 @@ class VariantMismatch(ValueError):
 
 
 class CapExceeded(RuntimeError):
-    """Budget exhausted during an explicit construction."""
+    """``stage`` ran out of budget after building ``states_built`` ``unit``."""
 
     def __init__(self, stage: str, states_built: int, what: str = "states"):
-        self.stage = stage
-        self.states_built = states_built
+        self.stage, self.states_built, self.unit = stage, states_built, what
         super().__init__(f"{stage}: exceeded cap after building {states_built} {what}")
 
 
@@ -380,12 +379,12 @@ def decorate(lts: Lts, semantics: str, cap: int = DEFAULT_CAP) -> DecoratedLts:
         relabelled = relabel_for_trace_decorations(lts)
         eff_alphabet = relabelled.alphabet
         masks = relabelled._rows
-    elif tau is not None:  # may: div is empty, so no row is TOP
+    elif div:  # must with divergence: rows into it, and its own rows, are TOP
         masks = {a: tuple(TOP if div >> x & 1 or ws & div else ws
                           for x, ws in enumerate(rows))
                  for a, rows in tau.weak.items()}
     else:
-        masks = lts._rows
+        masks = lts._rows if tau is None else tau.weak
 
     values: List[Value]
     atoms: Tuple[int, ...] = ()

@@ -20,7 +20,6 @@ for every pair.
 
 from __future__ import annotations
 
-import math
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
@@ -248,16 +247,14 @@ def hkc_check(d: DecoratedLts, left: DetState, right: DetState,
     Pairs are processed first-in-first-out and successors pushed in alphabet
     order, so the relation returned for a fixed input is reproducible.  On
     failure the counterexample word distinguishes the two behaviours.  At
-    most ``cap`` pairs are processed, pruned ones included; each processed
-    pair discovers at most one pair per label, so the walk needs no bound of
-    its own."""
+    most ``cap`` distinct pairs are discovered, the walk's one budget.
+    ``pairs_processed`` counts pruned duplicates too, so it may pass ``cap``,
+    but never 1 + |labels| × ``cap``."""
     gens = Generators()
     queued = 0   # todo[:queued] has been added to gens
 
     def up_to_congruence(pair: Pair, relation, todo, qi) -> bool:
         nonlocal queued
-        if qi > cap:
-            raise CapExceeded("pair exploration", qi, "pairs")
         for p in todo[queued:]:
             gens.add(p)
         queued = len(todo)
@@ -268,7 +265,7 @@ def hkc_check(d: DecoratedLts, left: DetState, right: DetState,
         return False
 
     equal, relation, processed, word = product_walk(
-        d, to_mask(left), to_mask(right), math.inf, up_to_congruence)
+        d, to_mask(left), to_mask(right), cap, up_to_congruence)
     return HkcReport(equal, _stateset_pairs(relation), processed, word)
 
 
