@@ -379,7 +379,7 @@ def decorate(lts: Lts, semantics: str, cap: int = DEFAULT_CAP) -> DecoratedLts:
         relabelled = relabel_for_trace_decorations(lts)
         eff_alphabet = relabelled.alphabet
         masks = relabelled._rows
-    elif div:  # must with divergence: rows into it, and its own rows, are TOP
+    elif div:  # must: a divergent state's rows, and rows reaching one, are TOP
         masks = {a: tuple(TOP if div >> x & 1 or ws & div else ws
                           for x, ws in enumerate(rows))
                  for a, rows in tau.weak.items()}

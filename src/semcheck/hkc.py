@@ -248,8 +248,8 @@ def hkc_check(d: DecoratedLts, left: DetState, right: DetState,
     order, so the relation returned for a fixed input is reproducible.  On
     failure the counterexample word distinguishes the two behaviours.  At
     most ``cap`` distinct pairs are discovered, the walk's one budget.
-    ``pairs_processed`` counts pruned duplicates too, so it may pass ``cap``,
-    but never 1 + |labels| × ``cap``."""
+    ``pairs_processed`` counts pruned duplicates too, so it may exceed
+    ``cap``, but never 1 + |labels| × ``cap``."""
     gens = Generators()
     queued = 0   # todo[:queued] has been added to gens
 
