@@ -27,13 +27,16 @@ from semcheck import (
     gps_det_output,
     gps_det_step,
     gps_equiv,
+    parse_gps,
     submasks,
 )
 from semcheck.gps import _weights
 
 from conftest import FIXTURES, load_gps
+from test_gps import _dense_gps_with_copy, twisted_copy
 
 PINNED_SHA256 = "79614064d32530b26bbef35203a594a5af17a70208d166d20dba0bcccf3aaddb"
+LUMPING_SHA256 = "798160bfb404a490a60f984d1d8d06ce7040c01951e946d0030f5f6858417938"
 
 DENOMINATORS = (2, 3, 4, 6, 8, 12)
 
@@ -229,3 +232,21 @@ def test_lumping_matches_round_based_refinement():
             table, quotient = _weights(scaled, sem), _weights(lumped, sem)
             assert all(table[x] == quotient[block[x]] for x in range(g.n_states)), (name, sem)
     assert merged > 250
+
+
+def _lumping_lines():
+    systems = list(_corpus())
+    systems += [(f"twisted{n}", parse_gps(twisted_copy(n))) for n in (3, 6, 10)]
+    systems.append(("dense70", parse_gps(_dense_gps_with_copy(70, 70))))
+    for name, g in systems:
+        block, lumped = g._lumped
+        rows = {a: [sorted(dict(r).items()) for r in row] for a, row in lumped.rows.items()}
+        yield repr((name, block, lumped.denom, lumped.emission, lumped.enabled, rows))
+
+
+def test_lumping_matches_pinned_digest():
+    """Each system's block numbering and quotient, exactly: a faster
+    refinement must find the same blocks in the same order.  Rows are read
+    as sorted (target, weight) items, whatever container holds them."""
+    text = "\n".join(_lumping_lines())
+    assert hashlib.sha256(text.encode()).hexdigest() == LUMPING_SHA256
