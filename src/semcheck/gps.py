@@ -140,14 +140,14 @@ def gps_decorate(g: Gps, semantics: str) -> GpsDecorated:
     return GpsDecorated(semantics, g, outs)
 
 
-def _step(row: Sequence[Tuple[Tuple[int, int], ...]], vec: Dict[int, int]
+def _step(row: Sequence[Dict[int, int]], vec: Dict[int, int]
           ) -> Dict[int, int]:
     """One action's integer matrix (``ScaledGps.rows[label]``) applied to a
     vector, integer in the search and rational at the boundary; zero entries
     dropped."""
     out: Dict[int, int] = {}
     for x, p in vec.items():
-        for y, q in row[x]:
+        for y, q in row[x].items():
             out[y] = out.get(y, 0) + p * q
     return {y: p for y, p in out.items() if p}
 

@@ -14,7 +14,6 @@ import math
 import re
 import sys
 import unicodedata
-from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -200,13 +199,14 @@ class Lts(_NamedStates):
 class ScaledGps(NamedTuple):
     """A GPS's probabilities over one common denominator, all integers:
     ``denom`` is the lcm of every transition probability's denominator,
-    ``rows[label][x]`` lists ``x``'s ``label``-successors as
-    ``(succ, p * denom)``, ``emission[x]`` is ``x``'s emission mass times
-    ``denom``, and bit i of ``enabled[x]`` is set when ``x`` emits the i-th
-    label."""
+    ``rows[label][x]`` maps each of ``x``'s ``label``-successors to its
+    probability times ``denom`` (the dict the weights were summed in, empty
+    when ``x`` does not emit ``label``), ``emission[x]`` is ``x``'s emission
+    mass times ``denom``, and bit i of ``enabled[x]`` is set when ``x`` emits
+    the i-th label."""
 
     denom: int
-    rows: Dict[str, Tuple[Tuple[Tuple[int, int], ...], ...]]
+    rows: Dict[str, Tuple[Dict[int, int], ...]]
     emission: Tuple[int, ...]
     enabled: Tuple[int, ...]
 
@@ -225,13 +225,16 @@ def _scaled_gps(n: int, alphabet: Tuple[str, ...],
         row = rows[lab][src]
         row[dst] = row.get(dst, 0) + weight[pq]
     common = math.gcd(denom, *(w for row in rows.values() for r in row for w in r.values()))
-    if common > 1:
-        rows = {a: [{y: w // common for y, w in r.items()} for r in row]
-                for a, row in rows.items()}
-    return ScaledGps(
-        denom // common, {a: tuple(tuple(r.items()) for r in rows[a]) for a in alphabet},
-        tuple(sum(sum(rows[a][x].values()) for a in alphabet) for x in range(n)),
-        tuple(sum(1 << i for i, a in enumerate(alphabet) if rows[a][x]) for x in range(n)))
+    emission, enabled = [0] * n, [0] * n
+    for i, row in enumerate(rows.values()):
+        for x in compress(range(n), row):
+            r = row[x]
+            if common > 1:
+                r = row[x] = {y: w // common for y, w in r.items()}
+            emission[x] += sum(r.values())
+            enabled[x] |= 1 << i
+    return ScaledGps(denom // common, {a: tuple(row) for a, row in rows.items()},
+                     tuple(emission), tuple(enabled))
 
 
 def _lumped_gps(scaled: ScaledGps) -> Tuple[Tuple[int, ...], ScaledGps]:
@@ -245,13 +248,14 @@ def _lumped_gps(scaled: ScaledGps) -> Tuple[Tuple[int, ...], ScaledGps]:
     Weighted Hopcroft refinement (Valmari & Franceschinis, TACAS 2010).  The
     whole state set is the first splitter, so per-label totals, and with
     them the enabled sets and the emission, are constant on blocks.  A
-    splitter's predecessors are grouped by block, then by their weights into
-    the splitter; a block whose states do not all send one weight splits
-    into those groups and the states that send none.  When a block that is
-    not queued splits, every part but the largest is queued, since stability
-    under the others and under the whole block gives stability under it; so
-    a state's predecessors are read O(log n) times and the run is
-    O(m log n) for m transitions.
+    splitter's predecessors (for one state, its own dict of them) are
+    grouped by block and weight in one pass that skips one-state blocks,
+    which cannot split; a block whose states do not all send one weight
+    splits into those groups and the states that send none.  When a block
+    that is not queued splits, every part but the largest is queued, since
+    stability under the others and under the whole block gives stability
+    under it; so a state's predecessors are read O(log n) times and the run
+    is O(m log n) for m transitions.
 
     States that emit nothing send zero weight into every set, so they never
     split: they stay in block 0, which is never listed and never a splitter.
@@ -261,14 +265,19 @@ def _lumped_gps(scaled: ScaledGps) -> Tuple[Tuple[int, ...], ScaledGps]:
     # a state's weights into a set under every label, packed into one int:
     # label i's weight sits at bit i * shift, and no weight reaches 1 << shift
     shift = max(scaled.emission, default=0).bit_length()
-    preds: Dict[int, List[Tuple[int, int]]] = defaultdict(list)
+    preds: Dict[int, Dict[int, int]] = {}  # state -> {predecessor: weight into it}
     into: Dict[int, int] = {}  # weights into the splitter, first the whole set
     for i, row in enumerate(scaled.rows.values()):
+        k = i * shift
         for x in compress(range(n), row):
-            for y, w in row[x]:
-                w <<= i * shift
-                preds[y].append((x, w))
-                into[x] = into.get(x, 0) + w
+            r = row[x]
+            into[x] = into.get(x, 0) + (sum(r.values()) << k)
+            for y, w in r.items():
+                p = preds.get(y)
+                if p is None:
+                    preds[y] = {x: w << k}
+                else:
+                    p[x] = p.get(x, 0) + (w << k)
     dead = len(into) < n  # some state emits nothing
     block = [0] * n
     members, waiting, queued = [set(into)], [], [False]
@@ -278,18 +287,19 @@ def _lumped_gps(scaled: ScaledGps) -> Tuple[Tuple[int, ...], ScaledGps]:
         for x in into:
             block[x] = 1
     while True:
-        cut: Dict[int, List[int]] = {}
-        for x in into:
-            cut.setdefault(block[x], []).append(x)
-        for b, xs in cut.items():
+        groups: Dict[Tuple[int, int], List[int]] = {}
+        for x, w in into.items():
+            b = block[x]
+            if len(members[b]) > 1:
+                groups.setdefault((b, w), []).append(x)
+        cut: Dict[int, List[List[int]]] = {}
+        for (b, _), xs in groups.items():
+            cut.setdefault(b, []).append(xs)
+        for b, parts in cut.items():
             rest = members[b]
-            if len(xs) == len(rest) and len({into[x] for x in xs}) == 1:
+            if len(parts) == 1 and len(parts[0]) == len(rest):
                 continue
-            groups: Dict[int, List[int]] = {}
-            for x in xs:
-                groups.setdefault(into[x], []).append(x)
-            parts = list(groups.values())
-            if len(xs) == len(rest):
+            if sum(map(len, parts)) == len(rest):
                 parts.pop()  # every state moved: b keeps the last group
             ids = [b]
             for part in parts:
@@ -310,10 +320,15 @@ def _lumped_gps(scaled: ScaledGps) -> Tuple[Tuple[int, ...], ScaledGps]:
             break
         s = waiting.pop()
         queued[s] = False
-        into = {}
-        for y in members[s]:
-            for x, w in preds.get(y, ()):
-                into[x] = into.get(x, 0) + w
+        ys = members[s]
+        if len(ys) == 1:
+            (y,) = ys
+            into = preds.get(y, {})
+        else:
+            into = {}
+            for y in ys:
+                for x, w in preds.get(y, {}).items():
+                    into[x] = into.get(x, 0) + w
 
     reps = [min(m) for m in members if m]
     if dead:
@@ -323,10 +338,10 @@ def _lumped_gps(scaled: ScaledGps) -> Tuple[Tuple[int, ...], ScaledGps]:
         lumped = []
         for x in reps:
             sums: Dict[int, int] = {}
-            for y, w in row[x]:
+            for y, w in row[x].items():
                 c = block[y]
                 sums[c] = sums.get(c, 0) + w
-            lumped.append(tuple(sums.items()))
+            lumped.append(sums)
         rows[a] = tuple(lumped)
     return tuple(block), ScaledGps(scaled.denom, rows, tuple(scaled.emission[x] for x in reps),
                                    tuple(scaled.enabled[x] for x in reps))
@@ -340,13 +355,15 @@ class Gps(_NamedStates):
     immutable after construction.
 
     ``transitions`` maps ``(state, label)`` to ``{succ: Fraction}``;
-    :func:`parse_gps` builds the integer form ``_scaled`` instead, and
-    ``__getattr__`` derives ``transitions`` from it on first use.
+    :func:`parse_gps` builds the integer form ``_scaled`` instead, whose
+    rows are ``{succ: weight}`` dicts, and ``__getattr__`` derives
+    ``transitions`` from those rows on first use.
 
     ``_lumped`` caches the coarsest lumping of ``_scaled`` (see
     :func:`_lumped_gps`): each state's block and the quotient ``ScaledGps``
-    with one row per block.  It does not depend on the semantics, and it is
-    computed on first use, by the first ``gps_equiv`` on the system.
+    with one ``{block: weight}`` row per block and label.  It does not
+    depend on the semantics, and it is computed on first use, by the first
+    ``gps_equiv`` on the system.
     """
 
     n_states: int
@@ -358,7 +375,7 @@ class Gps(_NamedStates):
         if name != "transitions":
             raise AttributeError(name)
         denom, rows = self._scaled.denom, self._scaled.rows
-        self.transitions = {(x, a): {y: Fraction(w, denom) for y, w in row[x]}
+        self.transitions = {(x, a): {y: Fraction(w, denom) for y, w in row[x].items()}
                             for a, row in rows.items() for x in range(self.n_states) if row[x]}
         return self.transitions
 
@@ -396,12 +413,10 @@ class Gps(_NamedStates):
 # ---------------------------------------------------------------------------
 
 def _content_lines(text: str) -> List[Tuple[int, List[str]]]:
-    out = []
-    for i, raw in enumerate(text.splitlines(), start=1):
-        toks = raw.split("#", 1)[0].split()
-        if toks:
-            out.append((i, toks))
-    return out
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [raw.partition("#")[0] for raw in lines]
+    return [(i, toks) for i, toks in enumerate(map(str.split, lines), start=1) if toks]
 
 
 def _parse_header(lines, kind: str):

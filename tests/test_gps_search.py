@@ -225,7 +225,7 @@ def test_lumping_matches_round_based_refinement():
         for x in range(g.n_states):
             for a in g.alphabet:
                 into: Dict[int, int] = {}
-                for y, w in scaled.rows[a][x]:
+                for y, w in scaled.rows[a][x].items():
                     into[block[y]] = into.get(block[y], 0) + w
                 assert dict(lumped.rows[a][block[x]]) == into, (name, x, a)
         for sem in GPS_SEMANTICS:

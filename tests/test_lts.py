@@ -367,7 +367,7 @@ def _reference_parse_gps(text: str):
     except FormatError as exc:
         return str(exc)
     denom = math.lcm(*(p.denominator for row in trans.values() for p in row.values()))
-    rows = {a: tuple(tuple((y, int(p * denom)) for y, p in trans.get((x, a), {}).items())
+    rows = {a: tuple({y: int(p * denom) for y, p in trans.get((x, a), {}).items()}
                      for x in range(n)) for a in alphabet}
     enabled = tuple(sum(1 << i for i, a in enumerate(alphabet) if trans.get((x, a)))
                     for x in range(n))
