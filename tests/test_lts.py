@@ -321,7 +321,28 @@ def _random_gps_text(seed: int) -> str:
             i = rng.randrange(4)
             toks[i] = rng.choice(({0: str(n), 1: "z", 2: "3/2", 3: "x"}[i], "0/4", "1/0"))
         lines.append(" ".join(toks))
-    return "\n".join(lines) + "\n"
+    text = "\n".join(lines) + "\n"
+    return _with_comments(text, seed) if seed >= 400 else text
+
+
+def _with_comments(text: str, seed: int) -> str:
+    """``text`` with comments: comment-only lines, trailing ``# ...``, and
+    on a transition line now and then ``#x`` glued to a token, which makes
+    the rest of that line a comment (``0 a 1/2#x 1`` loses its target)."""
+    rng = random.Random(seed)
+    out = []
+    for line in text.splitlines():
+        if rng.random() < 0.2:
+            out.append(rng.choice(("# a comment", "   #", "#", "\t# tab")))
+        r = rng.random()
+        if r < 0.2:
+            line += rng.choice((" # trailing", "\t#", "#x", " #x # y"))
+        elif r < 0.3 and line[:1].isdigit():
+            toks = line.split()
+            k = rng.randrange(len(toks))
+            line = " ".join(toks[:k + 1]) + "#x " + " ".join(toks[k + 1:])
+        out.append(line)
+    return "\n".join(out) + "\n"
 
 
 def _reference_parse_gps(text: str):
@@ -375,8 +396,9 @@ def _reference_parse_gps(text: str):
 
 
 def test_parse_gps_matches_fraction_reference():
+    # seeds 400-599 carry comments
     outcomes = {"parsed": 0, "over mass": 0, "other error": 0}
-    for seed in range(400):
+    for seed in range(600):
         text = _random_gps_text(seed)
         expected = _reference_parse_gps(text)
         if isinstance(expected, str):
@@ -410,7 +432,7 @@ def test_parsed_gps_equals_hand_built_gps_either_way():
     # parse_gps builds the integer form; ``transitions`` is a view built on
     # first use, which equality and format_gps read.
     checked = 0
-    for seed in range(400):
+    for seed in range(600):
         text = _random_gps_text(seed)
         expected = _reference_parse_gps(text)
         if isinstance(expected, str):
@@ -427,7 +449,46 @@ def test_parsed_gps_equals_hand_built_gps_either_way():
                     {**trans, (0, g.alphabet[0]): {0: Fraction(1, 7)}}, names)
         assert parse_gps(text) != other and other != parse_gps(text)
         checked += 1
-    assert checked >= 100
+    assert checked >= 150
+
+
+def _parse_outcome(text: str):
+    try:
+        return parse_lts(text)
+    except FormatError as exc:
+        return str(exc), exc.line
+
+
+def test_parse_lts_reads_comments_as_blank():
+    # the same text with its comments cut by hand parses the same, errors
+    # and their line numbers included
+    outcomes = {"parsed": 0, "error": 0, "commented": 0}
+    for seed in range(400, 600):
+        text = _with_comments(format_lts(random_lts(seed, allow_tau=seed % 2 == 0)), seed)
+        outcomes["commented"] += "#" in text
+        stripped = "\n".join(raw.split("#", 1)[0] for raw in text.splitlines()) + "\n"
+        outcome = _parse_outcome(text)
+        assert outcome == _parse_outcome(stripped), (seed, text)
+        outcomes["parsed" if isinstance(outcome, Lts) else "error"] += 1
+    assert min(outcomes.values()) >= 20, outcomes
+
+
+@pytest.mark.parametrize("text, toks", [
+    ("lts 2 # two states\nalphabet a#x\n# only a comment\n0 a 1#x\n", ("a", 0, 1)),
+    ("lts 2\n#\nalphabet a b\n   # indented\n1 b 0 # trailing # twice\n", ("b", 1, 0)),
+])
+def test_parse_lts_comment_forms(text, toks):
+    label, x, y = toks
+    lts = parse_lts(text)
+    assert lts.n_states == 2 and lts.transitions == {(x, label): frozenset({y})}
+
+
+def test_comment_glued_to_a_probability_cuts_the_line():
+    g = parse_gps("gps 2\nalphabet a\n# c\n1 a 1/2 0#x\n")
+    assert g.row(1, "a") == {0: Fraction(1, 2)}
+    with pytest.raises(FormatError, match="expected '<src> <label> <p>/<q> <dst>'") as exc:
+        parse_gps("gps 2\nalphabet a # labels\n0 a 1/2#x 1\n")
+    assert exc.value.line == 3
 
 
 @settings(max_examples=60, derandomize=True)
