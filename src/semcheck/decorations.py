@@ -70,11 +70,13 @@ class VariantMismatch(ValueError):
 
 
 class CapExceeded(RuntimeError):
-    """``stage`` ran out of budget after building ``states_built`` ``unit``."""
+    """``stage`` ran out of budget after building ``states_built`` ``unit``
+    (plural; the message says ``1 state``, ``1 pair``, ``1 refusal set``)."""
 
     def __init__(self, stage: str, states_built: int, what: str = "states"):
         self.stage, self.states_built, self.unit = stage, states_built, what
-        super().__init__(f"{stage}: exceeded cap after building {states_built} {what}")
+        counted = what[:-1] if states_built == 1 else what
+        super().__init__(f"{stage}: exceeded cap after building {states_built} {counted}")
 
 
 @dataclass(frozen=True)

@@ -500,8 +500,8 @@ def test_cap_exhaustion_is_exit_two(capsys):
      2, "pair exploration", "pairs"),
     (["equiv", "--sem", "failure", "--algo", "hkc", fx("fail-pq"), "p0", "q0"],
      2, "pair exploration", "pairs"),
-    (["preorder", "--sem", "may", fx("must-xy"), "x", "y"], 1, "pair exploration", "pairs"),
-    (["preorder", "--sem", "must", fx("must-xy"), "x", "y"], 1, "pair exploration", "pairs"),
+    (["preorder", "--sem", "may", fx("must-xy"), "x", "y"], 1, "pair exploration", "pair"),
+    (["preorder", "--sem", "must", fx("must-xy"), "x", "y"], 1, "pair exploration", "pair"),
     (["equiv", "--sem", "failure", "--algo", "brzozowski", fx("fail-pq"), "p0", "q0"],
      2, "reverse pass 1", "states"),
     (["equiv", "--sem", "pfutures", fx("pf-pq"), "p0", "q0"], 8, "determinisation", "states"),

@@ -340,6 +340,16 @@ def test_trace_class_cap_needs_both_searches_to_blow_up():
     assert trace_class_of(pq, cap=11) == trace_class_of(pq, cap=57) == _forward_trace_classes(pq)
 
 
+def test_cap_message_agrees_in_number():
+    # the unit stays plural, because bench files a count by it
+    for unit, one in [("states", "1 state"), ("pairs", "1 pair"), ("refusal sets", "1 refusal set")]:
+        exc = CapExceeded("stage", 1, unit)
+        assert str(exc) == f"stage: exceeded cap after building {one}"
+        assert exc.unit == unit
+        assert str(CapExceeded("stage", 2, unit)) == f"stage: exceeded cap after building 2 {unit}"
+        assert str(CapExceeded("stage", 0, unit)) == f"stage: exceeded cap after building 0 {unit}"
+
+
 def test_relabel_for_trace_decorations():
     lts = load_lts("rtrace-p")
     relabelled = relabel_for_trace_decorations(lts)
