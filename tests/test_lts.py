@@ -473,24 +473,6 @@ def test_parse_lts_reads_comments_as_blank():
     assert min(outcomes.values()) >= 20, outcomes
 
 
-@pytest.mark.parametrize("text, toks", [
-    ("lts 2 # two states\nalphabet a#x\n# only a comment\n0 a 1#x\n", ("a", 0, 1)),
-    ("lts 2\n#\nalphabet a b\n   # indented\n1 b 0 # trailing # twice\n", ("b", 1, 0)),
-])
-def test_parse_lts_comment_forms(text, toks):
-    label, x, y = toks
-    lts = parse_lts(text)
-    assert lts.n_states == 2 and lts.transitions == {(x, label): frozenset({y})}
-
-
-def test_comment_glued_to_a_probability_cuts_the_line():
-    g = parse_gps("gps 2\nalphabet a\n# c\n1 a 1/2 0#x\n")
-    assert g.row(1, "a") == {0: Fraction(1, 2)}
-    with pytest.raises(FormatError, match="expected '<src> <label> <p>/<q> <dst>'") as exc:
-        parse_gps("gps 2\nalphabet a # labels\n0 a 1/2#x 1\n")
-    assert exc.value.line == 3
-
-
 @settings(max_examples=60, derandomize=True)
 @given(st.integers(min_value=0, max_value=10_000), st.booleans())
 def test_format_parse_roundtrip_random(seed, allow_tau):
