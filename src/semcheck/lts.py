@@ -265,7 +265,7 @@ def _lumped_gps(scaled: ScaledGps) -> Tuple[Tuple[int, ...], ScaledGps]:
     # a state's weights into a set under every label, packed into one int:
     # label i's weight sits at bit i * shift, and no weight reaches 1 << shift
     shift = max(scaled.emission, default=0).bit_length()
-    preds: Dict[int, Dict[int, int]] = {}  # state -> {predecessor: weight into it}
+    preds: List[Optional[Dict[int, int]]] = [None] * n  # {predecessor: weight into it}
     into: Dict[int, int] = {}  # weights into the splitter, first the whole set
     for i, row in enumerate(scaled.rows.values()):
         k = i * shift
@@ -273,7 +273,7 @@ def _lumped_gps(scaled: ScaledGps) -> Tuple[Tuple[int, ...], ScaledGps]:
             r = row[x]
             into[x] = into.get(x, 0) + (sum(r.values()) << k)
             for y, w in r.items():
-                p = preds.get(y)
+                p = preds[y]
                 if p is None:
                     preds[y] = {x: w << k}
                 else:
@@ -323,11 +323,11 @@ def _lumped_gps(scaled: ScaledGps) -> Tuple[Tuple[int, ...], ScaledGps]:
         ys = members[s]
         if len(ys) == 1:
             (y,) = ys
-            into = preds.get(y, {})
+            into = preds[y] or {}
         else:
             into = {}
             for y in ys:
-                for x, w in preds.get(y, {}).items():
+                for x, w in (preds[y] or {}).items():
                     into[x] = into.get(x, 0) + w
 
     reps = [min(m) for m in members if m]
