@@ -265,7 +265,7 @@ def _lumped_gps(scaled: ScaledGps) -> Tuple[Tuple[int, ...], ScaledGps]:
     # a state's weights into a set under every label, packed into one int:
     # label i's weight sits at bit i * shift, and no weight reaches 1 << shift
     shift = max(scaled.emission, default=0).bit_length()
-    preds: List[Optional[Dict[int, int]]] = [None] * n  # {predecessor: weight into it}
+    preds: List[Optional[Dict[int, int]]] = [None] * n  # each state's {pred: weight into it}
     into: Dict[int, int] = {}  # weights into the splitter, first the whole set
     for i, row in enumerate(scaled.rows.values()):
         k = i * shift
