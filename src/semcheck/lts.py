@@ -14,6 +14,7 @@ import math
 import re
 import sys
 import unicodedata
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -248,14 +249,13 @@ def _lumped_gps(scaled: ScaledGps) -> Tuple[Tuple[int, ...], ScaledGps]:
     Weighted Hopcroft refinement (Valmari & Franceschinis, TACAS 2010).  The
     whole state set is the first splitter, so per-label totals, and with
     them the enabled sets and the emission, are constant on blocks.  A
-    splitter's predecessors (for one state, its own dict of them) are
-    grouped by block and weight in one pass that skips one-state blocks,
-    which cannot split; a block whose states do not all send one weight
-    splits into those groups and the states that send none.  When a block
-    that is not queued splits, every part but the largest is queued, since
-    stability under the others and under the whole block gives stability
-    under it; so a state's predecessors are read O(log n) times and the run
-    is O(m log n) for m transitions.
+    splitter's predecessors are grouped by block and weight in one pass
+    that skips one-state blocks, which cannot split; a block whose states
+    do not all send one weight splits into those groups and the states that
+    send none.  When a block that is not queued splits, every part but the
+    largest is queued, since stability under the others and under the whole
+    block gives stability under it; so a state's predecessors are read
+    O(log n) times and the run is O(m log n) for m transitions.
 
     States that emit nothing send zero weight into every set, so they never
     split: they stay in block 0, which is never listed and never a splitter.
@@ -265,7 +265,7 @@ def _lumped_gps(scaled: ScaledGps) -> Tuple[Tuple[int, ...], ScaledGps]:
     # a state's weights into a set under every label, packed into one int:
     # label i's weight sits at bit i * shift, and no weight reaches 1 << shift
     shift = max(scaled.emission, default=0).bit_length()
-    preds: List[Optional[Dict[int, int]]] = [None] * n  # each state's {pred: weight into it}
+    preds: Dict[int, List[Tuple[int, int]]] = defaultdict(list)
     into: Dict[int, int] = {}  # weights into the splitter, first the whole set
     for i, row in enumerate(scaled.rows.values()):
         k = i * shift
@@ -273,11 +273,7 @@ def _lumped_gps(scaled: ScaledGps) -> Tuple[Tuple[int, ...], ScaledGps]:
             r = row[x]
             into[x] = into.get(x, 0) + (sum(r.values()) << k)
             for y, w in r.items():
-                p = preds[y]
-                if p is None:
-                    preds[y] = {x: w << k}
-                else:
-                    p[x] = p.get(x, 0) + (w << k)
+                preds[y].append((x, w << k))
     dead = len(into) < n  # some state emits nothing
     block = [0] * n
     members, waiting, queued = [set(into)], [], [False]
@@ -320,15 +316,10 @@ def _lumped_gps(scaled: ScaledGps) -> Tuple[Tuple[int, ...], ScaledGps]:
             break
         s = waiting.pop()
         queued[s] = False
-        ys = members[s]
-        if len(ys) == 1:
-            (y,) = ys
-            into = preds[y] or {}
-        else:
-            into = {}
-            for y in ys:
-                for x, w in (preds[y] or {}).items():
-                    into[x] = into.get(x, 0) + w
+        into = {}
+        for y in members[s]:
+            for x, w in preds.get(y, ()):
+                into[x] = into.get(x, 0) + w
 
     reps = [min(m) for m in members if m]
     if dead:
