@@ -217,7 +217,7 @@ def decide(d: DecoratedLts, algorithm: str, left: StateSet, right: StateSet,
         return ok, None, (len(witness) if ok else None)
     if algorithm == "hkc":
         report = hkc_check(d, left, right, cap)
-        return report.equal, None, len(report.relation)
+        return report.equal, None, len(report.masks)
     if algorithm == "brzozowski":
         inter_l, min_l = brzozowski.brzozowski_minimize(d, left, cap)
         inter_r, min_r = brzozowski.brzozowski_minimize(d, right, cap)

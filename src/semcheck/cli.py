@@ -23,8 +23,8 @@ from .brzozowski import brzozowski_minimize
 from .decorations import SEMANTICS, TOP, decorate, render_eff_label, render_output
 from .gps import GPS_SEMANTICS, gps_equiv
 from .hkc import hkc_check, naive_bisim, preorder_check
-from .lts import FormatError, Lts, format_lts, parse_gps, parse_lts
-from .moore import DEFAULT_CAP, CapExceeded
+from .lts import FormatError, Lts, format_lts, mask_bits, parse_gps, parse_lts
+from .moore import DEFAULT_CAP, CapExceeded, to_mask
 
 EXIT_HOLDS, EXIT_FAILS, EXIT_ERROR = 0, 1, 2
 
@@ -51,10 +51,15 @@ def _resolve_state(system, token: str, what: str) -> int:
     return system.resolve_state(token)
 
 
-def _render_detstate(state, lts: Lts) -> str:
-    if state is TOP:
-        return "TOP"
-    return "{" + ",".join(lts.state_name(x) for x in sorted(state)) + "}"
+def _witness(relation, lts: Lts) -> List[List[str]]:
+    """A relation of masks (or TOP) rendered pair by pair, each set's
+    members by name in ascending order."""
+    def render(state) -> str:
+        if state is TOP:
+            return "TOP"
+        return "{" + ",".join(map(lts.state_name, mask_bits(state))) + "}"
+
+    return [[render(l), render(r)] for l, r in relation]
 
 
 def _timed(fn, *args):
@@ -91,15 +96,16 @@ def cmd_equiv(args) -> int:
     states = relation = witness = counterexample = None
     if args.algo == "naive":
         (equal, payload), ms = _timed(naive_bisim, d, left, right, args.cap)
-        relation, counterexample = (payload, None) if equal else (None, payload)
+        relation, counterexample = (
+            ([(to_mask(l), to_mask(r)) for l, r in payload], None) if equal
+            else (None, payload))
     elif args.algo == "hkc":
         rep, ms = _timed(hkc_check, d, left, right, args.cap)
-        equal, relation, counterexample = rep.equal, rep.relation, rep.counterexample
+        equal, relation, counterexample = rep.equal, rep.masks, rep.counterexample
     else:  # brzozowski
         (equal, states, _), ms = _timed(decide, d, "brzozowski", left, right, args.cap)
     if equal and relation is not None:
-        witness = [[_render_detstate(l, lts), _render_detstate(r, lts)]
-                   for l, r in relation]
+        witness = _witness(relation, lts)
     verdict = "equivalent" if equal else "not equivalent"
     _emit(args, equal, args.algo, ms,
           f"{verdict} under {args.sem} ({args.algo}, {ms:.1f} ms)",
@@ -118,7 +124,7 @@ def cmd_preorder(args) -> int:
     rel = "below" if rep.equal else "not below"
     _emit(args, rep.equal, "hkc", ms,
           f"{args.left} {rel} {args.right} in the {args.sem} preorder",
-          pairs=len(rep.relation), counterexample=_labels(rep.counterexample))
+          pairs=len(rep.masks), counterexample=_labels(rep.counterexample))
     return EXIT_HOLDS if rep.equal else EXIT_FAILS
 
 

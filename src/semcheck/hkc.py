@@ -2,8 +2,10 @@
 
 Both back ends are one breadth-first walk over pairs of determinised states
 (``product_walk``) that never builds the determinised machine; they differ
-only in which pairs they skip.  The naive walk skips pairs it has already
-related.  The congruence check skips pairs that already lie in the
+only in which pairs they skip.  The walk handles masks only: the public
+functions convert their start states on entry, and a relation is decoded to
+frozensets only when it is read from the result.  The naive walk skips pairs
+it has already related.  The congruence check skips pairs that already lie in the
 congruence closure of the pairs collected so far, which prunes the search
 exponentially on systems whose subset construction blows up.
 
@@ -22,13 +24,14 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
-from .decorations import TOP, DecoratedLts, EffLabel
-from .lts import mask_bits
-from .moore import (DEFAULT_CAP, CapExceeded, DetState, det_step, det_value,
-                    to_mask, to_stateset)
+from .decorations import TOP, DecoratedLts, EffLabel, Value
+from .lts import join_at, mask_bits
+from .moore import DEFAULT_CAP, CapExceeded, DetState, to_mask, to_stateset
 from .moore import det_output  # noqa: F401  not called; perfbench counts hkc.det_output
+from .moore import det_step  # noqa: F401  not called; perfbench counts hkc.det_step
 
 Pair = Tuple[DetState, DetState]
 
@@ -137,24 +140,30 @@ def saturate(pairs: Iterable[Pair], z: DetState,
 
     ``pairs`` is a sequence of pairs or a live :class:`Generators` index.
     With a ``goal``, the widening stops as soon as it covers ``goal``, so the
-    result covers ``goal`` exactly when the fixpoint does.  States are masks
-    or frozensets: this and ``in_congruence`` convert them, so the index sees
-    masks only.  Given a frozenset ``z``, the result is a frozenset (or TOP)."""
-    acc = _index(pairs).close(to_mask(z), None if goal is None else to_mask(goal))
-    return acc if type(z) is int else to_stateset(acc)
+    result covers ``goal`` exactly when the fixpoint does.  Masks (and TOP)
+    go to the index as they are; frozensets are converted, and a frozenset
+    ``z`` gives a frozenset (or TOP)."""
+    if type(z) is not int and z is not TOP:
+        return to_stateset(saturate(pairs, to_mask(z), goal))
+    if goal is not None and type(goal) is not int:
+        goal = to_mask(goal)
+    return _index(pairs).close(z, goal)
+
+
+def _congruent(gens: Generators, left: DetState, right: DetState) -> bool:
+    """Whether two masks (or TOP) saturate to the same set over ``gens``.
+    Saturation is a closure operator, so they do exactly when each side lies
+    below the other's saturation; each side's widening stops as soon as it
+    covers the other side."""
+    return (_covers(saturate(gens, left, right), right)
+            and _covers(saturate(gens, right, left), left))
 
 
 def in_congruence(pairs: Iterable[Pair], left: DetState, right: DetState) -> bool:
-    """Whether ``(left, right)`` lies in the congruence closure of ``pairs``.
-
-    ``pairs`` is a sequence of pairs or a live :class:`Generators` index.
-    Saturation is a closure operator, so both sides saturate to the same set
-    exactly when each side lies below the other's saturation; each side's
-    widening stops as soon as it covers the other side."""
-    gens = _index(pairs)
-    left, right = to_mask(left), to_mask(right)
-    return (_covers(saturate(gens, left, right), right)
-            and _covers(saturate(gens, right, left), left))
+    """Whether ``(left, right)`` lies in the congruence closure of ``pairs``,
+    a sequence of pairs or a live :class:`Generators` index; states are masks
+    or frozensets."""
+    return _congruent(_index(pairs), to_mask(left), to_mask(right))
 
 
 def product_walk(d: DecoratedLts, left: DetState, right: DetState, cap: float,
@@ -162,17 +171,30 @@ def product_walk(d: DecoratedLts, left: DetState, right: DetState, cap: float,
                  ) -> Tuple[bool, List[Pair], int, Optional[Tuple[EffLabel, ...]]]:
     """Breadth-first walk over pairs of determinised states from ``(left, right)``.
 
-    ``left`` and ``right`` are masks or frozensets, and the walk keeps their
-    representation: ``det_step`` answers in kind.  Outputs are compared as
-    raw values, which are equal exactly when the outputs are.  Pairs
-    are dequeued first-in-first-out.  A pair for which
-    ``prune(pair, relation, todo, qi)`` holds is skipped (``todo[qi:]`` are
-    the pairs still waiting); any other must agree on its output, joins the
-    relation and pushes its successor pairs in alphabet order.  Returns
-    ``(equal, relation, pairs_processed, counterexample)``; the counterexample
-    is the discovery path of the first pair found to disagree.  Raises
-    :class:`CapExceeded` once more than ``cap`` distinct pairs would be
-    discovered."""
+    States are masks (or TOP), and so are the pairs the walk hands to
+    ``prune`` and returns.  A processed pair's states are read once each:
+    one pass over a state's members gives its raw output and its successor
+    under every label.  Outputs are compared as raw values, which are equal
+    exactly when the outputs are.  Pairs are dequeued first-in-first-out.  A
+    pair for which ``prune(pair, relation, todo, qi)`` holds is skipped
+    (``todo[qi:]`` are the pairs still waiting); any other must agree on its
+    output, joins the relation and pushes its successor pairs in alphabet
+    order.  Returns ``(equal, relation, pairs_processed, counterexample)``;
+    the counterexample is the discovery path of the first pair found to
+    disagree.  Raises :class:`CapExceeded` once more than ``cap`` distinct
+    pairs would be discovered."""
+    alphabet = d.eff_alphabet
+    tables = [d.masks[label] for label in alphabet]
+    values = d.values
+    top = (TOP, [TOP] * len(tables))
+
+    def expand(state: DetState) -> Tuple[Value, List[DetState]]:
+        """A state's raw output and its successor under each label."""
+        if state is TOP:
+            return top
+        members = mask_bits(state)
+        return join_at(values, members), [join_at(rows, members) for rows in tables]
+
     todo: List[Pair] = [(left, right)]
     parent: Dict[Pair, Optional[Tuple[Pair, EffLabel]]] = {todo[0]: None}
     relation: List[Pair] = []
@@ -183,7 +205,9 @@ def product_walk(d: DecoratedLts, left: DetState, right: DetState, cap: float,
         if prune(pair, relation, todo, qi):
             continue
         l, r = pair
-        if det_value(d, l) != det_value(d, r):
+        lv, lsucc = expand(l)
+        rv, rsucc = expand(r)
+        if lv != rv:
             word: List[EffLabel] = []
             node = parent[pair]
             while node is not None:
@@ -191,8 +215,7 @@ def product_walk(d: DecoratedLts, left: DetState, right: DetState, cap: float,
                 word.append(label)
                 node = parent[pair]
             return False, relation, qi, tuple(reversed(word))
-        for label in d.eff_alphabet:
-            succ = (det_step(d, l, label), det_step(d, r, label))
+        for label, succ in zip(alphabet, zip(lsucc, rsucc)):
             if succ not in parent:
                 if len(parent) >= cap:
                     raise CapExceeded("pair exploration", len(parent), "pairs")
@@ -229,13 +252,18 @@ def _stateset_pairs(relation: List[Pair]) -> list:
 
 @dataclass
 class HkcReport:
-    """Outcome of a congruence-based equivalence check; the relation's states
-    are frozensets (or TOP)."""
+    """Outcome of a congruence-based equivalence check.  ``masks`` is the
+    relation as the walk built it, pairs of masks (or TOP); ``relation``
+    gives the same pairs as frozensets (or TOP), decoded on first read."""
 
     equal: bool
-    relation: List[Pair]
+    masks: List[Pair]
     pairs_processed: int
     counterexample: Optional[Tuple[EffLabel, ...]]
+
+    @cached_property
+    def relation(self) -> list:
+        return _stateset_pairs(self.masks)
 
 
 def hkc_check(d: DecoratedLts, left: DetState, right: DetState,
@@ -259,14 +287,13 @@ def hkc_check(d: DecoratedLts, left: DetState, right: DetState,
             gens.add(p)
         queued = len(todo)
         gens.remove(pair)   # dequeued: the live pairs are relation + todo[qi:]
-        if pair in gens or in_congruence(gens, *pair):
+        if pair in gens or _congruent(gens, *pair):
             return True
         gens.add(pair)   # it joins the relation, or the walk ends on its output
         return False
 
-    equal, relation, processed, word = product_walk(
-        d, to_mask(left), to_mask(right), cap, up_to_congruence)
-    return HkcReport(equal, _stateset_pairs(relation), processed, word)
+    return HkcReport(*product_walk(d, to_mask(left), to_mask(right), cap,
+                                   up_to_congruence))
 
 
 def preorder_check(d: DecoratedLts, semantics: str, x: int, y: int,

@@ -21,6 +21,7 @@ from semcheck import (
     saturate,
 )
 from semcheck.hkc import product_walk
+from semcheck.moore import to_mask, to_stateset
 
 from conftest import load_lts
 
@@ -209,14 +210,23 @@ def _reference_saturate(pairs, z):
     return z
 
 
+def _sets(pairs):
+    return [(to_stateset(l), to_stateset(r)) for l, r in pairs]
+
+
 def _reference_hkc(d, left, right):
     """HKC with the prune rule spelt out: skip a pair when its two sides
-    saturate to the same set over the relation and the pairs still queued."""
+    saturate to the same set over the relation and the pairs still queued.
+    The walk runs on masks; the rule and the relation returned read them as
+    frozensets."""
     def prune(pair, relation, todo, qi):
-        live = relation + todo[qi:]
-        return _reference_saturate(live, pair[0]) == _reference_saturate(live, pair[1])
+        live = _sets(relation + todo[qi:])
+        (l, r), = _sets([pair])
+        return _reference_saturate(live, l) == _reference_saturate(live, r)
 
-    return product_walk(d, left, right, math.inf, prune)
+    equal, relation, processed, word = product_walk(
+        d, to_mask(left), to_mask(right), math.inf, prune)
+    return equal, _sets(relation), processed, word
 
 
 def _assert_matches_reference(d, left, right, rep):
