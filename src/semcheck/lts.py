@@ -466,13 +466,17 @@ def _parse_state(tok: str, n: int, ln: int) -> int:
 def _parse_names(toks: List[str], n: int, ln: int,
                  names: Optional[Tuple[str, ...]]) -> Tuple[str, ...]:
     """The state names on a ``names`` line; ``names`` is what an earlier
-    ``names`` line gave, if any."""
+    ``names`` line gave, if any.  A name may not hold a comma, which
+    separates the members of a state-set argument."""
     if len(toks) - 1 != n:
         raise FormatError(f"expected {n} names, got {len(toks) - 1}", ln)
     if names is not None:
         raise FormatError("duplicate 'names' line", ln)
     if len(set(toks[1:])) != n:
         raise FormatError("repeated state name", ln)
+    for name in toks[1:]:
+        if "," in name:
+            raise FormatError(f"state name {name!r} contains ','", ln)
     return tuple(toks[1:])
 
 

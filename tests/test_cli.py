@@ -405,6 +405,14 @@ def test_malformed_input_is_exit_two(capsys, tmp_path):
     assert "line 3" in err
 
 
+def test_comma_in_a_state_name_is_exit_two(capsys, tmp_path):
+    bad = tmp_path / "comma.lts"
+    bad.write_text("lts 2\nalphabet a\nnames p,q r\n0 a 1\n")
+    code, out, err = run_cli(capsys, "equiv", "--sem", "trace", str(bad), "p,q", "r")
+    assert (code, out) == (2, "")
+    assert err == "semcheck: error: line 3: state name 'p,q' contains ','\n"
+
+
 def _limit_address_space():
     gib = 1 << 30
     resource.setrlimit(resource.RLIMIT_AS, (gib, gib))

@@ -209,6 +209,20 @@ def test_parse_rejects_second_names_line_and_repeated_names(text):
     assert exc.value.line == text.count("\n")
 
 
+@pytest.mark.parametrize("text", [
+    "lts 2\nalphabet a\nnames p,q r\n",
+    "lts 2\nalphabet a\n0 a 1\nnames p ,\n",
+    "gps 2\nalphabet a\nnames p q,\n",
+])
+def test_parse_rejects_a_comma_in_a_state_name(text):
+    # a comma separates the members of a state-set argument, so a name
+    # holding one could not be named on the command line
+    parse = parse_gps if text.startswith("gps") else parse_lts
+    with pytest.raises(FormatError, match="contains ','") as exc:
+        parse(text)
+    assert exc.value.line == text.count("\n")
+
+
 def test_parse_reports_line_numbers():
     text = "lts 2\nalphabet a\n# fine so far\n0 a 1\nbogus line here extra\n"
     with pytest.raises(FormatError) as exc:
