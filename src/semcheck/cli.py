@@ -24,7 +24,7 @@ from .decorations import SEMANTICS, TOP, decorate, render_eff_label, render_outp
 from .gps import GPS_SEMANTICS, gps_equiv
 from .hkc import hkc_check, naive_bisim, preorder_check
 from .lts import FormatError, Lts, format_lts, mask_bits, parse_gps, parse_lts
-from .moore import DEFAULT_CAP, CapExceeded, to_mask
+from .moore import DEFAULT_CAP, CapExceeded
 
 EXIT_HOLDS, EXIT_FAILS, EXIT_ERROR = 0, 1, 2
 
@@ -51,13 +51,14 @@ def _resolve_state(system, token: str, what: str) -> int:
     return system.resolve_state(token)
 
 
-def _witness(relation, lts: Lts) -> List[List[str]]:
-    """A relation of masks (or TOP) rendered pair by pair, each set's
-    members by name in ascending order."""
+def _witness(relation, members, lts: Lts) -> List[List[str]]:
+    """A relation rendered pair by pair, each set (or TOP) as its members by
+    name; ``members`` lists a set's members in ascending order: ``mask_bits``
+    for masks, ``sorted`` for frozensets."""
     def render(state) -> str:
         if state is TOP:
             return "TOP"
-        return "{" + ",".join(map(lts.state_name, mask_bits(state))) + "}"
+        return "{" + ",".join(map(lts.state_name, members(state))) + "}"
 
     return [[render(l), render(r)] for l, r in relation]
 
@@ -96,16 +97,16 @@ def cmd_equiv(args) -> int:
     states = relation = witness = counterexample = None
     if args.algo == "naive":
         (equal, payload), ms = _timed(naive_bisim, d, left, right, args.cap)
-        relation, counterexample = (
-            ([(to_mask(l), to_mask(r)) for l, r in payload], None) if equal
-            else (None, payload))
+        relation, counterexample = (payload, None) if equal else (None, payload)
+        members = sorted
     elif args.algo == "hkc":
         rep, ms = _timed(hkc_check, d, left, right, args.cap)
         equal, relation, counterexample = rep.equal, rep.masks, rep.counterexample
+        members = mask_bits
     else:  # brzozowski
         (equal, states, _), ms = _timed(decide, d, "brzozowski", left, right, args.cap)
     if equal and relation is not None:
-        witness = _witness(relation, lts)
+        witness = _witness(relation, members, lts)
     verdict = "equivalent" if equal else "not equivalent"
     _emit(args, equal, args.algo, ms,
           f"{verdict} under {args.sem} ({args.algo}, {ms:.1f} ms)",

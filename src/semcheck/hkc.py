@@ -2,12 +2,13 @@
 
 Both back ends are one breadth-first walk over pairs of determinised states
 (``product_walk``) that never builds the determinised machine; they differ
-only in which pairs they skip.  The walk handles masks only: the public
-functions convert their start states on entry, and a relation is decoded to
-frozensets only when it is read from the result.  The naive walk skips pairs
-it has already related.  The congruence check skips pairs that already lie in the
+only in which pairs they skip.  The naive walk skips pairs it has already
+related.  The congruence check skips pairs that already lie in the
 congruence closure of the pairs collected so far, which prunes the search
-exponentially on systems whose subset construction blows up.
+exponentially on systems whose subset construction blows up.  The walk
+handles masks only: the public functions convert their start states on
+entry, and the congruence check's relation is decoded to frozensets only
+when the report's ``relation`` is read.
 
 The closure is Horn-clause propagation (Dowling & Gallier 1984): each pair
 ``(u, v)`` is the two rules ``u => v`` and ``v => u``, and saturating a set
@@ -140,14 +141,11 @@ def saturate(pairs: Iterable[Pair], z: DetState,
 
     ``pairs`` is a sequence of pairs or a live :class:`Generators` index.
     With a ``goal``, the widening stops as soon as it covers ``goal``, so the
-    result covers ``goal`` exactly when the fixpoint does.  Masks (and TOP)
-    go to the index as they are; frozensets are converted, and a frozenset
-    ``z`` gives a frozenset (or TOP)."""
-    if type(z) is not int and z is not TOP:
-        return to_stateset(saturate(pairs, to_mask(z), goal))
-    if goal is not None and type(goal) is not int:
-        goal = to_mask(goal)
-    return _index(pairs).close(z, goal)
+    result covers ``goal`` exactly when the fixpoint does.  States are masks
+    or frozensets: this and ``in_congruence`` convert them, so the index sees
+    masks only.  Given a frozenset ``z``, the result is a frozenset (or TOP)."""
+    acc = _index(pairs).close(to_mask(z), None if goal is None else to_mask(goal))
+    return acc if type(z) is int else to_stateset(acc)
 
 
 def _congruent(gens: Generators, left: DetState, right: DetState) -> bool:

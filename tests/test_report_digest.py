@@ -40,8 +40,8 @@ def _tau_ladder(n: int, names: bool) -> Lts:
     t[(n + 1, "a")] = frozenset({n + 1})
     t[(n + 1, "b")] = frozenset({n + 2})
     t[(n + 2, TAU)] = frozenset({n + 2})
-    label = [f"r{i}" for i in range(n + 1)] + ["y", "y1"]
-    return Lts(n + 3, ("a", "b"), t, None, tuple(label) if names else None)
+    state_names = [f"r{i}" for i in range(n + 1)] + ["y", "y1"]
+    return Lts(n + 3, ("a", "b"), t, None, tuple(state_names) if names else None)
 
 
 def _cases():
