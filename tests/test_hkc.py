@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 
@@ -9,10 +10,13 @@ import pytest
 
 from semcheck import (
     SEMANTICS,
+    TAU,
     TOP,
     CapExceeded,
+    Lts,
     behavior,
     decorate,
+    gen_cycles,
     gen_interleave,
     hkc_check,
     in_congruence,
@@ -20,6 +24,7 @@ from semcheck import (
     random_lts,
     saturate,
 )
+import semcheck.hkc
 from semcheck.hkc import product_walk
 from semcheck.moore import to_mask, to_stateset
 
@@ -268,3 +273,92 @@ def test_hkc_matches_reference_congruence_walk():
     rep = hkc_check(d, x, y)
     _assert_matches_reference(d, x, y, rep)
     assert rep.pairs_processed == 405
+
+
+# -- pinned work counts ------------------------------------------------------
+
+
+def _cycles_next_to_loop(n: int):
+    """``gen_cycles(n)`` with a separate one-state a-loop as its last state,
+    and the superposition of the cycle starts."""
+    c = gen_cycles(n)
+    loop = c.n_states
+    t = dict(c.transitions)
+    t[(loop, "a")] = frozenset({loop})
+    starts = frozenset(k * (k - 1) // 2 for k in range(1, n + 1))
+    return Lts(loop + 1, c.alphabet, t), starts, frozenset({loop})
+
+
+def _two_divergent_cycles():
+    """a-cycles of lengths 6 (states 0-5) and 7 (states 6-12), b-loops on
+    every other state of each, and a tau self-loop on each cycle's fourth
+    state, so both cycles reach divergence."""
+    t = {}
+    for base, length in ((0, 6), (6, 7)):
+        for j in range(length):
+            t[(base + j, "a")] = frozenset({base + (j + 1) % length})
+            if j % 2 == 0:
+                t[(base + j, "b")] = frozenset({base + j})
+        t[(base + 3, TAU)] = frozenset({base + 3})
+    return Lts(13, ("a", "b"), t)
+
+
+def _hkc_runs():
+    cycles, starts, loop = _cycles_next_to_loop(7)
+    for tag in ("trace", "ready", "failure"):
+        yield f"cycles7-{tag}", lambda d=decorate(cycles, tag): hkc_check(d, starts, loop)
+    il = gen_interleave(50)
+    x, y = (frozenset({il.resolve_state(t)}) for t in ("x", "y"))
+    yield "interleave50-must", lambda d=decorate(il, "must"): hkc_check(d, x, y)
+    div = _two_divergent_cycles()
+    for sem in ("may", "must"):
+        yield f"divergent-{sem}", lambda d=decorate(div, sem), sem=sem: \
+            preorder_check(d, sem, 0, 6)
+
+
+# name -> (equal, saturate calls, pairs processed, sha256 of the relation's
+# masks, counterexample)
+PINNED_WORK = {
+    "cycles7-trace": (True, 420, 421,
+        "0b21312f430e031e6e41e407ad3fb4f0391d1a8195d543f11ad79037035e0ad7",
+        None),
+    "cycles7-ready": (True, 420, 421,
+        "0b21312f430e031e6e41e407ad3fb4f0391d1a8195d543f11ad79037035e0ad7",
+        None),
+    "cycles7-failure": (True, 420, 421,
+        "0b21312f430e031e6e41e407ad3fb4f0391d1a8195d543f11ad79037035e0ad7",
+        None),
+    "interleave50-must": (True, 152, 105,
+        "ba7d10316df3dbcdb2c51fb50a2c75afd73bcc877bc92dd95af0740aef1db343",
+        None),
+    "divergent-may": (False, 30, 19,
+        "62ccb142603cbb8e4bb21c5caef316583c80f2b590b2a768bb6cd659247a5d4b",
+        ('a', 'a', 'a', 'a', 'a', 'a', 'a', 'a', 'b')),
+    "divergent-must": (True, 10, 7,
+        "7b583ad849fb2b6f42b98fe3f97690263ee86fee1bd4112ad24c0c1927f768e9",
+        None),
+}
+
+
+def test_hkc_work_counts_are_pinned(monkeypatch):
+    """Every closure of the congruence check goes through the module-level
+    ``hkc.saturate`` (perfbench's ``hkc.saturate_calls`` counts it by
+    wrapping that name), and the walk prunes the same pairs: the number of
+    closures, ``pairs_processed`` and the relation's masks are pinned."""
+    calls = 0
+    saturate_ = semcheck.hkc.saturate
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return saturate_(*args, **kwargs)
+
+    monkeypatch.setattr(semcheck.hkc, "saturate", counting)
+    got = {}
+    for name, run in _hkc_runs():
+        calls = 0
+        rep = run()
+        text = "\n".join(f"{l!r} {r!r}" for l, r in rep.masks)
+        got[name] = (rep.equal, calls, rep.pairs_processed,
+                     hashlib.sha256(text.encode()).hexdigest(), rep.counterexample)
+    assert got == PINNED_WORK
