@@ -54,11 +54,16 @@ def _resolve_state(system, token: str, what: str) -> int:
 def _witness(relation, members, lts: Lts) -> List[List[str]]:
     """A relation rendered pair by pair, each set (or TOP) as its members by
     name; ``members`` lists a set's members in ascending order: ``mask_bits``
-    for masks, ``sorted`` for frozensets."""
+    for masks, ``sorted`` for frozensets.  Each distinct set is rendered
+    once, however many pairs hold it."""
+    name = lts.names.__getitem__ if lts.names else str
+    rendered = {TOP: "TOP"}
+
     def render(state) -> str:
-        if state is TOP:
-            return "TOP"
-        return "{" + ",".join(map(lts.state_name, members(state))) + "}"
+        text = rendered.get(state)
+        if text is None:
+            text = rendered[state] = "{" + ",".join(map(name, members(state))) + "}"
+        return text
 
     return [[render(l), render(r)] for l, r in relation]
 

@@ -46,14 +46,16 @@ class Generators:
     """A multiset of pairs, indexed as the Horn rules of their congruence.
 
     Each distinct pair ``(u, v)`` contributes ``u => v`` and ``v => u``; both
-    fire only while the pair's multiplicity is positive.  States are masks (or
-    TOP).  A rule sits in the watch list of one of its premise states, at
-    first the highest; a rule with an empty premise sits under -1, which every
-    saturation visits.  A saturation that meets a rule of a pair no longer
-    live parks the rule on the pair until the pair is added again.  A rule
-    with a TOP premise fires only from TOP, where nothing is left to add, and
-    a rule whose conclusion lies inside its premise adds nothing, so neither
-    is indexed.  A TOP conclusion makes the saturated set TOP."""
+    fire only while the pair's multiplicity is positive.  ``remove`` takes
+    one copy away and returns whether the pair is still live, which
+    ``in``-tests too.  States are masks (or TOP).  A rule sits in the watch
+    list of one of its premise states, at first the highest; a rule with an
+    empty premise sits under -1, which a saturation visits while it holds
+    rules.  A saturation that meets a rule of a pair no longer live parks the
+    rule on the pair until the pair is added again.  A rule with a TOP
+    premise fires only from TOP, where nothing is left to add, and a rule
+    whose conclusion lies inside its premise adds nothing, so neither is
+    indexed.  A TOP conclusion makes the saturated set TOP."""
 
     def __init__(self, pairs: Iterable[Pair] = ()):
         # pair -> [multiplicity, parked rules], the cell of the pair's rules
@@ -65,21 +67,25 @@ class Generators:
     def add(self, pair: Pair) -> None:
         cell = self._live.get(pair)
         if cell is None:
-            cell = self._live[pair] = [0, []]
+            self._live[pair] = cell = [1, []]
             u, v = pair
-            for premise, conclusion in ((u, v), (v, u)):
-                if premise is TOP or _covers(premise, conclusion):
-                    continue
-                cell[1].append((premise, conclusion, cell))
-        if not cell[0]:
+            if u is not TOP and (v is TOP or v & ~u):
+                self._watch[u.bit_length() - 1].append((u, v, cell))
+            if v is not TOP and (u is TOP or u & ~v):
+                self._watch[v.bit_length() - 1].append((v, u, cell))
+        elif cell[0]:
+            cell[0] += 1
+        else:
             # back to life: index the rules a closure parked while it was dead
+            cell[0] = 1
             for rule in cell[1]:
                 self._watch[rule[0].bit_length() - 1].append(rule)
             cell[1].clear()
-        cell[0] += 1
 
-    def remove(self, pair: Pair) -> None:
-        self._live[pair][0] -= 1
+    def remove(self, pair: Pair) -> bool:
+        cell = self._live[pair]
+        cell[0] -= 1
+        return cell[0] > 0
 
     def __contains__(self, pair: Pair) -> bool:
         cell = self._live.get(pair)
@@ -93,8 +99,10 @@ class Generators:
         # 0 never stops the walk early: an empty goal is covered before it
         wanted = 0 if goal is None or goal is TOP else goal
         acc = z
-        queue = [*mask_bits(z), -1]
         watch = self._watch
+        queue = mask_bits(z)
+        if watch.get(-1):
+            queue.append(-1)
         while queue:
             rules = watch.get(queue.pop())
             if not rules:
@@ -117,9 +125,12 @@ class Generators:
                 new = conclusion & ~acc
                 if new:
                     acc |= new
-                    queue.extend(mask_bits(new))
                     if wanted and not wanted & ~acc:
                         break
+                    if new & (new - 1):
+                        queue.extend(mask_bits(new))
+                    else:
+                        queue.append(new.bit_length() - 1)
             else:
                 rules[:] = kept
                 continue
@@ -144,6 +155,9 @@ def saturate(pairs: Iterable[Pair], z: DetState,
     result covers ``goal`` exactly when the fixpoint does.  States are masks
     or frozensets: this and ``in_congruence`` convert them, so the index sees
     masks only.  Given a frozenset ``z``, the result is a frozenset (or TOP)."""
+    if type(z) is int and type(pairs) is Generators and (
+            goal is None or goal is TOP or type(goal) is int):
+        return pairs.close(z, goal)   # the congruence check's closures: masks only
     acc = _index(pairs).close(to_mask(z), None if goal is None else to_mask(goal))
     return acc if type(z) is int else to_stateset(acc)
 
@@ -185,11 +199,17 @@ def product_walk(d: DecoratedLts, left: DetState, right: DetState, cap: float,
     tables = [d.masks[label] for label in alphabet]
     values = d.values
     top = (TOP, [TOP] * len(tables))
+    empty = (0, [0] * len(tables))
 
     def expand(state: DetState) -> Tuple[Value, List[DetState]]:
         """A state's raw output and its successor under each label."""
         if state is TOP:
             return top
+        if not state & (state - 1):   # one member, or none
+            if not state:
+                return empty
+            x = state.bit_length() - 1
+            return values[x], [rows[x] for rows in tables]
         members = mask_bits(state)
         return join_at(values, members), [join_at(rows, members) for rows in tables]
 
@@ -281,11 +301,12 @@ def hkc_check(d: DecoratedLts, left: DetState, right: DetState,
 
     def up_to_congruence(pair: Pair, relation, todo, qi) -> bool:
         nonlocal queued
-        for p in todo[queued:]:
-            gens.add(p)
+        for i in range(queued, len(todo)):
+            gens.add(todo[i])
         queued = len(todo)
-        gens.remove(pair)   # dequeued: the live pairs are relation + todo[qi:]
-        if pair in gens or _congruent(gens, *pair):
+        # dequeued: the live pairs are relation + todo[qi:]; a copy of the
+        # pair still queued prunes it at once
+        if gens.remove(pair) or _congruent(gens, *pair):
             return True
         gens.add(pair)   # it joins the relation, or the walk ends on its output
         return False

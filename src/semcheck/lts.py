@@ -638,6 +638,10 @@ class TauPass(NamedTuple):
 
 
 def _tau_pass(lts: Lts) -> TauPass:
+    """The tau layer of ``lts`` from one Tarjan walk.  A root with no tau
+    successor skips the work stack: it is a finished component of its own
+    (closure itself, not divergent, nothing below), and finishing it first
+    keeps the component order valid, because it reaches nothing."""
     n = lts.n_states
     succ: List[Iterable[int]] = [()] * n
     for (x, a), ys in lts.transitions.items():
@@ -654,6 +658,13 @@ def _tau_pass(lts: Lts) -> TauPass:
 
     for root in range(n):
         if index[root] >= 0:
+            continue
+        if not succ[root]:
+            index[root] = counter
+            comp_of[root] = len(closure)
+            below.append(())
+            closure.append(1 << root)
+            divergent.append(False)
             continue
         index[root] = low[root] = counter
         counter += 1

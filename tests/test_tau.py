@@ -102,6 +102,47 @@ def _weak_step(lts: Lts, states, a) -> set:
     return _tau_star(lts, {z for y in states for z in lts.transitions.get((y, a), ())})
 
 
+# -- tau-free roots ----------------------------------------------------------
+
+
+def _assert_tau_layer_matches_reference(lts: Lts) -> None:
+    """Closures, weak rows and divergence against plain searches over
+    ``lts.transitions``: a state diverges when its closure holds a state
+    that tau-reaches itself in one or more steps."""
+    on_cycle = {z for z in range(lts.n_states)
+                if z in _tau_star(lts, lts.transitions.get((z, TAU), ()))}
+    div = divergent_states(lts)
+    for x in range(lts.n_states):
+        closure = _tau_star(lts, {x})
+        assert tau_closure(lts, x) == closure, x
+        for a in lts.alphabet:
+            assert weak_successors(lts, x, a) == _weak_step(lts, closure, a), (x, a)
+        assert (x in div) == bool(closure & on_cycle), x
+
+
+def test_tau_free_roots_are_components_of_their_own():
+    # 0 has no tau edge and is a root before 1 and 2, which tau-reach it.
+    late = Lts(3, ("a",), {(0, "a"): frozenset({1}), (1, TAU): frozenset({0}),
+                          (2, TAU): frozenset({1}), (2, "a"): frozenset({2})})
+    # 0 and 2 have no tau edge; 1 and 3 lie on a tau-cycle that reaches 2,
+    # and 4 reaches the cycle.
+    divergent = Lts(5, ("a", "b"), {
+        (0, "a"): frozenset({1}), (1, TAU): frozenset({2, 3}),
+        (2, "b"): frozenset({0}), (3, TAU): frozenset({1}),
+        (4, TAU): frozenset({3}), (4, "a"): frozenset({4})})
+    for lts in (late, divergent):
+        _assert_tau_layer_matches_reference(lts)
+    assert divergent_states(divergent) == frozenset({1, 3, 4})
+    # no tau edge at all: every state is its own closure, the weak rows are
+    # the strong rows and nothing diverges
+    for lts in (random_lts(seed, allow_tau=False) for seed in range(50)):
+        _assert_tau_layer_matches_reference(lts)
+        tau = lts._tau
+        assert tau.closure == tuple(1 << x for x in range(lts.n_states))
+        assert tau.weak == lts._rows
+        assert tau.divergent == 0
+
+
 def _weak_reach(lts: Lts, x: int, word) -> frozenset:
     """The states ``x`` reaches by ``word`` with any tau steps around each
     visible step."""
