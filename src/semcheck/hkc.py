@@ -127,10 +127,7 @@ class Generators:
                     acc |= new
                     if wanted and not wanted & ~acc:
                         break
-                    if new & (new - 1):
-                        queue.extend(mask_bits(new))
-                    else:
-                        queue.append(new.bit_length() - 1)
+                    queue.extend(mask_bits(new))
             else:
                 rules[:] = kept
                 continue
@@ -155,9 +152,6 @@ def saturate(pairs: Iterable[Pair], z: DetState,
     result covers ``goal`` exactly when the fixpoint does.  States are masks
     or frozensets: this and ``in_congruence`` convert them, so the index sees
     masks only.  Given a frozenset ``z``, the result is a frozenset (or TOP)."""
-    if type(z) is int and type(pairs) is Generators and (
-            goal is None or goal is TOP or type(goal) is int):
-        return pairs.close(z, goal)   # the congruence check's closures: masks only
     acc = _index(pairs).close(to_mask(z), None if goal is None else to_mask(goal))
     return acc if type(z) is int else to_stateset(acc)
 
@@ -199,17 +193,11 @@ def product_walk(d: DecoratedLts, left: DetState, right: DetState, cap: float,
     tables = [d.masks[label] for label in alphabet]
     values = d.values
     top = (TOP, [TOP] * len(tables))
-    empty = (0, [0] * len(tables))
 
     def expand(state: DetState) -> Tuple[Value, List[DetState]]:
         """A state's raw output and its successor under each label."""
         if state is TOP:
             return top
-        if not state & (state - 1):   # one member, or none
-            if not state:
-                return empty
-            x = state.bit_length() - 1
-            return values[x], [rows[x] for rows in tables]
         members = mask_bits(state)
         return join_at(values, members), [join_at(rows, members) for rows in tables]
 
