@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import os
+import re
 import resource
 import shlex
 import subprocess
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import semcheck
-from semcheck import disjoint_union, format_lts
+from semcheck import cli, disjoint_union, format_lts
 from semcheck.cli import main
 
 from conftest import FIXTURES, kth_lts, perm2r_lts
@@ -582,3 +583,57 @@ def test_failed_parse_leaves_the_next_parse_intact(capsys, monkeypatch):
     assert code == 0
     assert payload["algorithm"] == "brzozowski" and payload["semantics"] == "failure"
     assert len(builds) == 1
+
+
+# -- the front door ----------------------------------------------------------
+
+
+def _masked(text: str) -> str:
+    """``text`` with the timings of a report and a summary blanked."""
+    text = re.sub(r'"time_ms": [0-9.e+-]+', '"time_ms": 0', text)
+    return re.sub(r"[0-9.]+ ms\)", "0 ms)", text)
+
+
+def _outcome(capsys, call):
+    """What ``call()`` returns or exits with, and its masked output."""
+    try:
+        code = ("returned", call())
+    except SystemExit as exc:
+        code = ("exited", exc.code)
+    out, err = capsys.readouterr()
+    return code, _masked(out), _masked(err)
+
+
+def _reference(argv):
+    args = cli.build_parser().parse_args(argv)
+    return args.fn(args)
+
+
+@pytest.mark.parametrize("argv", [
+    ["equiv", "--sem", "must", fx("must-xy"), "x", "y"],
+    ["equiv", "--sem", "no-such-tag", fx("must-xy"), "x", "y"],
+    ["equiv", "--sem", "failure", "--algo", "brzozowski", fx("fail-pq"), "p0"],
+    ["equiv", "--sem", "must", "--bogus", fx("must-xy"), "x", "y"],
+    ["equiv", "--sem", "must", fx("must-xy"), "x", "y", "--debug"],
+    ["equiv", "--se", "must", "--algo", "naive", fx("must-xy"), "x", "y"],
+    ["equiv", "-h"],
+    ["equiv"],
+    ["preorder", "--sem=must", fx("must-xy"), "x", "y"],
+    ["preorder", "--cap", "0", "--sem", "may", fx("ct-w"), "w1", "w0"],
+    ["minimize", "--sem", "ready", "--init", "p0", fx("ready-p")],
+    ["minimize", "--sem", "must", fx("brz-must")],
+    ["gps-equiv", "--sem", "g_mfailure", "--", fx("gps-pu"), "p", "u"],
+    ["gps-equiv", "--sem", "g_mtrace", "--with-trace", fx("gps-pu"), "p", "u"],
+    ["gen", "--family", "cycles", "--n", "3"],
+    ["gen", "--family", "chain", "--n", "three"],
+    ["bench", "--format", "xml"],
+    ["bench", "--help"],
+    ["--debug", "equiv", "--sem", "must", fx("must-xy"), "x", "y"],
+    ["--", "equiv", "--sem", "must", fx("must-xy"), "x", "y"],
+    ["-h"],
+    [],
+    ["no-such-command", "--sem", "must"],
+])
+def test_main_answers_as_the_full_parse_does(capsys, argv):
+    expected = _outcome(capsys, lambda: _reference(argv))
+    assert _outcome(capsys, lambda: main(argv)) == expected
