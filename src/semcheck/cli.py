@@ -307,6 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     be.add_argument("--format", default="json", choices=["json", "csv"])
     be.add_argument("--out", help="write the report here instead of stdout")
     be.set_defaults(fn=cmd_bench)
+    p.commands = sub.choices  # each subcommand's own parser, read by main
     return p
 
 
@@ -324,7 +325,18 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # A subcommand's own parser reads the rest; the top-level parse would
+    # only hand it the same tokens after a full pass of its own.
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        args, extras = command.parse_known_args(
+            argv[1:], argparse.Namespace(debug=False, command=argv[0]))
+        if extras:
+            parser.error("unrecognized arguments: " + " ".join(extras))
     try:
         return args.fn(args)
     except Exception as exc:

@@ -151,9 +151,6 @@ class _NamedStates:
     n_states: int
     names: Optional[Tuple[str, ...]]
 
-    def state_name(self, x: int) -> str:
-        return self.names[x] if self.names else str(x)
-
     def resolve_state(self, token: str) -> int:
         """Map a display name or numeric index to a state; names win ties."""
         if self.names and token in self.names:

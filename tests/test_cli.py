@@ -637,3 +637,50 @@ def _reference(argv):
 def test_main_answers_as_the_full_parse_does(capsys, argv):
     expected = _outcome(capsys, lambda: _reference(argv))
     assert _outcome(capsys, lambda: main(argv)) == expected
+
+
+def _count_top_level_parses(monkeypatch):
+    """Count the parses that go through the built top-level parser."""
+    parser = cli._parser()
+    parses = []
+    parse = parser.parse_known_args
+
+    def counting(*args, **kwargs):
+        parses.append(1)
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(parser, "parse_known_args", counting)
+    return parses
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["equiv", "--sem", "must", fx("must-xy"), "x", "y"], ("returned", 0)),
+    (["preorder", "--sem", "may", fx("ct-w"), "w0", "w1"], ("returned", 1)),
+    (["equiv", "--sem", "must", "--bogus", fx("must-xy"), "x", "y"], ("exited", 2)),
+    (["gen", "-h"], ("exited", 0)),
+])
+def test_a_subcommand_skips_the_top_level_parse(capsys, monkeypatch, argv, code):
+    parses = _count_top_level_parses(monkeypatch)
+    assert _outcome(capsys, lambda: main(argv))[0] == code
+    assert parses == []
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--debug", "equiv", "--sem", "must", fx("must-xy"), "x", "y"], ("returned", 0)),
+    (["-h"], ("exited", 0)),
+    ([], ("exited", 2)),
+    (["no-such-command"], ("exited", 2)),
+])
+def test_anything_else_takes_the_top_level_parse_once(capsys, monkeypatch, argv, code):
+    parses = _count_top_level_parses(monkeypatch)
+    assert _outcome(capsys, lambda: main(argv))[0] == code
+    assert parses == [1]
+
+
+def test_main_reads_sys_argv_by_default(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["semcheck", "equiv", "--sem", "must",
+                                      fx("must-xy"), "x", "y"])
+    code = main()
+    out, err = capsys.readouterr()
+    assert code == 0 and json.loads(out)["result"] is True
+    assert err.startswith("equivalent under must (hkc, ")
