@@ -640,8 +640,10 @@ def test_main_answers_as_the_full_parse_does(capsys, argv):
 
 
 def _count_top_level_parses(monkeypatch):
-    """Count the parses that go through the built top-level parser."""
-    parser = cli._parser()
+    """Count the parses that go through a freshly built top-level parser,
+    which ``main`` then uses."""
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "_PARSER", parser)
     parses = []
     parse = parser.parse_known_args
 
