@@ -437,6 +437,19 @@ def test_state_count_beyond_any_list_is_exit_two(text, argv):
     assert proc.stderr == f"semcheck: error: line 1: more than {sys.maxsize} states\n"
 
 
+def test_parse_allocates_by_the_text_not_the_declared_count():
+    # A child process under a 1 GiB address-space limit: a hundred million
+    # declared states, one named edge.
+    src = str(Path(semcheck.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    child = ("from semcheck import parse_lts\n"
+             "lts = parse_lts('lts 100000000\\nalphabet a\\n0 a 1\\n')\n"
+             "assert lts.successors(0, 'a') == {1}\n")
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          env=env, timeout=60, preexec_fn=_limit_address_space)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
 @pytest.mark.parametrize("spec", [
     {"cases": 5},
     [1, 2],

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semcheck import (
+    TAU,
     TOP,
     FormatError,
     Gps,
@@ -492,6 +493,22 @@ def test_parse_lts_reads_comments_as_blank():
 def test_format_parse_roundtrip_random(seed, allow_tau):
     lts = random_lts(seed, allow_tau=allow_tau)
     assert parse_lts(format_lts(lts)) == lts
+
+
+def test_parsed_and_built_lts_agree_in_every_view():
+    # the parser and the constructor reach the same system through different
+    # paths; every view the layers above read must agree
+    for seed in range(200):
+        for allow_tau in (False, True):
+            built = random_lts(seed, allow_tau=allow_tau)
+            parsed = parse_lts(format_lts(built))
+            assert parsed.transitions == built.transitions, (seed, allow_tau)
+            for x in range(built.n_states):
+                assert initial_actions(parsed, x) == initial_actions(built, x)
+                for a in built.alphabet + (TAU,):
+                    assert parsed.successors(x, a) == built.successors(x, a)
+            assert parsed._rows == built._rows, (seed, allow_tau)
+            assert parsed._tau == built._tau, (seed, allow_tau)
 
 
 # -- combinators -------------------------------------------------------------
