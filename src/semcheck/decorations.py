@@ -38,7 +38,6 @@ from .lts import (
     divergent_states,  # noqa: F401  not called; perfbench counts decorations.divergent_states
     downclose_masks,
     full_mask,
-    initial_actions,
     join_at,
     labels_of,
     mask_bits,
@@ -346,19 +345,15 @@ def relabel_for_trace_decorations(lts: Lts) -> Lts:
     """Annotate every transition label with the source state's enabled-action
     set; the result is an LTS over pair labels ``(action, readiness)``.  Only
     pairs that actually occur are materialised."""
-    pair_trans: Dict[Tuple[int, EffLabel], StateSet] = {}
-    pairs = set()
-    for x in range(lts.n_states):
-        ready = frozenset(labels_of(initial_actions(lts, x), lts.alphabet))
-        for a in lts.alphabet:
-            ys = lts.successors(x, a)
-            if ys:
-                lab = (a, ready)
-                pairs.add(lab)
-                pair_trans[(x, lab)] = ys
-    order = {a: i for i, a in enumerate(lts.alphabet)}
-    alphabet = tuple(sorted(pairs, key=lambda p: (order[p[0]], sorted(p[1]))))
-    return Lts(lts.n_states, alphabet, pair_trans, lts.finals, lts.names)
+    enabled, alphabet = lts._enabled, lts.alphabet
+    ready = {r: frozenset(labels_of(r, alphabet)) for r in set(enabled)}
+    pair_edges: Dict[EffLabel, Dict[int, int]] = {}
+    for a in alphabet:
+        for x, m in lts._edges[a].items():
+            pair_edges.setdefault((a, ready[enabled[x]]), {})[x] = m
+    pairs = tuple(sorted(pair_edges, key=lambda p: (alphabet.index(p[0]), sorted(p[1]))))
+    pair_edges[TAU] = {}
+    return Lts._of_edges(lts.n_states, pairs, pair_edges, lts.finals, lts.names)
 
 
 def decorate(lts: Lts, semantics: str, cap: int = DEFAULT_CAP) -> DecoratedLts:
@@ -395,18 +390,18 @@ def decorate(lts: Lts, semantics: str, cap: int = DEFAULT_CAP) -> DecoratedLts:
     elif semantics in ("trace", "may"):
         values = [1] * lts.n_states
     elif semantics == "ctrace":
-        values = [int(initial_actions(lts, x) == 0) for x in states]
+        values = [int(not e) for e in lts._enabled]
     elif semantics == "pfutures":
         values = [1 << c for c in trace_class_of(lts, cap=cap)]
         atoms = tuple(states)
     elif semantics in ("ready", "rtrace"):
         ids: Dict[int, int] = {}
-        values = [1 << ids.setdefault(initial_actions(lts, x), len(ids)) for x in states]
+        values = [1 << ids.setdefault(e, len(ids)) for e in lts._enabled]
         atoms = tuple(ids)
     else:  # failure, ftrace and must: maximal refusals (of stable states, for must)
         full = full_mask(alphabet)
-        refusal = {y: full & ~initial_actions(lts, y) for y in states
-                   if semantics != "must" or not lts.successors(y, TAU)}
+        moves = lts._edges[TAU] if semantics == "must" else {}
+        refusal = {y: full & ~e for y, e in enumerate(lts._enabled) if y not in moves}
         atoms = tuple(dict.fromkeys(refusal.values()))
         # an atom lies inside r iff it has none of the labels outside r
         has = [state_mask(j for j, s in enumerate(atoms) if s >> i & 1)

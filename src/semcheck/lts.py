@@ -168,7 +168,13 @@ class Lts(_NamedStates):
     ``transitions`` maps ``(state, label)`` to the (possibly empty) set of
     successors; absent keys mean the empty set.  The label ``"tau"`` is the
     internal action and never part of ``alphabet``.  Instances are treated as
-    immutable after construction; ``_rows`` and ``_tau`` are cached on first use.
+    immutable after construction.
+
+    The layers read the edge store instead: ``_edges[label][x]`` is ``x``'s
+    non-zero successor mask, with a dict for each visible label and tau.
+    :func:`parse_lts` builds only the store, and ``__getattr__`` decodes
+    ``transitions`` from it on first use; a constructor-built system derives
+    the store.  ``_rows``, ``_enabled`` and ``_tau`` are its cached views.
     """
 
     n_states: int
@@ -177,17 +183,49 @@ class Lts(_NamedStates):
     finals: Optional[StateSet] = None
     names: Optional[Tuple[str, ...]] = None
 
+    def __getattr__(self, name: str):
+        if name != "transitions":
+            raise AttributeError(name)
+        self.transitions = {(x, a): mask_states(m)
+                            for a, row in self._edges.items() for x, m in row.items()}
+        return self.transitions
+
+    @classmethod
+    def _of_edges(cls, n_states, alphabet, edges, finals, names) -> "Lts":
+        """The system with edge store ``edges``; ``transitions`` is left to decode."""
+        lts = cls.__new__(cls)
+        lts.__dict__.update(n_states=n_states, alphabet=alphabet, _edges=edges,
+                            finals=finals, names=names)
+        return lts
+
     def successors(self, x: int, label: str) -> StateSet:
-        return self.transitions.get((x, label), frozenset())
+        return mask_states(self._edges.get(label, {}).get(x, 0))
+
+    @cached_property
+    def _edges(self) -> Dict[str, Dict[int, int]]:
+        edges: Dict[str, Dict[int, int]] = {a: {} for a in self.alphabet + (TAU,)}
+        for (x, a), ys in self.transitions.items():
+            if ys:
+                edges.setdefault(a, {})[x] = state_mask(ys)
+        return edges
 
     @cached_property
     def _rows(self) -> Dict[str, Tuple[int, ...]]:
         """Each visible label's rows as state masks; tau edges are left out."""
         rows = {a: [0] * self.n_states for a in self.alphabet}
-        for (x, a), ys in self.transitions.items():
-            if a != TAU:
-                rows[a][x] = state_mask(ys)
-        return {a: tuple(r) for a, r in rows.items()}
+        for a, row in rows.items():
+            for x, m in self._edges[a].items():
+                row[x] = m
+        return {a: tuple(row) for a, row in rows.items()}
+
+    @cached_property
+    def _enabled(self) -> Tuple[int, ...]:
+        """Each state's visible labels with a successor, as a mask over the alphabet."""
+        enabled = [0] * self.n_states
+        for i, a in enumerate(self.alphabet):
+            for x in self._edges[a]:
+                enabled[x] |= 1 << i
+        return tuple(enabled)
 
     @cached_property
     def _tau(self) -> "TauPass":
@@ -486,7 +524,7 @@ def parse_lts(text: str) -> Lts:
     index = {str(i): i for i in range(min(n, len(text)))}
     finals: Optional[StateSet] = None
     names: Optional[Tuple[str, ...]] = None
-    trans: Dict[Tuple[int, str], set] = {}
+    edges: Dict[str, Dict[int, int]] = {a: {} for a in alphabet + (TAU,)}
     for ln, toks in lines[2:]:
         if toks[0] == "final":
             if finals is not None:
@@ -500,11 +538,12 @@ def parse_lts(text: str) -> Lts:
                 raise FormatError("expected '<src> <label> <dst>'", ln)
             s, lab, d = toks
             src = index[s] if s in index else _parse_state(s, n, ln)
-            if lab != TAU and lab not in alphabet:
+            row = edges.get(lab)
+            if row is None:
                 raise FormatError(f"unknown label {lab!r}", ln)
             dst = index[d] if d in index else _parse_state(d, n, ln)
-            trans.setdefault((src, lab), set()).add(dst)
-    return Lts(n, alphabet, {k: frozenset(v) for k, v in trans.items()}, finals, names)
+            row[src] = row.get(src, 0) | 1 << dst
+    return Lts._of_edges(n, alphabet, edges, finals, names)
 
 
 def _probability(token: str, ln: int) -> Tuple[int, int]:
@@ -565,10 +604,10 @@ def format_lts(lts: Lts) -> str:
         out.append("final " + " ".join(str(x) for x in sorted(lts.finals)))
     if lts.names is not None:
         out.append("names " + " ".join(lts.names))
-    labels = list(lts.alphabet) + [TAU]
-    for x in range(lts.n_states):
-        for lab in labels:
-            for y in sorted(lts.successors(x, lab)):
+    rows = [(lab, lts._edges[lab]) for lab in lts.alphabet + (TAU,)]
+    for x in sorted(set().union(*(row for _, row in rows))):
+        for lab, row in rows:
+            for y in mask_bits(row.get(x, 0)):
                 out.append(f"{x} {lab} {y}")
     return "\n".join(out) + "\n"
 
@@ -591,13 +630,14 @@ def disjoint_union(a: Lts, b: Lts) -> Lts:
     is free."""
     if a.alphabet != b.alphabet:
         raise ValueError("alphabet mismatch in disjoint union")
-    trans = dict(a.transitions)
-    for (x, lab), ys in b.transitions.items():
-        trans[(x + a.n_states, lab)] = frozenset(y + a.n_states for y in ys)
+    k = a.n_states
+    edges = {lab: dict(row) for lab, row in a._edges.items()}
+    for lab, row in b._edges.items():
+        edges.setdefault(lab, {}).update((x + k, m << k) for x, m in row.items())
     finals = None
     if a.finals is not None or b.finals is not None:
         finals = frozenset(a.finals or ()) | frozenset(
-            y + a.n_states for y in (b.finals or ()))
+            y + k for y in (b.finals or ()))
     names = None
     if a.names is not None and b.names is not None:
         taken = set(a.names)
@@ -608,7 +648,7 @@ def disjoint_union(a: Lts, b: Lts) -> Lts:
             taken.add(name)
             renamed.append(name)
         names = a.names + tuple(renamed)
-    return Lts(a.n_states + b.n_states, a.alphabet, trans, finals, names)
+    return Lts._of_edges(k + b.n_states, a.alphabet, edges, finals, names)
 
 
 # ---------------------------------------------------------------------------
@@ -639,11 +679,10 @@ def _tau_pass(lts: Lts) -> TauPass:
     successor skips the work stack: it is a finished component of its own
     (closure itself, not divergent, nothing below), and finishing it first
     keeps the component order valid, because it reaches nothing."""
-    n = lts.n_states
+    n, edges = lts.n_states, lts._edges
     succ: List[Iterable[int]] = [()] * n
-    for (x, a), ys in lts.transitions.items():
-        if a == TAU:
-            succ[x] = sorted(ys)
+    for x, m in edges[TAU].items():
+        succ[x] = [m.bit_length() - 1] if m & (m - 1) == 0 else mask_bits(m)
     index = [-1] * n
     low = [0] * n
     counter = 0
@@ -705,21 +744,21 @@ def _tau_pass(lts: Lts) -> TauPass:
     # A component's weak row joins the closures of its members' strong
     # successors, which may lie in components finished later, with the weak
     # rows of the components it tau-reaches, which are finished earlier.
-    strong = {a: [0] * len(closure) for a in lts.alphabet}
-    for (x, a), ys in lts.transitions.items():
-        if a != TAU:
-            row = 0
-            for z in ys:
-                row |= closure[comp_of[z]]
-            strong[a][comp_of[x]] |= row
+    own = tuple(closure[c] for c in comp_of)
+    moves = state_mask(edges[TAU])
     weak: Dict[str, Tuple[int, ...]] = {}
-    for a, rows in strong.items():
+    for a in lts.alphabet:
+        rows = [0] * len(closure)
+        for x, m in edges[a].items():
+            t = m & moves   # the successors with tau edges; the rest are their own closure
+            if t:
+                m |= own[t.bit_length() - 1] if t & (t - 1) == 0 else join_at(own, mask_bits(t))
+            rows[comp_of[x]] |= m
         for c, succs in enumerate(below):
             for d in succs:
                 rows[c] |= rows[d]
         weak[a] = tuple(rows[c] for c in comp_of)
-    return TauPass(tuple(closure[c] for c in comp_of), weak,
-                   state_mask(x for x, c in enumerate(comp_of) if divergent[c]))
+    return TauPass(own, weak, state_mask(x for x, c in enumerate(comp_of) if divergent[c]))
 
 
 def tau_closure(lts: Lts, x: int) -> StateSet:
@@ -767,11 +806,7 @@ def converges_on(lts: Lts, x: int, word: Iterable[str]) -> bool:
 
 def initial_actions(lts: Lts, x: int) -> int:
     """Bitmask of visible labels enabled at ``x`` (strong transitions)."""
-    m = 0
-    for i, a in enumerate(lts.alphabet):
-        if lts.successors(x, a):
-            m |= 1 << i
-    return m
+    return lts._enabled[x]
 
 
 def fail_sets(lts: Lts, x: int) -> FrozenSet[int]:

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semcheck import (
+    SEMANTICS,
     TAU,
     TOP,
     FormatError,
@@ -21,11 +22,13 @@ from semcheck import (
     disjoint_union,
     divergent_states,
     converges_on,
+    decorate,
     diverges,
     fail_sets,
     format_gps,
     format_lts,
     full_mask,
+    hkc_check,
     initial_actions,
     labels_of,
     mask_of,
@@ -39,7 +42,7 @@ from semcheck import (
 
 from semcheck.lts import join_at, mask_bits, mask_flags, state_mask
 
-from conftest import load_gps, load_lts
+from conftest import FIXTURES, load_gps, load_lts
 
 
 # -- bit-mask helpers --------------------------------------------------------
@@ -465,6 +468,16 @@ def test_parsed_gps_equals_hand_built_gps_either_way():
         assert parse_gps(text) != other and other != parse_gps(text)
         checked += 1
     assert checked >= 150
+
+
+def test_deciding_a_parsed_lts_leaves_transitions_undecoded():
+    # parse_lts builds the edge store alone; decorating under every tag and
+    # deciding read the store and its views, never the ``transitions`` dict
+    lts = parse_lts((FIXTURES / "must-xy.lts").read_text() + "final 0 6\n")
+    for sem in SEMANTICS:
+        decorate(lts, sem)
+    assert not hkc_check(decorate(lts, "rtrace"), 1, 1 << 6).equal
+    assert "transitions" not in vars(lts)
 
 
 def _parse_outcome(text: str):
