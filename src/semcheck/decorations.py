@@ -352,7 +352,7 @@ def relabel_for_trace_decorations(lts: Lts) -> Lts:
         for x, m in lts._edges[a].items():
             pair_edges.setdefault((a, ready[enabled[x]]), {})[x] = m
     pairs = tuple(sorted(pair_edges, key=lambda p: (alphabet.index(p[0]), sorted(p[1]))))
-    pair_edges[TAU] = {}
+    pair_edges[TAU] = {}   # every store has a tau row; the pair labels leave it empty
     return Lts._of_edges(lts.n_states, pairs, pair_edges, lts.finals, lts.names)
 
 
