@@ -343,8 +343,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.debug:
             raise
         expected = (FormatError, ValueError, KeyError, CapExceeded, OSError)
-        message = str(exc) if isinstance(exc, expected) else f"{type(exc).__name__}: {exc}"
-        print("semcheck: error: " + " ".join(message.split()), file=sys.stderr)
+        message = " ".join(str(exc).split())
+        if not message or not isinstance(exc, expected):
+            message = type(exc).__name__ + (f": {message}" if message else "")
+        print("semcheck: error: " + message, file=sys.stderr)
         return EXIT_ERROR
 
 

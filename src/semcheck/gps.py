@@ -7,6 +7,8 @@ difference vector to output zero.  That is decided exactly by a
 breadth-first linear-span search (Tzeng 1992): the difference vector's orbit
 under the transition maps spans a subspace of dimension at most the number of
 states, so at most that many basis insertions occur before the queue drains.
+Each output is tested when its vector is generated; every vector queued ahead
+has zero output, so the word is the one a test at dequeue time would return.
 
 The search runs on integers from the parser on.  ``parse_gps`` builds each
 GPS over one common denominator (``Gps._scaled``), and since zero output and
@@ -196,13 +198,15 @@ def gps_equiv(g: Gps, semantics: str, x: int, y: int
 
     Explores the words breadth-first, carrying the difference vector of the
     two determinised runs, and prunes any vector already in the linear span
-    of those seen: at most ``n_states`` vectors are ever inserted into the
-    basis, so the search terminates.  Zero output and span membership do not
-    change when a vector is multiplied by a nonzero scalar, so every vector
-    is carried as a primitive integer vector, a multiple of the exact one.
-    The vectors live on the blocks of the GPS's lumping (``Gps._lumped``):
-    two states of one block start from the zero vector and are equal at
-    once, and every word is the one a search on the states would return.
+    of those seen: at most ``n_states`` vectors enter the basis, so the
+    search terminates.  A vector's output is tested when it is generated,
+    so no vector as long as the word is stepped; the word does not move, as
+    the vectors queued ahead, and the span of the basis, have zero output.
+    Zero output and span membership are blind to nonzero scalars, so each
+    vector is carried primitive, a multiple of the exact one.  The vectors
+    live on the blocks of the GPS's lumping (``Gps._lumped``): two states of
+    one block start from the zero vector and are equal at once, and every
+    word is the one a search on the states would return.
 
     g_failure searches on g_mfailure's weights, one set a state instead of
     all 2^|A| refusable ones.  A vector's g_failure weight on a set Z is the
@@ -213,8 +217,11 @@ def gps_equiv(g: Gps, semantics: str, x: int, y: int
     block, lumped = g._lumped
     x, y = block[x], block[y]
     weights = _weights(lumped, "g_mfailure" if semantics == "g_failure" else semantics)
+    start = {x: 1, y: -1} if x != y else {}
+    if any(_output(weights, start).values()):
+        return False, ()
     # (vector, index of the vector it was stepped from, the label stepped)
-    queue: List[Tuple[Dict[int, int], int, str]] = [({x: 1, y: -1} if x != y else {}, -1, "")]
+    queue: List[Tuple[Dict[int, int], int, str]] = [(start, -1, "")]
     # Row-echelon basis: pivot state -> primitive vector, nonzero at the pivot
     # and zero at every earlier-inserted pivot.
     basis: Dict[int, Dict[int, int]] = {}
@@ -236,15 +243,15 @@ def gps_equiv(g: Gps, semantics: str, x: int, y: int
                         del w[s]
         if not w:
             continue
-        if any(_output(weights, vec).values()):
-            word = []
-            while qi:
-                _, qi, a = queue[qi]
-                word.append(a)
-            return False, tuple(reversed(word))
         basis[min(w)] = _primitive(w)
         for a, row in lumped.rows.items():  # in alphabet order
             nxt = _step(row, vec)
+            if any(_output(weights, nxt).values()):
+                word = [a]
+                while qi:
+                    _, qi, a = queue[qi]
+                    word.append(a)
+                return False, tuple(reversed(word))
             if nxt:
                 queue.append((_primitive(nxt), qi, a))
     return True, None

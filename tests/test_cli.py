@@ -506,6 +506,20 @@ def test_unexpected_error_is_one_line_exit_two(capsys, monkeypatch):
         main(["--debug"] + argv)
 
 
+@pytest.mark.parametrize("exc", [MemoryError(), ValueError()],
+                         ids=["MemoryError", "ValueError"])
+def test_error_without_message_names_its_type(capsys, monkeypatch, exc):
+    import semcheck.cli as cli
+
+    def broken(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "hkc_check", broken)
+    code, out, err = run_cli(capsys, "equiv", "--sem", "trace", fx("ct-w"), "w0", "w0p")
+    assert code == 2 and out == ""
+    assert err == f"semcheck: error: {type(exc).__name__}\n"
+
+
 def test_cap_exhaustion_is_exit_two(capsys):
     code, _, err = run_cli(capsys, "equiv", "--sem", "failure", "--algo",
                            "naive", "--cap", "2", fx("fail-pq"), "p0", "q0")

@@ -30,6 +30,7 @@ from semcheck import (
     parse_gps,
     submasks,
 )
+import semcheck.gps
 from semcheck.gps import _weights
 
 from conftest import FIXTURES, load_gps
@@ -147,10 +148,12 @@ def test_det_output_takes_weights_of_any_denominator():
     assert gps_det_output(dec, phi) == Output("prob", expected)
 
 
-def test_gps_equiv_agrees_with_word_enumeration():
+def test_gps_equiv_agrees_with_word_enumeration(monkeypatch):
     """Two states are equal exactly when no word of length below n_states
     separates them; an unequal verdict returns the shortlex-first separating
-    word (``words`` is in shortlex order).
+    word (``words`` is in shortlex order).  The search tests a vector's
+    output when it is generated, so it returns a word of length k without
+    stepping any vector of length k: at most |A| * sum_{i<k} |A|^i steps.
 
     That word does not depend on what the search prunes: a vector with
     nonzero output is never in the span of the zero-output vectors it is
@@ -158,8 +161,17 @@ def test_gps_equiv_agrees_with_word_enumeration():
     combination of extensions of words earlier in shortlex order.  So any
     exact reduction of the system, such as a lumping quotient, returns the
     same word."""
+    steps = [0]
+
+    def counted_step(row, vec):
+        steps[0] += 1
+        return real_step(row, vec)
+
+    real_step = semcheck.gps._step
+    monkeypatch.setattr(semcheck.gps, "_step", counted_step)
     for seed in range(400):
         g = random_gps(seed, max_states=3)
+        n_labels = len(g.alphabet)
         words = [w for k in range(g.n_states)
                  for w in itertools.product(g.alphabet, repeat=k)]
         for sem in GPS_SEMANTICS:
@@ -171,10 +183,13 @@ def test_gps_equiv_agrees_with_word_enumeration():
                 runs.append([_output(g, sem, vecs[w]) for w in words])
             for x, y in itertools.product(range(g.n_states), repeat=2):
                 separating = [w for w, p, q in zip(words, runs[x], runs[y]) if p != q]
+                steps[0] = 0
                 equal, word = gps_equiv(g, sem, x, y)
                 assert equal == (not separating), (seed, sem, x, y)
                 if not equal:
                     assert word == separating[0], (seed, sem, x, y, word)
+                    bound = n_labels * sum(n_labels ** i for i in range(len(word)))
+                    assert steps[0] <= bound, (seed, sem, x, y, word, steps[0])
                 elif sem in ("g_ready", "g_failure", "g_mfailure"):
                     # why gps-equiv --with-trace searches again only under g_mtrace
                     assert gps_equiv(g, "g_trace", x, y)[0], (seed, sem, x, y)
