@@ -509,8 +509,6 @@ def test_unexpected_error_is_one_line_exit_two(capsys, monkeypatch):
 @pytest.mark.parametrize("exc", [MemoryError(), ValueError()],
                          ids=["MemoryError", "ValueError"])
 def test_error_without_message_names_its_type(capsys, monkeypatch, exc):
-    import semcheck.cli as cli
-
     def broken(*args):
         raise exc
 

@@ -161,13 +161,12 @@ def test_gps_equiv_agrees_with_word_enumeration(monkeypatch):
     combination of extensions of words earlier in shortlex order.  So any
     exact reduction of the system, such as a lumping quotient, returns the
     same word."""
-    steps = [0]
+    real_step, steps = semcheck.gps._step, [0]
 
     def counted_step(row, vec):
         steps[0] += 1
         return real_step(row, vec)
 
-    real_step = semcheck.gps._step
     monkeypatch.setattr(semcheck.gps, "_step", counted_step)
     for seed in range(400):
         g = random_gps(seed, max_states=3)
