@@ -258,57 +258,117 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     capped = argparse.ArgumentParser(add_help=False)
-    capped.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP,
-                        help="state/pair budget (default %(default)s)")
+    cap = capped.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP,
+                              help="state/pair budget (default %(default)s)")
+
+    def add(command, *names, **kwargs) -> None:
+        """``command.add_argument``, its action also kept in ``command.table``
+        under its first name for ``_read``, with whether it is a flag."""
+        command.table[names[0]] = (command.add_argument(*names, **kwargs),
+                                   kwargs.get("action") == "store_true")
 
     eq = sub.add_parser("equiv", parents=[capped],
                         help="decide equivalence of two state sets")
-    eq.add_argument("--sem", required=True, choices=SEMANTICS)
-    eq.add_argument("--algo", default="hkc",
-                    choices=["naive", "hkc", "brzozowski"])
-    eq.add_argument("file")
-    eq.add_argument("left", help="state or comma-separated state set")
-    eq.add_argument("right", help="state or comma-separated state set")
+    eq.table = {"--cap": (cap, False)}
+    add(eq, "--sem", required=True, choices=SEMANTICS)
+    add(eq, "--algo", default="hkc", choices=["naive", "hkc", "brzozowski"])
+    add(eq, "file")
+    add(eq, "left", help="state or comma-separated state set")
+    add(eq, "right", help="state or comma-separated state set")
     eq.set_defaults(fn=cmd_equiv)
 
     po = sub.add_parser("preorder", parents=[capped], help="decide a testing preorder")
-    po.add_argument("--sem", required=True, choices=["may", "must"])
-    po.add_argument("file")
-    po.add_argument("left")
-    po.add_argument("right")
+    po.table = {"--cap": (cap, False)}
+    add(po, "--sem", required=True, choices=["may", "must"])
+    add(po, "file")
+    add(po, "left")
+    add(po, "right")
     po.set_defaults(fn=cmd_preorder)
 
     mi = sub.add_parser("minimize", parents=[capped],
                         help="minimal Moore machine by double reversal")
-    mi.add_argument("--sem", required=True, choices=SEMANTICS)
-    mi.add_argument("--init", required=True,
-                    help="comma-separated initial state set")
-    mi.add_argument("file")
+    mi.table = {"--cap": (cap, False)}
+    add(mi, "--sem", required=True, choices=SEMANTICS)
+    add(mi, "--init", required=True, help="comma-separated initial state set")
+    add(mi, "file")
     mi.set_defaults(fn=cmd_minimize)
 
     gq = sub.add_parser("gps-equiv",
                         help="decide a probabilistic equivalence exactly")
-    gq.add_argument("--sem", required=True, choices=list(GPS_SEMANTICS))
-    gq.add_argument("--with-trace", action="store_true", dest="with_trace",
-                    help="additionally require probabilistic trace equality")
-    gq.add_argument("file")
-    gq.add_argument("left")
-    gq.add_argument("right")
+    gq.table = {}
+    add(gq, "--sem", required=True, choices=list(GPS_SEMANTICS))
+    add(gq, "--with-trace", action="store_true", dest="with_trace",
+        help="additionally require probabilistic trace equality")
+    add(gq, "file")
+    add(gq, "left")
+    add(gq, "right")
     gq.set_defaults(fn=cmd_gps_equiv)
 
     ge = sub.add_parser("gen", help="emit a parametric benchmark family")
-    ge.add_argument("--family", required=True,
-                    choices=["interleave", "chain", "cycles"])
-    ge.add_argument("--n", type=int, required=True)
+    ge.table = {}
+    add(ge, "--family", required=True, choices=["interleave", "chain", "cycles"])
+    add(ge, "--n", type=int, required=True)
     ge.set_defaults(fn=cmd_gen)
 
     be = sub.add_parser("bench", help="run the cross-check matrix")
-    be.add_argument("--spec", help="JSON file describing cases to run")
-    be.add_argument("--format", default="json", choices=["json", "csv"])
-    be.add_argument("--out", help="write the report here instead of stdout")
+    be.table = {}
+    add(be, "--spec", help="JSON file describing cases to run")
+    add(be, "--format", default="json", choices=["json", "csv"])
+    add(be, "--out", help="write the report here instead of stdout")
     be.set_defaults(fn=cmd_bench)
     p.commands = sub.choices  # each subcommand's own parser, read by main
     return p
+
+
+def _read(command: argparse.ArgumentParser,
+          tokens: Sequence[str]) -> Optional[argparse.Namespace]:
+    """What ``command.parse_known_args(tokens)`` returns, read straight from
+    ``command.table`` for a plain argv: exact option strings, each at most
+    once; after each that is not a flag, a value that does not start with
+    ``-``, passed through the option's ``type`` and ``choices``; every
+    required option; and as many positionals as declared, none starting
+    with ``-`` unless it is ``-``.  None for anything else (``=`` forms,
+    abbreviations, ``--``, help, every error), which argparse then reads."""
+    table, seen, positionals = command.table, {}, []
+    tokens = iter(tokens)
+    for token in tokens:
+        if token[:1] != "-" or token == "-":
+            positionals.append(token)
+            continue
+        action, flag = table.get(token, (None, False))
+        if action is None or token in seen:
+            return None
+        if flag:
+            seen[token] = True
+            continue
+        value = next(tokens, "-")  # a missing value declines as an option would
+        if value[:1] == "-":
+            return None
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        seen[token] = value
+    args = argparse.Namespace(fn=command.get_default("fn"))
+    positionals = iter(positionals)
+    for name, (action, _) in table.items():
+        if not action.option_strings:
+            value = next(positionals, None)
+            if value is None:
+                return None
+        elif name in seen:
+            value = seen[name]
+        elif action.required:
+            return None
+        elif action.default is argparse.SUPPRESS:
+            continue
+        else:
+            value = action.default
+        setattr(args, action.dest, value)
+    return None if next(positionals, None) is not None else args
 
 
 _PARSER: Optional[argparse.ArgumentParser] = None
@@ -328,15 +388,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _parser()
     argv = sys.argv[1:] if argv is None else argv
     # A subcommand's own parser reads the rest; the top-level parse would
-    # only hand it the same tokens after a full pass of its own.
+    # only hand it the same tokens after a full pass of its own.  A plain
+    # argv is read from the subcommand's table without argparse; argparse
+    # reads anything else, so it still prints every help text and error.
     command = parser.commands.get(argv[0]) if argv else None
     if command is None:
         args = parser.parse_args(argv)
     else:
-        args, extras = command.parse_known_args(
-            argv[1:], argparse.Namespace(debug=False, command=argv[0]))
-        if extras:
-            parser.error("unrecognized arguments: " + " ".join(extras))
+        args = _read(command, argv[1:])
+        if args is None:
+            args, extras = command.parse_known_args(argv[1:])
+            if extras:
+                parser.error("unrecognized arguments: " + " ".join(extras))
+        args.debug, args.command = False, argv[0]
     try:
         return args.fn(args)
     except Exception as exc:

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 import os
+import random
 import re
 import resource
 import shlex
@@ -700,6 +702,126 @@ def test_a_subcommand_skips_the_top_level_parse(capsys, monkeypatch, argv, code)
 ])
 def test_anything_else_takes_the_top_level_parse_once(capsys, monkeypatch, argv, code):
     parses = _count_top_level_parses(monkeypatch)
+    assert _outcome(capsys, lambda: main(argv))[0] == code
+    assert parses == [1]
+
+
+# -- the argv reader ---------------------------------------------------------
+
+# Each subcommand's options with the values the corpus draws from, valid and
+# not; None marks a flag.  Positionals are counted.
+_GRAMMAR = {
+    "equiv": ({"--cap": ["5", "1000", "0", "x", "-1", " 7"],
+               "--sem": ["must", "trace", "g_ready", "", "-"],
+               "--algo": ["hkc", "naive", "brzozowski", "fast"]}, 3),
+    "preorder": ({"--cap": ["2", "0", "1_0"], "--sem": ["may", "must", "trace", "-1"]}, 3),
+    "minimize": ({"--cap": ["9", "-3"], "--sem": ["ready", "ctrace", "mustt", "-"],
+                  "--init": ["x", "0,1", "", "-", "--"]}, 1),
+    "gps-equiv": ({"--sem": ["g_trace", "g_mfailure", "must"], "--with-trace": None}, 3),
+    "gen": ({"--family": ["chain", "cycles", "pyramid"], "--n": ["3", "12", "three", "-2", "0"]}, 0),
+    "bench": ({"--spec": ["spec.json", "s b.json", "-"], "--format": ["json", "csv", "xml"],
+               "--out": ["out.txt", "=", "-"]}, 0),
+}
+_POSITIONALS = ["f.lts", "x", "-", "", "p,q", "0"]
+_NOISE = ["--", "-", "-1", "", "-h", "--help", "--bogus", "--debug", "x"]
+
+
+def _corpus_argv(rng: random.Random, name: str) -> list:
+    """One argv for ``name``: its options in random places among the
+    positionals, then, now and again, an option written another way, a
+    dropped value, a repeat, a noise token or a positional too many or too
+    few."""
+    options, n_positionals = _GRAMMAR[name]
+    units = []
+    for option, values in options.items():
+        if rng.random() < 0.9:
+            for _ in range(1 + (rng.random() < 0.08)):
+                value = [] if values is None else [rng.choice(values[:2] * 3 + values)]
+                spelled = option
+                if len(option) > 3 and rng.random() < 0.08:
+                    spelled = option[:rng.randrange(3, len(option))]
+                if value and rng.random() < 0.06:
+                    units.append([f"{option}={value[0]}"])
+                    continue
+                if value and rng.random() < 0.04:
+                    value = []
+                units.append([spelled] + value)
+    positionals = [rng.choice(_POSITIONALS[:2] * 4 + _POSITIONALS) for _ in
+                   range(max(0, n_positionals + rng.choice([0] * 8 + [-1, 1])))]
+    for unit in units:
+        at = rng.randrange(len(positionals) + 1) if rng.random() < 0.5 else 0
+        positionals[at:at] = unit
+    if rng.random() < 0.12:
+        positionals.insert(rng.randrange(len(positionals) + 1), rng.choice(_NOISE))
+    return positionals
+
+
+def test_reader_returns_none_or_what_argparse_returns():
+    reader, reference = cli.build_parser(), cli.build_parser()
+    rng = random.Random(2901)
+    accepted = {name: 0 for name in _GRAMMAR}
+    for _ in range(5000):
+        name = rng.choice(sorted(_GRAMMAR))
+        tokens = _corpus_argv(rng, name)
+        got = cli._read(reader.commands[name], tokens)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                expected = reference.commands[name].parse_known_args(tokens)
+        except SystemExit:
+            expected = None
+        if got is not None:
+            assert expected == (got, []), (name, tokens)
+            accepted[name] += 1
+    # every subcommand's plain argvs are read, so the check is not vacuous
+    assert all(n > 50 for n in accepted.values()), accepted
+
+
+def _count_subcommand_parses(monkeypatch):
+    """Count the parses that go through any subcommand parser of a freshly
+    built parser, which ``main`` then uses."""
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "_PARSER", parser)
+    parses = []
+    for command in parser.commands.values():
+        def counting(*args, _parse=command.parse_known_args, **kwargs):
+            parses.append(1)
+            return _parse(*args, **kwargs)
+
+        monkeypatch.setattr(command, "parse_known_args", counting)
+    return parses
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["equiv", "--sem", "must", "--algo", "naive", fx("must-xy"), "x", "y"], ("returned", 0)),
+    (["equiv", "--sem", "failure", "--algo", "brzozowski", "--cap", "50", fx("fail-pq"),
+      "p0", "q0"], ("returned", 0)),
+    (["preorder", "--sem", "may", fx("ct-w"), "w0", "w1"], ("returned", 1)),
+    (["minimize", "--sem", "must", "--init", "x1", fx("brz-must")], ("returned", 0)),
+    (["gps-equiv", "--sem", "g_mfailure", fx("gps-pu"), "p", "u"], ("returned", 0)),
+    (["gps-equiv", "--sem", "g_mtrace", "--with-trace", fx("gps-pu"), "p", "u"],
+     ("returned", 0)),
+])
+def test_every_benchmark_argv_shape_skips_argparse(capsys, monkeypatch, argv, code):
+    parses = _count_subcommand_parses(monkeypatch)
+    assert _outcome(capsys, lambda: main(argv))[0] == code
+    assert parses == []
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["preorder", "--sem=must", fx("must-xy"), "x", "y"], ("returned", 0)),
+    (["equiv", "--se", "must", fx("must-xy"), "x", "y"], ("returned", 0)),
+    (["gps-equiv", "--sem", "g_mfailure", "--", fx("gps-pu"), "p", "u"], ("returned", 0)),
+    (["equiv", "--sem", "must", "--sem", "trace", fx("must-xy"), "x", "y"], ("returned", 0)),
+    (["equiv", "-h"], ("exited", 0)),
+    (["preorder", "--cap", "0", "--sem", "may", fx("ct-w"), "w1", "w0"], ("exited", 2)),
+    (["equiv", "--sem", "no-such-tag", fx("must-xy"), "x", "y"], ("exited", 2)),
+    (["equiv", "--sem", "must", fx("must-xy"), "x"], ("exited", 2)),
+    (["equiv", "--sem", "must", fx("must-xy"), "x", "y", "z"], ("exited", 2)),
+    (["minimize", "--sem", "must", fx("brz-must")], ("exited", 2)),
+])
+def test_every_other_argv_takes_argparse_once(capsys, monkeypatch, argv, code):
+    parses = _count_subcommand_parses(monkeypatch)
     assert _outcome(capsys, lambda: main(argv))[0] == code
     assert parses == [1]
 
