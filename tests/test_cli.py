@@ -660,10 +660,24 @@ def _reference(argv):
     ["-h"],
     [],
     ["no-such-command", "--sem", "must"],
+    ["equiv", fx("must-xy"), "x", "y", "--sem", "must"],
+    ["equiv", fx("fail-pq"), "--algo", "naive", "p0", "--sem", "failure", "q0"],
+    ["equiv", "--cap", "1000", "--sem", "failure", fx("fail-pq"), "p0", "q0"],
+    ["equiv", "--sem", "trace", "-", "x", "y", "--cap", "50"],
+    ["preorder", "-", "y1", "--sem", "must", "y"],
+    ["minimize", "-", "--init", "x", "--sem", "must"],
+    ["gps-equiv", fx("gps-pu"), "p", "u", "--with-trace", "--sem", "g_mtrace"],
+    ["gps-equiv", "--sem", "g_trace", fx("gps-pu"), "--with-trace", "p", "u"],
+    ["gen", "--n", "3", "--family", "chain"],
 ])
-def test_main_answers_as_the_full_parse_does(capsys, argv):
-    expected = _outcome(capsys, lambda: _reference(argv))
-    assert _outcome(capsys, lambda: main(argv)) == expected
+def test_main_answers_as_the_full_parse_does(capsys, monkeypatch, argv):
+    # an argv that reads ``-`` reads must-xy on each call
+    def outcome(call):
+        monkeypatch.setattr(sys, "stdin", io.StringIO((FIXTURES / "must-xy.lts").read_text()))
+        return _outcome(capsys, call)
+
+    expected = outcome(lambda: _reference(argv))
+    assert outcome(lambda: main(argv)) == expected
 
 
 def _count_top_level_parses(monkeypatch):
@@ -709,7 +723,7 @@ def test_anything_else_takes_the_top_level_parse_once(capsys, monkeypatch, argv,
 # -- the argv reader ---------------------------------------------------------
 
 # Each subcommand's options with the values the corpus draws from, valid and
-# not; None marks a flag.  Positionals are counted.
+# not (None marks a flag), and the number of positionals it declares.
 _GRAMMAR = {
     "equiv": ({"--cap": ["5", "1000", "0", "x", "-1", " 7"],
                "--sem": ["must", "trace", "g_ready", "", "-"],
@@ -751,7 +765,7 @@ def _corpus_argv(rng: random.Random, name: str) -> list:
     for unit in units:
         at = rng.randrange(len(positionals) + 1) if rng.random() < 0.5 else 0
         positionals[at:at] = unit
-    if rng.random() < 0.12:
+    if rng.random() < 0.2:
         positionals.insert(rng.randrange(len(positionals) + 1), rng.choice(_NOISE))
     return positionals
 
