@@ -387,19 +387,14 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _parser()
     argv = sys.argv[1:] if argv is None else argv
-    # A subcommand's own parser reads the rest; the top-level parse would
-    # only hand it the same tokens after a full pass of its own.  A plain
-    # argv is read from the subcommand's table without argparse; argparse
-    # reads anything else, so it still prints every help text and error.
+    # A plain subcommand argv is read from that subcommand's table without
+    # argparse; the full parse reads anything else, so it still prints
+    # every help text and error.
     command = parser.commands.get(argv[0]) if argv else None
-    if command is None:
+    args = None if command is None else _read(command, argv[1:])
+    if args is None:
         args = parser.parse_args(argv)
     else:
-        args = _read(command, argv[1:])
-        if args is None:
-            args, extras = command.parse_known_args(argv[1:])
-            if extras:
-                parser.error("unrecognized arguments: " + " ".join(extras))
         args.debug, args.command = False, argv[0]
     try:
         return args.fn(args)

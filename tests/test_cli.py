@@ -70,6 +70,20 @@ def test_equiv_accepts_state_sets_and_indices(capsys):
     assert payload["stats"]["states"] is not None
 
 
+def test_equiv_of_a_set_with_itself_keeps_an_empty_witness(capsys):
+    # hkc relates a set to itself without processing a pair, so its relation
+    # is empty but present: the report keeps "witness": [], not no witness
+    code, payload, _ = run_cli(
+        capsys, "equiv", "--sem", "trace", "--algo", "hkc", fx("must-xy"), "x", "x")
+    assert code == 0 and payload["result"] is True
+    assert payload["stats"]["pairs"] == 0 and payload["witness"] == []
+    code, payload, _ = run_cli(
+        capsys, "equiv", "--sem", "trace", "--algo", "naive", fx("must-xy"), "x", "x")
+    assert code == 0 and payload["result"] is True
+    assert payload["stats"]["pairs"] == 5 and len(payload["witness"]) == 5
+    assert payload["witness"][0] == ["{x}", "{x}"]
+
+
 def test_equiv_renders_pair_label_counterexamples(capsys):
     code, payload, _ = run_cli(
         capsys, "equiv", "--sem", "rtrace", fx("rtrace-pq"), "p0", "q0")
@@ -699,8 +713,6 @@ def _count_top_level_parses(monkeypatch):
 @pytest.mark.parametrize("argv, code", [
     (["equiv", "--sem", "must", fx("must-xy"), "x", "y"], ("returned", 0)),
     (["preorder", "--sem", "may", fx("ct-w"), "w0", "w1"], ("returned", 1)),
-    (["equiv", "--sem", "must", "--bogus", fx("must-xy"), "x", "y"], ("exited", 2)),
-    (["gen", "-h"], ("exited", 0)),
 ])
 def test_a_subcommand_skips_the_top_level_parse(capsys, monkeypatch, argv, code):
     parses = _count_top_level_parses(monkeypatch)
@@ -713,6 +725,8 @@ def test_a_subcommand_skips_the_top_level_parse(capsys, monkeypatch, argv, code)
     (["-h"], ("exited", 0)),
     ([], ("exited", 2)),
     (["no-such-command"], ("exited", 2)),
+    (["equiv", "--sem", "must", "--bogus", fx("must-xy"), "x", "y"], ("exited", 2)),
+    (["gen", "-h"], ("exited", 0)),
 ])
 def test_anything_else_takes_the_top_level_parse_once(capsys, monkeypatch, argv, code):
     parses = _count_top_level_parses(monkeypatch)

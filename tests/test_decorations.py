@@ -23,6 +23,7 @@ from semcheck import (
     antichain_to_downset,
     bottom_output,
     compact_output,
+    decide,
     decorate,
     disjoint_union,
     downclose_masks,
@@ -34,6 +35,7 @@ from semcheck import (
     join_outputs,
     mask_of,
     moore_partition_classes,
+    oracle_equal,
     parse_lts,
     random_lts,
     reachable_machine,
@@ -383,8 +385,9 @@ def test_every_semantics_decorates_a_plain_lts():
         decorate(lts, "no_such_semantics")
 
 
-# Finer => coarser pairs of the linear-time spectrum.  ctrace stays out until
-# the open ROADMAP.md decision on which relation it names is taken.
+# Finer => coarser pairs of the linear-time spectrum.  ctrace stays out: it
+# compares completed traces only, so it does not imply trace (see
+# test_ctrace_does_not_imply_trace).
 SPECTRUM_IMPLICATIONS = (
     ("rtrace", "ready"), ("ready", "failure"), ("failure", "trace"),
     ("rtrace", "ftrace"), ("ftrace", "failure"), ("pfutures", "ready"),
@@ -406,6 +409,21 @@ def test_spectrum_implications_on_random_systems():
             equal = {t: hkc_check(d, left, right).equal for t, d in ds.items()}
             for finer, coarser in SPECTRUM_IMPLICATIONS:
                 assert equal[coarser] or not equal[finer], (seed, left, right, finer)
+
+
+def test_ctrace_does_not_imply_trace():
+    """ctrace compares completed traces only (the words after which a
+    deadlock is reachable), not van Glabbeek's completed-trace equivalence,
+    which also requires equal traces.  x loops on a and y on b, so neither
+    has a completed trace: every back end and the oracle call them
+    ctrace-equal, and each calls them trace-different."""
+    lts = parse_lts("lts 2\nalphabet a b\nnames x y\n0 a 0\n1 b 1\n")
+    x, y = frozenset({0}), frozenset({1})
+    for sem, equal in (("ctrace", True), ("trace", False)):
+        d = decorate(lts, sem)
+        assert oracle_equal(d, x, y) is equal, sem
+        for algorithm in ("naive", "hkc", "brzozowski"):
+            assert decide(d, algorithm, x, y)[0] is equal, (sem, algorithm)
 
 
 # -- rendering ---------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Every module attribute the benchmark's tracer wraps must exist.
+"""Every module attribute the benchmark's tracer wraps must exist, and the
+CLI must reach each span through it.
 
 ``perfbench/tracer.py`` reaches each layer through module attributes (see
 ``SPANS`` and ``COUNTERS`` there) and marks a metric absent when one is
@@ -12,6 +13,8 @@ from __future__ import annotations
 import importlib
 import importlib.util
 from pathlib import Path
+
+from semcheck import cli
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -34,3 +37,34 @@ def test_every_tracer_target_resolves():
         if not callable(getattr(importlib.import_module(f"semcheck.{module}"), attr, None)):
             missing.append(target)
     assert missing == []
+
+
+def test_every_cli_call_site_records_its_span(capsys):
+    """A wrapped name that is still imported but no longer called (say, a
+    call moved out of ``cli``) makes its traced metrics read 0, not absent,
+    so each span must be recorded by a real query through ``cli.main``."""
+    tracer = _tracer().Tracer()
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+    must, ct, brz, gps = (str(fixtures / f"{n}.lts")
+                          for n in ("must-xy", "ct-w", "brz-must", "gps-pu"))
+    queries = [
+        ["equiv", "--sem", "must", "--algo", "naive", must, "x", "y"],
+        ["equiv", "--sem", "must", "--algo", "hkc", must, "x", "y"],
+        ["equiv", "--sem", "must", "--algo", "brzozowski", must, "x", "y"],
+        ["preorder", "--sem", "may", ct, "w0", "w1"],
+        ["minimize", "--sem", "must", "--init", "x1", brz],
+        ["gps-equiv", "--sem", "g_mfailure", gps, "p", "u"],
+    ]
+    tracer.install()
+    try:
+        codes = [tracer.query(str(i), lambda: cli.main(argv))
+                 for i, argv in enumerate(queries)]
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert codes == [0, 0, 0, 1, 0, 0]
+    recorded = {span[3] for span in tracer.spans}
+    assert recorded >= {"lts.parse", "decorations.decorate", "moore.naive", "hkc.check",
+                        "brzozowski.pass1", "brzozowski.pass2", "brzozowski.iso",
+                        "gps.equiv"}
+    assert tracer.absent == set()
