@@ -236,6 +236,16 @@ def test_gps_equiv_equal_across_blocks(tmp_path):
         assert main(["gps-equiv", "--sem", sem, str(f), "x", "y"]) == (0 if answer[0] else 1), sem
 
 
+def test_gps_equiv_with_states_that_emit_nothing():
+    # 1, 2 and 3 emit nothing and share block 0; 0 is the one live block.
+    # No benchmark system has a state that emits nothing.
+    g = parse_gps("gps 4\nalphabet a\n0 a 1/2 1\n")
+    assert g._lumped[0] == (1, 0, 0, 0)
+    for sem in GPS_SEMANTICS:
+        assert gps_equiv(g, sem, 2, 3) == (True, None), sem
+        assert gps_equiv(g, sem, 1, 0) == (False, ("a",) if sem == "g_trace" else ()), sem
+
+
 def _dense_gps_with_copy(seed: int, n: int) -> str:
     """A seeded dense GPS of n states over ``a b`` (three successors a label,
     weights over a denominator of 8-12, some termination mass) and a copy of

@@ -433,6 +433,54 @@ def test_parse_gps_matches_fraction_reference():
     assert min(outcomes.values()) >= 20, outcomes
 
 
+# The fuzzer above draws a ``names`` line only right after ``alphabet``; these
+# place the optional lines anywhere, give them the token count of a
+# transition line, and repeat them.
+@pytest.mark.parametrize("text, expected", [
+    pytest.param("gps 2\nalphabet a\n0 a 1/2 1\nnames x y\n",
+                 ((2, {"a": ({1: 1}, {})}, (1, 0), (1, 0)), ("x", "y")), id="names-last"),
+    pytest.param("gps 3\nalphabet a\n0 a 1/2 1\nnames x y z\n",
+                 ((2, {"a": ({1: 1}, {}, {})}, (1, 0, 0), (1, 0, 0)), ("x", "y", "z")),
+                 id="names-of-four-tokens"),
+    pytest.param("gps 2\nalphabet a\n0 a 1/2 1\nnames x y z\n",
+                 "line 4: expected 2 names, got 3", id="names-too-long"),
+    pytest.param("gps 2\nalphabet a\nnames x y\n0 a 1/2 1\nnames u v\n",
+                 "line 5: duplicate 'names' line", id="names-twice"),
+    pytest.param("gps 2\nalphabet a\n0 a 1/4 1\n0 a 1/4 1\n1 a 1/4 0\n1 a 1/4 0\n",
+                 ((2, {"a": ({1: 1}, {0: 1})}, (1, 1), (1, 1)), None), id="sums-move-the-gcd"),
+    pytest.param("gps 2\nalphabet a\n",
+                 ((1, {"a": ({}, {})}, (0, 0), (0, 0)), None), id="header-only"),
+])
+def test_parse_gps_optional_lines_anywhere(text, expected):
+    if isinstance(expected, str):
+        with pytest.raises(FormatError) as exc:
+            parse_gps(text)
+        assert str(exc.value) == expected
+        return
+    g = parse_gps(text)
+    assert (tuple(g._scaled), g.names) == expected
+
+
+@pytest.mark.parametrize("text, expected", [
+    pytest.param("lts 2\nalphabet a\n0 a 1\nfinal 1\n",
+                 ({"a": {0: 2}, TAU: {}}, frozenset({1}), None), id="final-last"),
+    pytest.param("lts 2\nalphabet a\n0 a 1\nfinal 0 1\n",
+                 ({"a": {0: 2}, TAU: {}}, frozenset({0, 1}), None), id="final-of-three-tokens"),
+    pytest.param("lts 2\nalphabet a\nfinal 0\n0 a 1\nfinal 1\n",
+                 "line 5: duplicate 'final' line", id="final-twice"),
+    pytest.param("lts 2\nalphabet a\n0 a 1\nnames x\n",
+                 "line 4: expected 2 names, got 1", id="names-too-short"),
+])
+def test_parse_lts_optional_lines_anywhere(text, expected):
+    if isinstance(expected, str):
+        with pytest.raises(FormatError) as exc:
+            parse_lts(text)
+        assert str(exc.value) == expected
+        return
+    lts = parse_lts(text)
+    assert (lts._edges, lts.finals, lts.names) == expected
+
+
 # -- serialisation -----------------------------------------------------------
 
 
