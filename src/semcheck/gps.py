@@ -21,13 +21,14 @@ one integer table, ``_weights``, that ``gps_decorate`` and the search share.
 rational vectors.
 
 The search runs on the lumping quotient, not on the system itself.  Each GPS
-caches its coarsest lumping (``Gps._lumped``, computed in O(m log n) on first
+caches its coarsest lumping (``Gps._blocks``, computed in O(m log n) on first
 use): a partition of the states in which every state of a block sends the
 same weight, under each label, into each block, so every state output is
 constant on blocks too.  Lumping preserves behaviour, behaviour(d) =
 behaviour(dV) for the block-indicator matrix V, so ``gps_equiv`` maps both
-states to their blocks and searches the quotient; two states of one block
-start from the zero vector and are equal at once.  Verdicts and words cannot
+states to their blocks.  Two states of one block are equal at once; any
+other pair is searched on the quotient (``Gps._lumped``, built once, for the
+first such pair).  Verdicts and words cannot
 change: the search returns the shortlex-first separating word whatever it
 prunes, because a vector with nonzero output is never in the span of the
 zero-output vectors it is compared against, and every extension of a pruned
@@ -204,9 +205,9 @@ def gps_equiv(g: Gps, semantics: str, x: int, y: int
     the vectors queued ahead, and the span of the basis, have zero output.
     Zero output and span membership are blind to nonzero scalars, so each
     vector is carried primitive, a multiple of the exact one.  The vectors
-    live on the blocks of the GPS's lumping (``Gps._lumped``): two states of
-    one block start from the zero vector and are equal at once, and every
-    word is the one a search on the states would return.
+    live on the blocks of the GPS's lumping (``Gps._lumped``), and every word
+    is the one a search on the states would return; two states of one block
+    (``Gps._blocks``) are equal at once, and no quotient is built for them.
 
     g_failure searches on g_mfailure's weights, one set a state instead of
     all 2^|A| refusable ones.  A vector's g_failure weight on a set Z is the
@@ -214,10 +215,12 @@ def gps_equiv(g: Gps, semantics: str, x: int, y: int
     invertible (Moebius inversion on the subset lattice), so both outputs
     vanish on exactly the same vectors, and the search, which only asks
     whether an output is zero, returns the same verdicts and words."""
-    block, lumped = g._lumped
-    x, y = block[x], block[y]
+    x, y = g._blocks[x], g._blocks[y]
+    if x == y and semantics in GPS_SEMANTICS:
+        return True, None
+    lumped = g._lumped[1]
     weights = _weights(lumped, "g_mfailure" if semantics == "g_failure" else semantics)
-    start = {x: 1, y: -1} if x != y else {}
+    start = {x: 1, y: -1}
     if any(_output(weights, start).values()):
         return False, ()
     # (vector, index of the vector it was stepped from, the label stepped)

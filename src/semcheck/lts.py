@@ -14,11 +14,10 @@ import math
 import re
 import sys
 import unicodedata
-from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, islice
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 TAU = "tau"
@@ -236,8 +235,8 @@ class ScaledGps(NamedTuple):
     """A GPS's probabilities over one common denominator, all integers:
     ``denom`` is the lcm of every transition probability's denominator,
     ``rows[label][x]`` maps each of ``x``'s ``label``-successors to its
-    probability times ``denom`` (the dict the weights were summed in, empty
-    when ``x`` does not emit ``label``), ``emission[x]`` is ``x``'s emission
+    probability times ``denom`` (the dict its probabilities were read into,
+    empty when ``x`` does not emit ``label``), ``emission[x]`` is ``x``'s emission
     mass times ``denom``, and bit i of ``enabled[x]`` is set when ``x`` emits
     the i-th label."""
 
@@ -247,39 +246,34 @@ class ScaledGps(NamedTuple):
     enabled: Tuple[int, ...]
 
 
-def _scaled_gps(n: int, alphabet: Tuple[str, ...],
-                edges: List[Tuple[int, str, int, Tuple[int, int]]]) -> ScaledGps:
-    """The integer form of a GPS given as ``(src, label, dst, (p, q))``
-    transitions of probability p/q, repeated ones adding up.  Weights are
-    summed over the lcm of every q, then divided by their gcd with it, which
-    leaves ``denom`` the lcm of the summed probabilities' reduced denominators."""
-    pqs = {e[3] for e in edges}
-    denom = math.lcm(*(q for _, q in pqs))
-    weight = {pq: pq[0] * (denom // pq[1]) for pq in pqs}
-    rows: Dict[str, List[Dict[int, int]]] = {a: [{} for _ in range(n)] for a in alphabet}
-    for src, lab, dst, pq in edges:
-        row = rows[lab][src]
-        row[dst] = row.get(dst, 0) + weight[pq]
-    common = math.gcd(denom, *(w for row in rows.values() for r in row for w in r.values()))
-    emission, enabled = [0] * n, [0] * n
-    for i, row in enumerate(rows.values()):
-        for x in compress(range(n), row):
-            r = row[x]
-            if common > 1:
-                r = row[x] = {y: w // common for y, w in r.items()}
+def _scaled_gps(n: int, rows: Dict[str, Dict[int, Dict[int, object]]],
+                pqs: Dict[object, Tuple[int, int]]) -> ScaledGps:
+    """The integer form of a GPS of ``n`` states whose ``rows[label][x]``, for
+    the states that emit ``label``, map successors to keys of ``pqs``, each
+    an entry's probability as ``(p, q)``.  Weights are taken over the lcm of
+    every q, then divided by their gcd with it, which leaves ``denom`` the
+    lcm of the reduced denominators."""
+    denom = math.lcm(*(q for _, q in pqs.values()))
+    weight = {t: p * (denom // q) for t, (p, q) in pqs.items()}
+    common = math.gcd(denom, *weight.values())
+    denom, weight = denom // common, {t: w // common for t, w in weight.items()}
+    emission, enabled, scaled = [0] * n, [0] * n, {}
+    for i, (a, row) in enumerate(rows.items()):
+        full = [{} for _ in range(n)]
+        for x, r in row.items():
+            r = full[x] = {y: weight[t] for y, t in r.items()}
             emission[x] += sum(r.values())
             enabled[x] |= 1 << i
-    return ScaledGps(denom // common, {a: tuple(row) for a, row in rows.items()},
-                     tuple(emission), tuple(enabled))
+        scaled[a] = tuple(full)
+    return ScaledGps(denom, scaled, tuple(emission), tuple(enabled))
 
 
-def _lumped_gps(scaled: ScaledGps) -> Tuple[Tuple[int, ...], ScaledGps]:
-    """The coarsest lumping of a scaled GPS and its quotient.
+def _lumped_gps(scaled: ScaledGps) -> Tuple[int, ...]:
+    """The coarsest lumping of a scaled GPS, as each state's block; the
+    quotient is built from it only when a query needs it (``Gps._lumped``).
 
     A lumping is a partition of the states in which every state of a block
-    sends the same weight, under each label, into each block.  Returns each
-    state's block and the quotient: one row per block, taken from any one of
-    its states, with weights summed per target block.
+    sends the same weight, under each label, into each block.
 
     Weighted Hopcroft refinement (Valmari & Franceschinis, TACAS 2010).  The
     whole state set is the first splitter, so per-label totals, and with
@@ -300,7 +294,7 @@ def _lumped_gps(scaled: ScaledGps) -> Tuple[Tuple[int, ...], ScaledGps]:
     # a state's weights into a set under every label, packed into one int:
     # label i's weight sits at bit i * shift, and no weight reaches 1 << shift
     shift = max(scaled.emission, default=0).bit_length()
-    preds: Dict[int, List[Tuple[int, int]]] = defaultdict(list)
+    preds: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
     into: Dict[int, int] = {}  # weights into the splitter, first the whole set
     for i, row in enumerate(scaled.rows.values()):
         k = i * shift
@@ -311,38 +305,40 @@ def _lumped_gps(scaled: ScaledGps) -> Tuple[Tuple[int, ...], ScaledGps]:
                 preds[y].append((x, w << k))
     dead = len(into) < n  # some state emits nothing
     block = [0] * n
-    members, waiting, queued = [set(into)], [], [False]
+    members, size, waiting, queued = [set(into)], [len(into)], [], [False]
     if dead:  # block 0 keeps those states, unlisted; the live block 1 is queued
         members.insert(0, set())
-        waiting, queued = [1], [False, True]
+        size, waiting, queued = [0, len(into)], [1], [False, True]
         for x in into:
             block[x] = 1
     while True:
         groups: Dict[Tuple[int, int], List[int]] = {}
         for x, w in into.items():
             b = block[x]
-            if len(members[b]) > 1:
+            if size[b] > 1:
                 groups.setdefault((b, w), []).append(x)
         cut: Dict[int, List[List[int]]] = {}
         for (b, _), xs in groups.items():
             cut.setdefault(b, []).append(xs)
         for b, parts in cut.items():
             rest = members[b]
-            if len(parts) == 1 and len(parts[0]) == len(rest):
+            if len(parts) == 1 and len(parts[0]) == size[b]:
                 continue
-            if sum(map(len, parts)) == len(rest):
+            if sum(map(len, parts)) == size[b]:
                 parts.pop()  # every state moved: b keeps the last group
             ids = [b]
             for part in parts:
                 c = len(members)
                 members.append(set(part))
                 rest.difference_update(part)
+                size.append(len(part))
+                size[b] -= len(part)
                 for x in part:
                     block[x] = c
                 queued.append(False)
                 ids.append(c)
             if not queued[b]:
-                ids.remove(max(ids, key=lambda c: len(members[c])))
+                ids.remove(max(ids, key=size.__getitem__))
             for c in ids:
                 if not queued[c]:
                     waiting.append(c)
@@ -353,24 +349,9 @@ def _lumped_gps(scaled: ScaledGps) -> Tuple[Tuple[int, ...], ScaledGps]:
         queued[s] = False
         into = {}
         for y in members[s]:
-            for x, w in preds.get(y, ()):
+            for x, w in preds[y]:
                 into[x] = into.get(x, 0) + w
-
-    reps = [min(m) for m in members if m]
-    if dead:
-        reps.insert(0, scaled.emission.index(0))
-    rows = {}
-    for a, row in scaled.rows.items():
-        lumped = []
-        for x in reps:
-            sums: Dict[int, int] = {}
-            for y, w in row[x].items():
-                c = block[y]
-                sums[c] = sums.get(c, 0) + w
-            lumped.append(sums)
-        rows[a] = tuple(lumped)
-    return tuple(block), ScaledGps(scaled.denom, rows, tuple(scaled.emission[x] for x in reps),
-                                   tuple(scaled.enabled[x] for x in reps))
+    return tuple(block)
 
 
 @dataclass
@@ -385,11 +366,12 @@ class Gps(_NamedStates):
     rows are ``{succ: weight}`` dicts, and ``__getattr__`` derives
     ``transitions`` from those rows on first use.
 
-    ``_lumped`` caches the coarsest lumping of ``_scaled`` (see
-    :func:`_lumped_gps`): each state's block and the quotient ``ScaledGps``
-    with one ``{block: weight}`` row per block and label.  It does not
-    depend on the semantics, and it is computed on first use, by the first
-    ``gps_equiv`` on the system.
+    ``_blocks`` caches the coarsest lumping of ``_scaled`` as each state's
+    block (see :func:`_lumped_gps`), and ``_lumped`` pairs it with the
+    quotient ``ScaledGps``: one ``{block: weight}`` row per block and label,
+    taken from the block's least state.  Neither depends on the semantics.
+    The first ``gps_equiv`` on the system computes ``_blocks``, and the first
+    one whose two states lie in different blocks builds the quotient.
     """
 
     n_states: int
@@ -410,13 +392,34 @@ class Gps(_NamedStates):
 
     @cached_property
     def _scaled(self) -> ScaledGps:
-        return _scaled_gps(self.n_states, self.alphabet, [
-            (x, a, y, (p.numerator, p.denominator))
-            for (x, a), row in self.transitions.items() for y, p in row.items()])
+        rows = {a: {} for a in self.alphabet}
+        for (x, a), row in self.transitions.items():
+            if row:
+                rows[a][x] = row
+        pqs = {p: p.as_integer_ratio() for r in self.transitions.values() for p in r.values()}
+        return _scaled_gps(self.n_states, rows, pqs)
+
+    @cached_property
+    def _blocks(self) -> Tuple[int, ...]:
+        return _lumped_gps(self._scaled)
 
     @cached_property
     def _lumped(self) -> Tuple[Tuple[int, ...], ScaledGps]:
-        return _lumped_gps(self._scaled)
+        block, scaled = self._blocks, self._scaled
+        reps = [0] * (max(block, default=-1) + 1)
+        for x in range(self.n_states - 1, -1, -1):
+            reps[block[x]] = x
+        rows = {}
+        for a, row in scaled.rows.items():
+            lumped = []
+            for x in reps:
+                sums: Dict[int, int] = {}
+                for y, w in row[x].items():
+                    sums[block[y]] = sums.get(block[y], 0) + w
+                lumped.append(sums)
+            rows[a] = tuple(lumped)
+        return block, ScaledGps(scaled.denom, rows, tuple(scaled.emission[x] for x in reps),
+                                tuple(scaled.enabled[x] for x in reps))
 
     def emission_mass(self, x: int) -> Fraction:
         return Fraction(self._scaled.emission[x], self._scaled.denom)
@@ -438,17 +441,17 @@ class Gps(_NamedStates):
 # '#' starts a comment; blank lines are ignored.
 # ---------------------------------------------------------------------------
 
-def _content_lines(text: str) -> List[Tuple[int, List[str]]]:
+def _parse_header(text: str, kind: str):
+    """Each line's number and tokens, ``#`` comments cut and blank lines
+    kept, as an iterator past the header, then the state count and alphabet."""
     lines = text.splitlines()
     if "#" in text:
         lines = [raw.partition("#")[0] for raw in lines]
-    return [(i, toks) for i, toks in enumerate(map(str.split, lines), start=1) if toks]
-
-
-def _parse_header(lines, kind: str):
-    if not lines:
+    lines = enumerate(map(str.split, lines), 1)
+    head = list(islice(((ln, toks) for ln, toks in lines if toks), 2))
+    if not head:
         raise FormatError("empty description")
-    ln, toks = lines[0]
+    ln, toks = head[0]
     if len(toks) != 2 or toks[0] != kind or not toks[1].isdecimal():
         raise FormatError(f"expected '{kind} <n_states>'", ln)
     n = _numeral(toks[1], sys.maxsize + 1)
@@ -456,9 +459,9 @@ def _parse_header(lines, kind: str):
         raise FormatError("need at least one state", ln)
     if n > sys.maxsize:  # no list can index more states
         raise FormatError(f"more than {sys.maxsize} states", ln)
-    if len(lines) < 2:
+    if len(head) < 2:
         raise FormatError("missing 'alphabet' line", ln)
-    ln2, toks2 = lines[1]
+    ln2, toks2 = head[1]
     if toks2[0] != "alphabet" or len(toks2) < 2:
         raise FormatError("expected 'alphabet <label> ...'", ln2)
     alphabet = tuple(toks2[1:])
@@ -469,7 +472,7 @@ def _parse_header(lines, kind: str):
             raise FormatError("'tau' is reserved and may not appear in the alphabet", ln2)
     if len(set(alphabet)) != len(alphabet):
         raise FormatError("duplicate label in alphabet", ln2)
-    return n, alphabet
+    return lines, n, alphabet
 
 
 def _unpadded(tok: str) -> str:
@@ -518,14 +521,15 @@ def _parse_names(toks: List[str], n: int, ln: int,
 def parse_lts(text: str) -> Lts:
     """Parse the LTS text format; raise :class:`FormatError` with a line number
     on any violation (unknown labels, out-of-range states, bad header)."""
-    lines = _content_lines(text)
-    n, alphabet = _parse_header(lines, "lts")
+    lines, n, alphabet = _parse_header(text, "lts")
     # a text names fewer states than it has characters; _parse_state reads the rest
     index = {str(i): i for i in range(min(n, len(text)))}
     finals: Optional[StateSet] = None
     names: Optional[Tuple[str, ...]] = None
     edges: Dict[str, Dict[int, int]] = {a: {} for a in alphabet + (TAU,)}
-    for ln, toks in lines[2:]:
+    for ln, toks in lines:
+        if not toks:
+            continue
         if toks[0] == "final":
             if finals is not None:
                 raise FormatError("duplicate 'final' line", ln)
@@ -566,29 +570,41 @@ def _probability(token: str, ln: int) -> Tuple[int, int]:
 def parse_gps(text: str) -> Gps:
     """Parse the GPS text format.  Probabilities are exact rationals ``p/q``;
     each state's total emission mass must be at most 1.  The GPS is built in
-    its integer form, ``Gps._scaled``."""
-    lines = _content_lines(text)
-    n, alphabet = _parse_header(lines, "gps")
+    its integer form, ``Gps._scaled``, from rows of probability tokens."""
+    lines, n, alphabet = _parse_header(text, "gps")
     # a text names fewer states than it has characters; _parse_state reads the rest
     index = {str(i): i for i in range(min(n, len(text)))}
-    probs: Dict[str, Tuple[int, int]] = {}  # each distinct valid token, read once
+    probs: Dict[object, Tuple[int, int]] = {}  # each distinct valid token, read once
     names: Optional[Tuple[str, ...]] = None
-    edges: List[Tuple[int, str, int, Tuple[int, int]]] = []
-    for ln, toks in lines[2:]:
-        if toks[0] == "names":
-            names = _parse_names(toks, n, ln, names)
+    rows: Dict[str, Dict[int, Dict[int, object]]] = {a: {} for a in alphabet}
+    summed = False
+    for ln, toks in lines:
+        if len(toks) != 4 or toks[0] == "names":
+            if toks and toks[0] == "names":
+                names = _parse_names(toks, n, ln, names)
+            elif toks:
+                raise FormatError("expected '<src> <label> <p>/<q> <dst>'", ln)
             continue
-        if len(toks) != 4:
-            raise FormatError("expected '<src> <label> <p>/<q> <dst>'", ln)
         s, lab, tok, d = toks
         src = index[s] if s in index else _parse_state(s, n, ln)
-        if lab not in alphabet:
+        row = rows.get(lab)
+        if row is None:
             raise FormatError(f"unknown label {lab!r}", ln)
-        pq = probs.get(tok)
-        if pq is None:
-            pq = probs[tok] = _probability(tok, ln)
-        edges.append((src, lab, index[d] if d in index else _parse_state(d, n, ln), pq))
-    scaled = _scaled_gps(n, alphabet, edges)
+        if tok not in probs:
+            probs[tok] = _probability(tok, ln)
+        dst = index[d] if d in index else _parse_state(d, n, ln)
+        r = row.get(src)
+        if r is None:
+            row[src] = {dst: tok}
+        elif dst in r:  # a repeated line: the entry's key becomes the summed (p, q)
+            pq = (Fraction(*probs[r[dst]]) + Fraction(*probs[tok])).as_integer_ratio()
+            r[dst] = probs[pq] = pq
+            summed = True
+        else:
+            r[dst] = tok
+    if summed:  # drop the keys that are no longer entries
+        probs = {t: probs[t] for row in rows.values() for r in row.values() for t in r.values()}
+    scaled = _scaled_gps(n, rows, probs)
     for x, e in enumerate(scaled.emission):
         if e > scaled.denom:
             raise FormatError(f"state {x} emits total mass {Fraction(e, scaled.denom)} > 1")

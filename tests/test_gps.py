@@ -126,6 +126,8 @@ def test_gps_equiv_reflexive_and_on_merged_copies():
     g = load_gps("gps-pu")
     p = g.resolve_state("p")
     assert gps_equiv(g, "g_ready", p, p) == (True, None)
+    with pytest.raises(ValueError, match="unknown GPS semantics"):
+        gps_equiv(g, "g_bogus", p, p)
 
 
 def test_mtrace_blind_to_circulating_mass():
@@ -240,10 +242,26 @@ def test_gps_equiv_with_states_that_emit_nothing():
     # 1, 2 and 3 emit nothing and share block 0; 0 is the one live block.
     # No benchmark system has a state that emits nothing.
     g = parse_gps("gps 4\nalphabet a\n0 a 1/2 1\n")
-    assert g._lumped[0] == (1, 0, 0, 0)
     for sem in GPS_SEMANTICS:
         assert gps_equiv(g, sem, 2, 3) == (True, None), sem
+        assert "_lumped" not in vars(g), sem
+    assert g._blocks == (1, 0, 0, 0)
+    for sem in GPS_SEMANTICS:
         assert gps_equiv(g, sem, 1, 0) == (False, ("a",) if sem == "g_trace" else ()), sem
+    # the dead block's row is its least state's, 1; the live block's is 0's
+    assert g._lumped == ((1, 0, 0, 0), (2, {"a": ({}, {0: 1})}, (0, 1), (0, 1)))
+
+
+def test_gps_equiv_builds_the_quotient_only_across_blocks():
+    g = load_gps("gps-pu")
+    p, u = g.resolve_state("p"), g.resolve_state("u")
+    for sem in GPS_SEMANTICS:
+        assert gps_equiv(g, sem, p, u) == (True, None), sem
+    assert g._blocks[p] == g._blocks[u] and "_lumped" not in vars(g)
+    g = parse_gps(CROSS_BLOCK)
+    x, y = g.resolve_state("x"), g.resolve_state("y")
+    assert gps_equiv(g, "g_trace", x, y) == (True, None)
+    assert g._blocks[x] != g._blocks[y] and vars(g)["_lumped"][0] is g._blocks
 
 
 def _dense_gps_with_copy(seed: int, n: int) -> str:

@@ -230,6 +230,8 @@ def test_lumping_matches_round_based_refinement():
     the same questions as searching the system."""
     merged = 0
     for name, g in _corpus():
+        fresh = Gps(g.n_states, g.alphabet, g.transitions, g.names)
+        assert fresh._blocks == g._lumped[0] and "_lumped" not in vars(fresh), name
         block, lumped = g._lumped
         ids: Dict[int, int] = {}
         assert tuple(ids.setdefault(b, len(ids)) for b in block) == _round_based_lumping(g), name
