@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -357,3 +358,58 @@ def test_twisted_copy_is_equal_but_never_lumped():
         b0, c0 = g.resolve_state("b0"), g.resolve_state("c0")
         for sem in GPS_SEMANTICS:
             assert gps_equiv(g, sem, b0, c0) == (True, None), (n, sem)
+
+
+def symmetric_trees(depth: int):
+    """Two complete binary trees over ``a b`` (each edge 1/3) of the given
+    depth, in the text format, and their two roots.  Every leaf steps ``c``
+    with 1/2 into a tail of its own: in the first tree s, with s -c 1/2-> u
+    and u -a 1/2, b 1/2-> t; in the second v, with v -c 1/4-> u1 -a-> t and
+    v -c 1/4-> u2 -b-> t.  The two tails are g_trace-equal but not lumpable,
+    so each tree lumps to one block a level and the roots, equal, lie in
+    different blocks.  Over the states, every word up to the leaves reaches
+    a pair of states no other word reaches."""
+    lines, fresh = [], itertools.count()
+
+    def tree(d, tail):
+        x = next(fresh)
+        if d == depth:
+            tail(x)
+        else:
+            for a in ("a", "b"):
+                lines.append(f"{x} {a} 1/3 {tree(d + 1, tail)}")
+        return x
+
+    def tail1(x):
+        s, u, t = next(fresh), next(fresh), next(fresh)
+        lines.extend([f"{x} c 1/2 {s}", f"{s} c 1/2 {u}", f"{u} a 1/2 {t}", f"{u} b 1/2 {t}"])
+
+    def tail2(x):
+        v, u1, u2, t = next(fresh), next(fresh), next(fresh), next(fresh)
+        lines.extend([f"{x} c 1/2 {v}", f"{v} c 1/4 {u1}", f"{v} c 1/4 {u2}",
+                      f"{u1} a 1/1 {t}", f"{u2} b 1/1 {t}"])
+
+    r1, r2 = tree(0, tail1), tree(0, tail2)
+    return "\n".join([f"gps {next(fresh)}", "alphabet a b c", *lines]) + "\n", r1, r2
+
+
+def test_symmetric_trees_are_searched_over_their_blocks(monkeypatch):
+    # 2,814 states in 24 blocks.  The search takes 33 steps over the blocks;
+    # over the states it would take 3,837, one basis vector for every word.
+    import semcheck.gps as gps
+
+    text, r1, r2 = symmetric_trees(8)
+    g = parse_gps(text)
+    real_step, steps = gps._step, [0]
+
+    def counted_step(*args):
+        steps[0] += 1
+        return real_step(*args)
+
+    monkeypatch.setattr(gps, "_step", counted_step)
+    for sem in ("g_trace", "g_mtrace"):
+        steps[0] = 0
+        assert gps_equiv(g, sem, r1, r2) == (True, None), sem
+        n_blocks = max(g._blocks) + 1
+        assert (g.n_states, n_blocks) == (2814, 24)
+        assert steps[0] <= len(g.alphabet) * (n_blocks + 1), (sem, steps[0])
