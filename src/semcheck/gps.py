@@ -20,20 +20,21 @@ one integer table, ``_weights``, that ``gps_decorate`` and the search share.
 ``gps_det_step`` and ``gps_det_output`` run the same linear kernels on
 rational vectors.
 
-The search runs on the lumping quotient, not on the system itself.  Each GPS
+The search runs on the blocks of the lumping, not on the states.  Each GPS
 caches its coarsest lumping (``Gps._blocks``, computed in O(m log n) on first
 use): a partition of the states in which every state of a block sends the
 same weight, under each label, into each block, so every state output is
 constant on blocks too.  Lumping preserves behaviour, behaviour(d) =
 behaviour(dV) for the block-indicator matrix V, so ``gps_equiv`` maps both
-states to their blocks.  Two states of one block are equal at once; any
-other pair is searched on the quotient (``Gps._lumped``, built once, for the
-first such pair).  Verdicts and words cannot
-change: the search returns the shortlex-first separating word whatever it
-prunes, because a vector with nonzero output is never in the span of the
-zero-output vectors it is compared against, and every extension of a pruned
-prefix is a combination of extensions of words earlier in shortlex order.
-So any exact quotient returns the same word.
+states to their blocks.  Two states of one block are equal at once.  Any
+other pair is searched on vectors over the blocks: each block is read at its
+least state, and a step counts each successor at its block, which sums the
+block's weight into every block as it goes; no quotient system is built.
+Verdicts and words cannot change: the search returns the shortlex-first
+separating word whatever it prunes, because a vector with nonzero output is
+never in the span of the zero-output vectors it is compared against, and
+every extension of a pruned prefix is a combination of extensions of words
+earlier in shortlex order.  So any exact reduction returns the same word.
 """
 
 from __future__ import annotations
@@ -106,8 +107,9 @@ class GpsDecorated:
 def _weights(scaled: ScaledGps, semantics: str) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
     """Each state's output under ``semantics`` as integer ``(mask, weight)``
     pairs, a ``prob`` output being one pair under mask 0, for the states of
-    ``scaled``: a GPS's ``_scaled`` or its lumping quotient.  Weights are
-    over 1, except under g_mtrace, where they are over ``scaled.denom``.
+    ``scaled``: a GPS's ``_scaled``, or the view of it at each lumping
+    block's least state that the search reads.  Weights are over 1, except
+    under g_mtrace, where they are over ``scaled.denom``.
 
     g_ready     unit weight on the enabled-action set
     g_failure   unit weight on every refusable set
@@ -143,14 +145,16 @@ def gps_decorate(g: Gps, semantics: str) -> GpsDecorated:
     return GpsDecorated(semantics, g, outs)
 
 
-def _step(row: Sequence[Dict[int, int]], vec: Dict[int, int]
+def _step(row: Sequence[Dict[int, int]], vec: Dict[int, int], into: Sequence[int]
           ) -> Dict[int, int]:
     """One action's integer matrix (``ScaledGps.rows[label]``) applied to a
-    vector, integer in the search and rational at the boundary; zero entries
-    dropped."""
+    vector, integer in the search and rational at the boundary, each target
+    ``y`` counted at ``into[y]``: its lumping block in the search, ``y``
+    itself at the boundary; zero entries dropped."""
     out: Dict[int, int] = {}
     for x, p in vec.items():
         for y, q in row[x].items():
+            y = into[y]
             out[y] = out.get(y, 0) + p * q
     return {y: p for y, p in out.items() if p}
 
@@ -172,7 +176,7 @@ def gps_det_step(g: Gps, phi: Distribution, label: str) -> Distribution:
     action's substochastic matrix."""
     if label not in g.alphabet:
         raise ValueError(f"unknown label {label!r}")
-    out = _step(g._scaled.rows[label], phi.as_dict())
+    out = _step(g._scaled.rows[label], phi.as_dict(), range(g.n_states))
     return Distribution.from_dict({y: Fraction(p, g._scaled.denom) for y, p in out.items()},
                                   signed=phi.signed)
 
@@ -205,9 +209,10 @@ def gps_equiv(g: Gps, semantics: str, x: int, y: int
     the vectors queued ahead, and the span of the basis, have zero output.
     Zero output and span membership are blind to nonzero scalars, so each
     vector is carried primitive, a multiple of the exact one.  The vectors
-    live on the blocks of the GPS's lumping (``Gps._lumped``), and every word
-    is the one a search on the states would return; two states of one block
-    (``Gps._blocks``) are equal at once, and no quotient is built for them.
+    live on the blocks of the GPS's lumping (``Gps._blocks``): each block is
+    read at its least state, each successor counted at its block, and every
+    word is the one a search on the states would return.  Two states of one
+    block are equal at once.
 
     g_failure searches on g_mfailure's weights, one set a state instead of
     all 2^|A| refusable ones.  A vector's g_failure weight on a set Z is the
@@ -215,11 +220,17 @@ def gps_equiv(g: Gps, semantics: str, x: int, y: int
     invertible (Moebius inversion on the subset lattice), so both outputs
     vanish on exactly the same vectors, and the search, which only asks
     whether an output is zero, returns the same verdicts and words."""
-    x, y = g._blocks[x], g._blocks[y]
+    block = g._blocks
+    x, y = block[x], block[y]
     if x == y and semantics in GPS_SEMANTICS:
         return True, None
-    lumped = g._lumped[1]
-    weights = _weights(lumped, "g_mfailure" if semantics == "g_failure" else semantics)
+    reps = [0] * (max(block) + 1)  # each block's least state
+    for s in range(g.n_states - 1, -1, -1):
+        reps[block[s]] = s
+    scaled = g._scaled
+    view = ScaledGps(scaled.denom, {a: [row[s] for s in reps] for a, row in scaled.rows.items()},
+                     [scaled.emission[s] for s in reps], [scaled.enabled[s] for s in reps])
+    weights = _weights(view, "g_mfailure" if semantics == "g_failure" else semantics)
     start = {x: 1, y: -1}
     if any(_output(weights, start).values()):
         return False, ()
@@ -247,8 +258,8 @@ def gps_equiv(g: Gps, semantics: str, x: int, y: int
         if not w:
             continue
         basis[min(w)] = _primitive(w)
-        for a, row in lumped.rows.items():  # in alphabet order
-            nxt = _step(row, vec)
+        for a, row in view.rows.items():  # in alphabet order
+            nxt = _step(row, vec, block)
             if any(_output(weights, nxt).values()):
                 word = [a]
                 while qi:

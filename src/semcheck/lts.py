@@ -269,8 +269,7 @@ def _scaled_gps(n: int, rows: Dict[str, Dict[int, Dict[int, object]]],
 
 
 def _lumped_gps(scaled: ScaledGps) -> Tuple[int, ...]:
-    """The coarsest lumping of a scaled GPS, as each state's block; the
-    quotient is built from it only when a query needs it (``Gps._lumped``).
+    """The coarsest lumping of a scaled GPS, as each state's block.
 
     A lumping is a partition of the states in which every state of a block
     sends the same weight, under each label, into each block.
@@ -367,11 +366,9 @@ class Gps(_NamedStates):
     ``transitions`` from those rows on first use.
 
     ``_blocks`` caches the coarsest lumping of ``_scaled`` as each state's
-    block (see :func:`_lumped_gps`), and ``_lumped`` pairs it with the
-    quotient ``ScaledGps``: one ``{block: weight}`` row per block and label,
-    taken from the block's least state.  Neither depends on the semantics.
-    The first ``gps_equiv`` on the system computes ``_blocks``, and the first
-    one whose two states lie in different blocks builds the quotient.
+    block (see :func:`_lumped_gps`); it does not depend on the semantics.
+    The first ``gps_equiv`` on the system computes it, and every search
+    across blocks reads each block at its least state.
     """
 
     n_states: int
@@ -402,24 +399,6 @@ class Gps(_NamedStates):
     @cached_property
     def _blocks(self) -> Tuple[int, ...]:
         return _lumped_gps(self._scaled)
-
-    @cached_property
-    def _lumped(self) -> Tuple[Tuple[int, ...], ScaledGps]:
-        block, scaled = self._blocks, self._scaled
-        reps = [0] * (max(block, default=-1) + 1)
-        for x in range(self.n_states - 1, -1, -1):
-            reps[block[x]] = x
-        rows = {}
-        for a, row in scaled.rows.items():
-            lumped = []
-            for x in reps:
-                sums: Dict[int, int] = {}
-                for y, w in row[x].items():
-                    sums[block[y]] = sums.get(block[y], 0) + w
-                lumped.append(sums)
-            rows[a] = tuple(lumped)
-        return block, ScaledGps(scaled.denom, rows, tuple(scaled.emission[x] for x in reps),
-                                tuple(scaled.enabled[x] for x in reps))
 
     def emission_mass(self, x: int) -> Fraction:
         return Fraction(self._scaled.emission[x], self._scaled.denom)

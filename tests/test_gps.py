@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 import time
@@ -12,6 +13,7 @@ import pytest
 from semcheck import (
     GPS_SEMANTICS,
     Distribution,
+    Gps,
     Output,
     failure_from_ready,
     full_mask,
@@ -26,6 +28,7 @@ from semcheck import (
     submasks,
 )
 from semcheck.cli import main
+from semcheck.lts import ScaledGps
 
 from conftest import load_gps
 
@@ -216,7 +219,34 @@ def test_collapses_commute_with_determinised_outputs():
         assert mfailure_from_ready(r, g.alphabet) == gps_det_output(mfail, cur)
 
 
-# -- the lumping quotient ----------------------------------------------------
+# -- the lumping behind the search -------------------------------------------
+
+
+def lumped_quotient(g: Gps) -> ScaledGps:
+    """The quotient of ``g`` by its lumping, from ``g._blocks`` and
+    ``g._scaled``: a state per block, each block read at its least state,
+    with that state's weights summed per target block."""
+    block, scaled = g._blocks, g._scaled
+    reps = [0] * (max(block, default=-1) + 1)
+    for x in range(g.n_states - 1, -1, -1):
+        reps[block[x]] = x
+    rows = {}
+    for a, row in scaled.rows.items():
+        lumped = []
+        for x in reps:
+            sums = {}
+            for y, w in row[x].items():
+                sums[block[y]] = sums.get(block[y], 0) + w
+            lumped.append(sums)
+        rows[a] = tuple(lumped)
+    return ScaledGps(scaled.denom, rows, tuple(scaled.emission[x] for x in reps),
+                     tuple(scaled.enabled[x] for x in reps))
+
+
+def cached(g: Gps) -> set:
+    """What ``g`` holds besides its dataclass fields."""
+    return set(vars(g)) - {f.name for f in dataclasses.fields(Gps)}
+
 
 # x splits its a-mass between a b-state and a c-state; y moves it to one state
 # that splits it between b and c.  Different blocks, equal traces.
@@ -228,8 +258,7 @@ CROSS_BLOCK = ("gps 6\nalphabet a b c\nnames x x1 x2 y y1 z\n"
 def test_gps_equiv_equal_across_blocks(tmp_path):
     g = parse_gps(CROSS_BLOCK)
     x, y = g.resolve_state("x"), g.resolve_state("y")
-    block, _ = g._lumped
-    assert block[x] != block[y]
+    assert g._blocks[x] != g._blocks[y]
     expected = {"g_trace": (True, None), "g_mtrace": (True, None), "g_ready": (False, ("a",)),
                 "g_failure": (False, ("a",)), "g_mfailure": (False, ("a",))}
     f = tmp_path / "cross-block.lts"
@@ -245,24 +274,25 @@ def test_gps_equiv_with_states_that_emit_nothing():
     g = parse_gps("gps 4\nalphabet a\n0 a 1/2 1\n")
     for sem in GPS_SEMANTICS:
         assert gps_equiv(g, sem, 2, 3) == (True, None), sem
-        assert "_lumped" not in vars(g), sem
+        assert cached(g) == {"_scaled", "_blocks"}, sem
     assert g._blocks == (1, 0, 0, 0)
     for sem in GPS_SEMANTICS:
         assert gps_equiv(g, sem, 1, 0) == (False, ("a",) if sem == "g_trace" else ()), sem
-    # the dead block's row is its least state's, 1; the live block's is 0's
-    assert g._lumped == ((1, 0, 0, 0), (2, {"a": ({}, {0: 1})}, (0, 1), (0, 1)))
+    # the dead block is read at its least state, 1; the live block at 0
+    assert lumped_quotient(g) == (2, {"a": ({}, {0: 1})}, (0, 1), (0, 1))
 
 
-def test_gps_equiv_builds_the_quotient_only_across_blocks():
+def test_gps_equiv_caches_only_the_blocks():
     g = load_gps("gps-pu")
     p, u = g.resolve_state("p"), g.resolve_state("u")
     for sem in GPS_SEMANTICS:
         assert gps_equiv(g, sem, p, u) == (True, None), sem
-    assert g._blocks[p] == g._blocks[u] and "_lumped" not in vars(g)
+    assert g._blocks[p] == g._blocks[u] and cached(g) == {"_scaled", "_blocks"}
     g = parse_gps(CROSS_BLOCK)
     x, y = g.resolve_state("x"), g.resolve_state("y")
     assert gps_equiv(g, "g_trace", x, y) == (True, None)
-    assert g._blocks[x] != g._blocks[y] and vars(g)["_lumped"][0] is g._blocks
+    assert gps_equiv(g, "g_ready", x, y) == (False, ("a",))
+    assert g._blocks[x] != g._blocks[y] and cached(g) == {"_scaled", "_blocks"}
 
 
 def _dense_gps_with_copy(seed: int, n: int) -> str:
@@ -302,9 +332,9 @@ def test_lumping_a_5000_state_chain_in_under_a_second():
         lines += [f"{x} a 1/2 {x + 1}", f"{x} b 1/3 {x + 1}"]
     g = parse_gps("\n".join(lines) + "\n")
     t0 = time.perf_counter()
-    block, lumped = g._lumped
+    block = g._blocks
     assert time.perf_counter() - t0 < 1.0
-    assert len(lumped.emission) == n
+    assert max(block) + 1 == n
     assert all(block[x] == block[x + n] for x in range(n))
 
 
@@ -353,8 +383,7 @@ def twisted_copy(n: int) -> str:
 def test_twisted_copy_is_equal_but_never_lumped():
     for n in (3, 6, 10):
         g = parse_gps(twisted_copy(n))
-        _, lumped = g._lumped
-        assert len(lumped.emission) == g.n_states, n
+        assert len(set(g._blocks)) == g.n_states, n
         b0, c0 = g.resolve_state("b0"), g.resolve_state("c0")
         for sem in GPS_SEMANTICS:
             assert gps_equiv(g, sem, b0, c0) == (True, None), (n, sem)

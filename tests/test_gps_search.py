@@ -34,7 +34,7 @@ import semcheck.gps
 from semcheck.gps import _weights
 
 from conftest import FIXTURES, load_gps
-from test_gps import _dense_gps_with_copy, twisted_copy
+from test_gps import _dense_gps_with_copy, lumped_quotient, twisted_copy
 
 PINNED_SHA256 = "79614064d32530b26bbef35203a594a5af17a70208d166d20dba0bcccf3aaddb"
 LUMPING_SHA256 = "798160bfb404a490a60f984d1d8d06ce7040c01951e946d0030f5f6858417938"
@@ -163,9 +163,9 @@ def test_gps_equiv_agrees_with_word_enumeration(monkeypatch):
     same word."""
     real_step, steps = semcheck.gps._step, [0]
 
-    def counted_step(row, vec):
+    def counted_step(row, vec, into):
         steps[0] += 1
-        return real_step(row, vec)
+        return real_step(row, vec, into)
 
     monkeypatch.setattr(semcheck.gps, "_step", counted_step)
     for seed in range(400):
@@ -224,29 +224,37 @@ def _round_based_lumping(g: Gps) -> Tuple[int, ...]:
 
 
 def test_lumping_matches_round_based_refinement():
-    """The cached lumping equals the reference up to numbering; every block
-    sends equal weight per label into every block, and every state output
-    the search reads is constant on blocks, so searching the quotient asks
-    the same questions as searching the system."""
+    """The cached lumping equals the reference up to numbering, and it is a
+    lumping: every state sends, under each label, the weight into each block
+    that its block's least state sends, and has that state's output under
+    every semantics.  So the search, which reads each block at its least
+    state, asks the same questions as a search on the states."""
     merged = 0
     for name, g in _corpus():
         fresh = Gps(g.n_states, g.alphabet, g.transitions, g.names)
-        assert fresh._blocks == g._lumped[0] and "_lumped" not in vars(fresh), name
-        block, lumped = g._lumped
+        block = g._blocks
+        assert fresh._blocks == block, name
         ids: Dict[int, int] = {}
         assert tuple(ids.setdefault(b, len(ids)) for b in block) == _round_based_lumping(g), name
-        assert len(lumped.emission) == len(ids) == max(block, default=-1) + 1, name
+        assert len(ids) == max(block, default=-1) + 1, name
         merged += len(ids) < g.n_states
+        least: Dict[int, int] = {}
+        for x, b in enumerate(block):
+            least.setdefault(b, x)
         scaled = g._scaled
+
+        def into(x: int, a: str) -> Dict[int, int]:
+            sums: Dict[int, int] = {}
+            for y, w in scaled.rows[a][x].items():
+                sums[block[y]] = sums.get(block[y], 0) + w
+            return sums
+
         for x in range(g.n_states):
             for a in g.alphabet:
-                into: Dict[int, int] = {}
-                for y, w in scaled.rows[a][x].items():
-                    into[block[y]] = into.get(block[y], 0) + w
-                assert dict(lumped.rows[a][block[x]]) == into, (name, x, a)
+                assert into(x, a) == into(least[block[x]], a), (name, x, a)
         for sem in GPS_SEMANTICS:
-            table, quotient = _weights(scaled, sem), _weights(lumped, sem)
-            assert all(table[x] == quotient[block[x]] for x in range(g.n_states)), (name, sem)
+            table = _weights(scaled, sem)
+            assert all(table[x] == table[least[block[x]]] for x in range(g.n_states)), (name, sem)
     assert merged > 250
 
 
@@ -255,14 +263,15 @@ def _lumping_lines():
     systems += [(f"twisted{n}", parse_gps(twisted_copy(n))) for n in (3, 6, 10)]
     systems.append(("dense70", parse_gps(_dense_gps_with_copy(70, 70))))
     for name, g in systems:
-        block, lumped = g._lumped
+        block, lumped = g._blocks, lumped_quotient(g)
         rows = {a: [sorted(dict(r).items()) for r in row] for a, row in lumped.rows.items()}
         yield repr((name, block, lumped.denom, lumped.emission, lumped.enabled, rows))
 
 
 def test_lumping_matches_pinned_digest():
-    """Each system's block numbering and quotient, exactly: a faster
-    refinement must find the same blocks in the same order.  Rows are read
+    """Each system's block numbering and quotient (derived from the blocks
+    by ``lumped_quotient``), exactly: a faster refinement must find the
+    same blocks in the same order.  Rows are read
     as sorted (target, weight) items, whatever container holds them."""
     text = "\n".join(_lumping_lines())
     assert hashlib.sha256(text.encode()).hexdigest() == LUMPING_SHA256
