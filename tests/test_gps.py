@@ -424,7 +424,8 @@ def symmetric_trees(depth: int):
 
 def test_symmetric_trees_are_searched_over_their_blocks(monkeypatch):
     # 2,814 states in 24 blocks.  The search takes 33 steps over the blocks;
-    # over the states it would take 3,837, one basis vector for every word.
+    # a search over the states takes 3,837, since no two words up to the
+    # leaves reach the same pair of states.
     import semcheck.gps as gps
 
     text, r1, r2 = symmetric_trees(8)
