@@ -15,13 +15,12 @@ import io
 import json
 import random
 import time
-from dataclasses import dataclass, field, fields
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import brzozowski
 from .decorations import DecoratedLts, decorate
 from .hkc import hkc_check, naive_bisim
-from .lts import TAU, Lts, StateSet
+from .lts import TAU, Lts, Record, StateSet
 from .moore import DEFAULT_CAP, CapExceeded, MooreMachine, reachable_machine
 
 ALGORITHMS = ("oracle", "naive", "hkc", "brzozowski")
@@ -165,16 +164,14 @@ def _words_agree(m: MooreMachine) -> bool:
 # Cross-check matrix
 # ---------------------------------------------------------------------------
 
-@dataclass
-class BenchCase:
+class BenchCase(NamedTuple):
     name: str
     lts: Lts
     left: StateSet
     right: StateSet
 
 
-@dataclass
-class BenchRecord:
+class BenchRecord(NamedTuple):
     case: str
     semantics: str
     algorithm: str
@@ -185,24 +182,26 @@ class BenchRecord:
     error: Optional[str] = None
 
 
-@dataclass
-class BenchReport:
-    records: List[BenchRecord] = field(default_factory=list)
-    disagreements: List[Tuple[str, str]] = field(default_factory=list)
+class BenchReport(Record):
+    _fields = ("records", "disagreements")
+
+    def __init__(self, records: Optional[List[BenchRecord]] = None,
+                 disagreements: Optional[List[Tuple[str, str]]] = None):
+        self.records = [] if records is None else records
+        self.disagreements = [] if disagreements is None else disagreements
 
     def to_json(self) -> str:
         return json.dumps({
             "schema": 1,
-            "records": [vars(r) for r in self.records],
+            "records": [r._asdict() for r in self.records],
             "disagreements": list(self.disagreements),
         }, indent=2)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=[f.name for f in fields(BenchRecord)])
-        writer.writeheader()
-        for r in self.records:
-            writer.writerow(vars(r))
+        writer = csv.writer(buf)
+        writer.writerow(BenchRecord._fields)
+        writer.writerows(self.records)
         return buf.getvalue()
 
 

@@ -16,11 +16,10 @@ equal states.  :class:`Output` values are built only at the boundary, in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import compress
 from operator import itemgetter
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 from .decorations import (
     TOP,
@@ -39,8 +38,7 @@ from .moore import DEFAULT_CAP, MooreMachine, explore, to_mask
 FunctionState = Tuple[Value, ...]
 
 
-@dataclass
-class LazyReversal:
+class LazyReversal(NamedTuple):
     """A reversal machine evaluated on demand, over tuples of raw output
     values: ``step`` evaluates one transition, ``value`` gives a state's raw
     output and ``decode`` turns that into its :class:`Output`."""

@@ -25,15 +25,15 @@ of action-subset bitmasks (see :mod:`semcheck.lts`), exist at the boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import inf
-from typing import Dict, FrozenSet, Iterable, List, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Tuple, Union
 
 from .lts import (
     TAU,
     Lts,
+    Record,
     StateSet,
     divergent_states,  # noqa: F401  not called; perfbench counts decorations.divergent_states
     downclose_masks,
@@ -78,9 +78,20 @@ class CapExceeded(RuntimeError):
         super().__init__(f"{stage}: exceeded cap after building {states_built} {counted}")
 
 
-@dataclass(frozen=True)
 class Top:
-    """Absorbing top element (divergence under must testing)."""
+    """Absorbing top element (divergence under must testing).  A copy or a
+    pickle of :data:`TOP` is ``TOP`` itself, so ``is TOP`` tests hold on it."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object):
+        return True if other.__class__ is Top else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(())
+
+    def __reduce__(self) -> str:
+        return "TOP"
 
     def __repr__(self) -> str:
         return "TOP"
@@ -98,8 +109,7 @@ TOP = Top()
 EffLabel = Union[str, Tuple[str, FrozenSet[str]]]
 
 
-@dataclass(frozen=True)
-class Output:
+class Output(NamedTuple):
     """A decorated output value.
 
     kind        payload
@@ -194,8 +204,7 @@ def compact_output(v: Output, alphabet: Tuple[str, ...], semantics: str) -> Outp
 Row = Value = Union[int, Top]
 
 
-@dataclass
-class DecoratedLts:
+class DecoratedLts(Record):
     """An LTS after decoration: per-state outputs, an effective alphabet, and
     transition rows that may be marked TOP (must testing under divergence).
     ``masks[label][x]`` is ``x``'s row under ``label`` as a state mask (bit
@@ -208,14 +217,16 @@ class DecoratedLts:
     Values join with ``|`` and are equal exactly when their outputs are;
     :meth:`decode` counts a family's members against ``cap``."""
 
-    semantics: str
-    n_states: int
-    alphabet: Tuple[str, ...]
-    eff_alphabet: Tuple[EffLabel, ...]
-    values: Tuple[Value, ...]
-    atoms: Tuple[int, ...]
-    masks: Dict[EffLabel, Tuple[Row, ...]]
-    cap: int = DEFAULT_CAP
+    _fields = ("semantics", "n_states", "alphabet", "eff_alphabet", "values", "atoms",
+               "masks", "cap")
+
+    def __init__(self, semantics: str, n_states: int, alphabet: Tuple[str, ...],
+                 eff_alphabet: Tuple[EffLabel, ...], values: Tuple[Value, ...],
+                 atoms: Tuple[int, ...], masks: Dict[EffLabel, Tuple[Row, ...]],
+                 cap: int = DEFAULT_CAP):
+        self.semantics, self.n_states, self.alphabet = semantics, n_states, alphabet
+        self.eff_alphabet, self.values, self.atoms = eff_alphabet, values, atoms
+        self.masks, self.cap = masks, cap
 
     @property
     def output_kind(self) -> str:

@@ -40,35 +40,36 @@ earlier in shortlex order.  So any exact reduction returns the same word.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .decorations import Output, VariantMismatch
-from .lts import Gps, ScaledGps, full_mask, submasks
+from .lts import Gps, Record, ScaledGps, full_mask, submasks
 
 GPS_SEMANTICS = ("g_ready", "g_failure", "g_mfailure", "g_trace", "g_mtrace")
 
 
-@dataclass(frozen=True)
-class Distribution:
+class Distribution(Record):
     """A sparse rational vector over states.
 
     Unsigned distributions (``signed=False``) are sub-probability: entries
     positive, total mass at most 1.  Signed vectors, such as the differences
     :meth:`sub` returns, relax both constraints."""
 
-    entries: Tuple[Tuple[int, Fraction], ...]
-    signed: bool = False
+    __slots__ = _fields = ("entries", "signed")
 
-    def __post_init__(self):
-        if any(p == 0 for _, p in self.entries):
+    def __init__(self, entries: Tuple[Tuple[int, Fraction], ...], signed: bool = False):
+        self.entries, self.signed = entries, signed
+        if any(p == 0 for _, p in entries):
             raise ValueError("distribution entries must be nonzero")
-        if not self.signed:
-            if any(p < 0 for _, p in self.entries):
+        if not signed:
+            if any(p < 0 for _, p in entries):
                 raise ValueError("unsigned distribution with negative mass")
             if self.mass() > 1:
                 raise ValueError("unsigned distribution with mass above 1")
+
+    def __hash__(self) -> int:
+        return hash((self.entries, self.signed))
 
     @staticmethod
     def from_dict(weights: Dict[int, Fraction], signed: bool = False) -> "Distribution":
@@ -95,8 +96,7 @@ class Distribution:
         return not self.entries
 
 
-@dataclass
-class GpsDecorated:
+class GpsDecorated(NamedTuple):
     """A GPS with per-state probabilistic outputs for one semantics tag."""
 
     semantics: str

@@ -24,12 +24,11 @@ for every pair.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from .decorations import TOP, DecoratedLts, EffLabel, Value
-from .lts import join_at, mask_bits
+from .lts import Record, join_at, mask_bits
 from .moore import DEFAULT_CAP, CapExceeded, DetState, to_mask, to_stateset
 from .moore import det_output  # noqa: F401  not called; perfbench counts hkc.det_output
 from .moore import det_step  # noqa: F401  not called; perfbench counts hkc.det_step
@@ -256,16 +255,17 @@ def _stateset_pairs(relation: List[Pair]) -> list:
     return [(to_stateset(l), to_stateset(r)) for l, r in relation]
 
 
-@dataclass
-class HkcReport:
+class HkcReport(Record):
     """Outcome of a congruence-based equivalence check.  ``masks`` is the
     relation as the walk built it, pairs of masks (or TOP); ``relation``
     gives the same pairs as frozensets (or TOP), decoded on first read."""
 
-    equal: bool
-    masks: List[Pair]
-    pairs_processed: int
-    counterexample: Optional[Tuple[EffLabel, ...]]
+    _fields = ("equal", "masks", "pairs_processed", "counterexample")
+
+    def __init__(self, equal: bool, masks: List[Pair], pairs_processed: int,
+                 counterexample: Optional[Tuple[EffLabel, ...]]):
+        self.equal, self.masks = equal, masks
+        self.pairs_processed, self.counterexample = pairs_processed, counterexample
 
     @cached_property
     def relation(self) -> list:

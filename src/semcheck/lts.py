@@ -14,7 +14,6 @@ import math
 import re
 import sys
 import unicodedata
-from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from itertools import compress, islice
@@ -143,7 +142,27 @@ def is_downclosed(masks: FrozenSet[int]) -> bool:
 # Labelled transition systems
 # ---------------------------------------------------------------------------
 
-class _NamedStates:
+class Record:
+    """Value equality and a repr over the attributes named in ``_fields``.
+    A subclass that does not define ``__hash__`` is unhashable."""
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other: object):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class _NamedStates(Record):
     """State naming shared by :class:`Lts` and :class:`Gps`, which both carry
     ``n_states`` and optional display ``names``."""
 
@@ -159,7 +178,6 @@ class _NamedStates:
         raise ValueError(f"unknown state {token!r}")
 
 
-@dataclass
 class Lts(_NamedStates):
     """A finite LTS over a fixed visible alphabet, with optional final states
     (for language semantics) and optional display names.
@@ -176,11 +194,14 @@ class Lts(_NamedStates):
     the store.  ``_rows``, ``_enabled`` and ``_tau`` are its cached views.
     """
 
-    n_states: int
-    alphabet: Tuple[str, ...]
-    transitions: Dict[Tuple[int, str], StateSet] = field(default_factory=dict)
-    finals: Optional[StateSet] = None
-    names: Optional[Tuple[str, ...]] = None
+    _fields = ("n_states", "alphabet", "transitions", "finals", "names")
+
+    def __init__(self, n_states: int, alphabet: Tuple[str, ...],
+                 transitions: Optional[Dict[Tuple[int, str], StateSet]] = None,
+                 finals: Optional[StateSet] = None, names: Optional[Tuple[str, ...]] = None):
+        self.n_states, self.alphabet = n_states, alphabet
+        self.transitions = {} if transitions is None else transitions
+        self.finals, self.names = finals, names
 
     def __getattr__(self, name: str):
         if name != "transitions":
@@ -353,7 +374,6 @@ def _lumped_gps(scaled: ScaledGps) -> Tuple[int, ...]:
     return tuple(block)
 
 
-@dataclass
 class Gps(_NamedStates):
     """A generative probabilistic system: each state emits each action with an
     exact rational probability; the row over all actions sums to at most 1 and
@@ -371,10 +391,14 @@ class Gps(_NamedStates):
     across blocks reads each block at its least state.
     """
 
-    n_states: int
-    alphabet: Tuple[str, ...]
-    transitions: Dict[Tuple[int, str], Dict[int, Fraction]] = field(default_factory=dict)
-    names: Optional[Tuple[str, ...]] = None
+    _fields = ("n_states", "alphabet", "transitions", "names")
+
+    def __init__(self, n_states: int, alphabet: Tuple[str, ...],
+                 transitions: Optional[Dict[Tuple[int, str], Dict[int, Fraction]]] = None,
+                 names: Optional[Tuple[str, ...]] = None):
+        self.n_states, self.alphabet = n_states, alphabet
+        self.transitions = {} if transitions is None else transitions
+        self.names = names
 
     def __getattr__(self, name: str):
         if name != "transitions":

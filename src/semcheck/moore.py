@@ -18,12 +18,11 @@ decode, and so do a machine's ``outputs`` and ``state_keys``.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 from operator import itemgetter
-from typing import (Callable, Dict, Hashable, Iterable, Iterator, List, Sequence, Tuple,
-                    Union)
+from typing import (Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
 
 from .decorations import (
     DEFAULT_CAP,
@@ -38,7 +37,7 @@ from .decorations import (
     antichain_to_downset,
     join_outputs,  # noqa: F401  not called; perfbench counts moore.join_outputs
 )
-from .lts import StateSet, full_mask, join_at, mask_bits, mask_states, state_mask
+from .lts import Record, StateSet, full_mask, join_at, mask_bits, mask_states, state_mask
 
 #: A determinised state: the mask of a set of base states, or the absorbing
 #: top element (must testing only).  Probabilistic systems determinise into
@@ -97,8 +96,7 @@ def behavior(d: DecoratedLts, state: DetState, word: Iterable[EffLabel]) -> Outp
     return det_output(d, state)
 
 
-@dataclass
-class MooreMachine:
+class MooreMachine(Record):
     """An explicit finite Moore machine with total transitions.
 
     ``values`` holds the states' raw outputs and ``keys`` what each state
@@ -106,14 +104,17 @@ class MooreMachine:
     for reversal passes); ``decode`` and ``decode_key`` (identities unless
     set) give their views.  ``inits`` lists the initial states in order."""
 
-    semantics: str
-    alphabet: Tuple[EffLabel, ...]
-    values: List[object]
-    steps: List[Dict[EffLabel, int]]
-    inits: List[int]
-    keys: List[object] = field(default_factory=list)
-    decode: Callable[[object], Output] = lambda value: value
-    decode_key: Callable[[object], object] = lambda key: key
+    _fields = ("semantics", "alphabet", "values", "steps", "inits", "keys", "decode",
+               "decode_key")
+
+    def __init__(self, semantics: str, alphabet: Tuple[EffLabel, ...], values: List[object],
+                 steps: List[Dict[EffLabel, int]], inits: List[int],
+                 keys: Optional[List[object]] = None,
+                 decode: Callable[[object], Output] = lambda value: value,
+                 decode_key: Callable[[object], object] = lambda key: key):
+        self.semantics, self.alphabet, self.values = semantics, alphabet, values
+        self.steps, self.inits, self.keys = steps, inits, [] if keys is None else keys
+        self.decode, self.decode_key = decode, decode_key
 
     @property
     def n_states(self) -> int:

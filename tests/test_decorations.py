@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import hashlib
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -248,6 +250,24 @@ def test_must_rows_top_when_divergence_reachable():
     x = lts.resolve_state("x")
     assert d.row(x, "b") is TOP  # x --b--> x4, which diverges
     assert d.row(x, "a") == frozenset({1, 2, 3})
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                   lambda v: pickle.loads(pickle.dumps(v))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_top_is_kept_by_copy_and_pickle(clone):
+    """A copied or unpickled TOP is TOP itself, so a copied must decoration's
+    TOP rows still pass the walk's ``is TOP`` tests."""
+    assert clone(TOP) is TOP
+    assert clone(Output("top_or_family", TOP)).is_top()
+    lts = load_lts("must-xy")
+    d = decorate(lts, "must")
+    dc = clone(d)
+    assert dc.row(lts.resolve_state("x"), "b") is TOP
+    for p, q in (("x", "y"), ("x", "x4"), ("y1", "x5")):
+        p, q = frozenset({lts.resolve_state(p)}), frozenset({lts.resolve_state(q)})
+        want, got = hkc_check(d, p, q), hkc_check(dc, p, q)
+        assert (got.equal, got.counterexample) == (want.equal, want.counterexample)
 
 
 def test_pfutures_decoration_separates_trace_classes():

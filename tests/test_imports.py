@@ -1,4 +1,5 @@
-"""Every name a module imports is used in that module.
+"""Every name a module imports is used in that module, and importing the
+package stays cheap.
 
 A deletion that leaves an import behind fails here.  An import kept only so
 that the benchmark's tracer can count calls through the module's attribute
@@ -9,6 +10,9 @@ carries ``# noqa: F401`` on its own line, and is exempt.  The package's
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,3 +48,14 @@ def test_the_check_sees_an_unused_import():
     source = ("from x import (\n    a,\n    b,  # noqa: F401\n    c,\n)\n"
               "import d.e\nimport f as g\n\nprint(a, d)\n")
     assert unused_imports(source) == [(4, "c"), (7, "g")]
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    """Each query is a fresh ``semcheck`` process, so each pays this import.
+    ``dataclasses`` pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``,
+    and each decorated class execs generated source."""
+    probe = ("import sys\nbefore = set(sys.modules)\nimport semcheck, semcheck.cli\n"
+             "print(*sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)), check=True)
+    assert out.stdout.split() == []
