@@ -95,7 +95,6 @@ def test_distribution_fields_equality_and_hash():
     assert Distribution(half) != Distribution(((1, Fraction(1, 2)),))
     assert hash(Distribution(half)) == hash(Distribution(half))
     assert len({Distribution(half), Distribution(half), Distribution.point(0)}) == 2
-    assert Distribution.point(0).sub(Distribution.point(0)).is_zero()
 
 
 @pytest.mark.parametrize("entries, signed, message", [
