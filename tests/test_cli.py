@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import csv
 import io
@@ -19,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import semcheck
-from semcheck import cli, disjoint_union, format_lts
+from semcheck import DEFAULT_CAP, GPS_SEMANTICS, SEMANTICS, cli, disjoint_union, format_lts
 from semcheck.cli import main
 
 from conftest import FIXTURES, kth_lts, perm2r_lts
@@ -388,9 +389,10 @@ def test_readme_examples_run(capsys, monkeypatch):
 
 
 def test_gen_rejects_a_family_size_below_one(capsys):
-    code, out, err = run_cli(capsys, "gen", "--family", "chain", "--n", "0")
-    assert (code, out) == (2, "")
-    assert err == "semcheck: error: n must be positive\n"
+    for family in ("interleave", "chain", "cycles"):
+        code, out, err = run_cli(capsys, "gen", "--family", family, "--n", "0")
+        assert (code, out) == (2, ""), family
+        assert err == "semcheck: error: n must be positive\n", family
 
 
 def test_missing_file_is_exit_two(capsys):
@@ -466,22 +468,30 @@ def test_parse_allocates_by_the_text_not_the_declared_count():
     assert (proc.returncode, proc.stderr) == (0, "")
 
 
-@pytest.mark.parametrize("spec", [
-    {"cases": 5},
-    [1, 2],
-    {"cases": [{"file": fx("ct-w"), "left": "w0", "right": "w0p"}], "cap": "big"},
-    {"cases": [{"file": 3, "left": "0", "right": "1"}]},
-    {"cases": [{"file": fx("ct-w"), "left": "w0", "right": "w0p"}],
-     "semantics": ["mustt"]},
-    {"cases": [{"file": fx("ct-w"), "left": "w0", "right": "w0p"}],
-     "algorithms": ["hkc", "bogus"]},
-])
-def test_malformed_bench_spec_is_exit_two(capsys, tmp_path, spec):
+_MALFORMED_SPECS = [
+    ({"cases": 5}, "bench spec 'cases' must be a list of objects"),
+    ([1, 2], "bench spec must be a JSON object"),
+    ({"cases": [{"file": fx("ct-w"), "left": "w0", "right": "w0p"}], "cap": "big"},
+     "bench spec 'cap' must be a positive integer"),
+    ({"cases": [{"file": 3, "left": "0", "right": "1"}]},
+     "bench spec 'cases' must be a list of objects"),
+    ({"cases": [{"file": fx("ct-w"), "left": "w0", "right": "w0p"}],
+      "semantics": ["mustt"]}, "bench spec 'semantics' has unknown name 'mustt'"),
+    ({"cases": [{"file": fx("ct-w"), "left": "w0", "right": "w0p"}],
+      "algorithms": ["hkc", "bogus"]}, "bench spec 'algorithms' has unknown name 'bogus'"),
+    ({"cases": [{"file": fx("ct-w"), "left": "w0", "right": "w0p"}],
+      "semantics": ["trace", 3]}, "bench spec 'semantics' must be a list of strings"),
+]
+
+
+@pytest.mark.parametrize("spec, message", _MALFORMED_SPECS,
+                         ids=[f"spec{i}" for i in range(len(_MALFORMED_SPECS))])
+def test_malformed_bench_spec_is_exit_two(capsys, tmp_path, spec, message):
     sf = tmp_path / "spec.json"
     sf.write_text(json.dumps(spec))
     code, _, err = run_cli(capsys, "bench", "--spec", str(sf))
     assert code == 2
-    assert "semcheck: error:" in err
+    assert err.startswith("semcheck: error: " + message)
 
 
 def _empty_state_spec(tmp_path):
@@ -803,6 +813,108 @@ def test_reader_returns_none_or_what_argparse_returns():
             accepted[name] += 1
     # every subcommand's plain argvs are read, so the check is not vacuous
     assert all(n > 50 for n in accepted.values()), accepted
+
+
+# -- the declared commands ---------------------------------------------------
+
+
+def _reference_parser() -> argparse.ArgumentParser:
+    """The parser as six hand-written subcommand blocks declared it, with
+    ``--cap`` shared through a parent parser: the reference that
+    ``build_parser`` must match in help text and in every parse."""
+    p = argparse.ArgumentParser(
+        prog="semcheck",
+        description="Decide behavioural equivalences and preorders on finite "
+                    "transition systems.")
+    p.add_argument("--debug", action="store_true",
+                   help="re-raise errors with their traceback")
+    sub = p.add_subparsers(dest="command", required=True)
+
+    capped = argparse.ArgumentParser(add_help=False)
+    capped.add_argument("--cap", type=cli._positive_int, default=DEFAULT_CAP,
+                        help="state/pair budget (default %(default)s)")
+
+    eq = sub.add_parser("equiv", parents=[capped],
+                        help="decide equivalence of two state sets")
+    eq.add_argument("--sem", required=True, choices=SEMANTICS)
+    eq.add_argument("--algo", default="hkc", choices=["naive", "hkc", "brzozowski"])
+    eq.add_argument("file")
+    eq.add_argument("left", help="state or comma-separated state set")
+    eq.add_argument("right", help="state or comma-separated state set")
+    eq.set_defaults(fn=cli.cmd_equiv)
+
+    po = sub.add_parser("preorder", parents=[capped], help="decide a testing preorder")
+    po.add_argument("--sem", required=True, choices=["may", "must"])
+    po.add_argument("file")
+    po.add_argument("left")
+    po.add_argument("right")
+    po.set_defaults(fn=cli.cmd_preorder)
+
+    mi = sub.add_parser("minimize", parents=[capped],
+                        help="minimal Moore machine by double reversal")
+    mi.add_argument("--sem", required=True, choices=SEMANTICS)
+    mi.add_argument("--init", required=True, help="comma-separated initial state set")
+    mi.add_argument("file")
+    mi.set_defaults(fn=cli.cmd_minimize)
+
+    gq = sub.add_parser("gps-equiv",
+                        help="decide a probabilistic equivalence exactly")
+    gq.add_argument("--sem", required=True, choices=list(GPS_SEMANTICS))
+    gq.add_argument("--with-trace", action="store_true", dest="with_trace",
+                    help="additionally require probabilistic trace equality")
+    gq.add_argument("file")
+    gq.add_argument("left")
+    gq.add_argument("right")
+    gq.set_defaults(fn=cli.cmd_gps_equiv)
+
+    ge = sub.add_parser("gen", help="emit a parametric benchmark family")
+    ge.add_argument("--family", required=True, choices=["interleave", "chain", "cycles"])
+    ge.add_argument("--n", type=int, required=True)
+    ge.set_defaults(fn=cli.cmd_gen)
+
+    be = sub.add_parser("bench", help="run the cross-check matrix")
+    be.add_argument("--spec", help="JSON file describing cases to run")
+    be.add_argument("--format", default="json", choices=["json", "csv"])
+    be.add_argument("--out", help="write the report here instead of stdout")
+    be.set_defaults(fn=cli.cmd_bench)
+    p.commands = sub.choices
+    return p
+
+
+def test_declared_commands_format_the_reference_help():
+    # compared on the running Python: argparse's help layout differs
+    # between versions, so no help text is stored
+    built, reference = cli.build_parser(), _reference_parser()
+    assert built.format_help() == reference.format_help()
+    assert list(built.commands) == list(reference.commands) \
+        == ["equiv", "preorder", "minimize", "gps-equiv", "gen", "bench"]
+    for name, command in reference.commands.items():
+        assert built.commands[name].format_help() == command.format_help(), name
+
+
+def _parse_outcome(command: argparse.ArgumentParser, tokens: list):
+    """``command.parse_known_args(tokens)``, or the exit status and the
+    stdout and stderr text of the parse that exited."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return command.parse_known_args(tokens)
+    except SystemExit as exc:
+        return exc.code, out.getvalue(), err.getvalue()
+
+
+def test_declared_commands_parse_as_the_reference_does():
+    built, reference = cli.build_parser(), _reference_parser()
+    rng = random.Random(3401)
+    kinds = {"parsed": 0, "exited": 0}
+    for _ in range(5000):
+        name = rng.choice(sorted(_GRAMMAR))
+        tokens = _corpus_argv(rng, name)
+        expected = _parse_outcome(reference.commands[name], tokens)
+        assert _parse_outcome(built.commands[name], tokens) == expected, (name, tokens)
+        kinds["exited" if isinstance(expected[0], int) else "parsed"] += 1
+    # both parses and exits are compared, so the check is not vacuous
+    assert min(kinds.values()) > 500, kinds
 
 
 def _count_subcommand_parses(monkeypatch):

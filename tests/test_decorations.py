@@ -24,23 +24,28 @@ from semcheck import (
     antichain_min,
     antichain_to_downset,
     bottom_output,
+    coarsen_failure_to_ctrace,
+    coarsen_ready_to_failure,
     compact_output,
     decide,
     decorate,
     disjoint_union,
     downclose_masks,
     downset_to_antichain,
+    failure_from_ready,
     full_mask,
     hkc_check,
     is_downclosed,
     join_all,
     join_outputs,
     mask_of,
+    mfailure_from_ready,
     moore_partition_classes,
     oracle_equal,
     parse_lts,
     random_lts,
     reachable_machine,
+    ready_to_trace_collapse,
     relabel_for_trace_decorations,
     render_eff_label,
     render_output,
@@ -85,6 +90,15 @@ def test_join_refuses_mixed_kinds():
             join_outputs(bottom_output(kind), bottom_output(kind))
     with pytest.raises(VariantMismatch):
         bottom_output("no_such_kind")
+    # each coarsening and collapse takes one kind of output only
+    for convert, wrong in ((ready_to_trace_collapse, fam(0b1)),
+                           (lambda v: failure_from_ready(v, AB), fam(0b1)),
+                           (lambda v: mfailure_from_ready(v, AB), Output("prob", Fraction(1))),
+                           (lambda v: coarsen_failure_to_ctrace(v, AB), Output("bit", 1)),
+                           (lambda v: coarsen_ready_to_failure(v, AB),
+                            Output("prob_family", ((0b1, Fraction(1)),)))):
+        with pytest.raises(VariantMismatch):
+            convert(wrong)
 
 
 def test_join_all_empty_is_bottom():
@@ -169,6 +183,7 @@ def test_failure_decoration_is_downclosed():
     d = decorate(lts, "failure")
     for x in range(lts.n_states):
         assert is_downclosed(d.output(x).value)
+    assert not is_downclosed(frozenset({0b11, 0b01, 0b00}))  # {a, b} without {b}
     p3 = lts.resolve_state("p3")
     assert d.output(p3).value == frozenset(submasks(mask_of(["d", "e", "f"], lts.alphabet)))
 

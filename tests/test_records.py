@@ -4,6 +4,8 @@ defaults, field reads, value equality and hashing, ``repr(Output)``,
 
 from __future__ import annotations
 
+import copy
+import pickle
 import re
 from fractions import Fraction
 
@@ -25,6 +27,8 @@ from semcheck import (
     MooreMachine,
     Output,
     Top,
+    parse_gps,
+    parse_lts,
     run_matrix,
 )
 
@@ -52,9 +56,12 @@ def test_lts_defaults_fields_and_equality():
     t = {(0, "a"): frozenset({1})}
     full = Lts(2, ("a",), t, frozenset({1}), ("p", "q"))
     assert (full.transitions, full.finals, full.names) == (t, frozenset({1}), ("p", "q"))
+    assert full.transitions is t
     equal_and_unequal(lambda: Lts(2, ("a",), dict(t)), Lts(2, ("a",)))
     assert Lts(2, ("a",)) != Lts(2, ("a",), names=("p", "q"))
+    assert lts != Gps(2, ("a",)) and Lts.__eq__(lts, 1) is NotImplemented
     assert unhashable(lts)
+    assert repr(lts) == "Lts(n_states=2, alphabet=('a',), transitions={}, finals=None, names=None)"
 
 
 def test_gps_defaults_fields_and_equality():
@@ -64,6 +71,32 @@ def test_gps_defaults_fields_and_equality():
     assert Gps(2, ("a",), t, ("p", "q")).names == ("p", "q")
     equal_and_unequal(lambda: Gps(2, ("a",), dict(t)), Gps(2, ("a",)))
     assert unhashable(g)
+
+
+LTS_TEXT = "lts 3\nalphabet a b\nfinal 2\nnames p q r\n0 a 1\n0 tau 2\n2 b 0\n1 a 1\n"
+GPS_TEXT = "gps 3\nalphabet a b\nnames p q r\n0 a 1/3 1\n0 b 1/3 2\n1 a 1/2 1\n2 b 1/1 2\n"
+
+
+def read_views(system) -> None:
+    """Read ``system``'s decoded and cached views, so they are filled in."""
+    views = ("_rows", "_enabled", "_tau") if isinstance(system, Lts) else ("_blocks",)
+    for name in ("transitions",) + views:
+        getattr(system, name)
+
+
+@pytest.mark.parametrize("parse, text", [(parse_lts, LTS_TEXT), (parse_gps, GPS_TEXT)])
+def test_parsed_systems_copy_and_pickle_before_and_after_their_views(parse, text):
+    for read in (False, True):
+        system = parse(text)
+        if read:
+            read_views(system)
+        for twin in (copy.copy(system), copy.deepcopy(system),
+                     pickle.loads(pickle.dumps(system))):
+            assert twin is not system and type(twin) is type(system)
+            assert twin == system and twin.transitions == system.transitions
+            read_views(twin)
+            assert twin == system
+        assert not hasattr(system, "nope")
 
 
 def test_output_fields_equality_hash_and_repr():
@@ -142,6 +175,8 @@ def test_moore_machine_defaults_fields_and_equality():
     assert (keyed.keys, keyed.outputs, keyed.state_keys) == (["k"], ["1"], ["'k'"])
     equal_and_unequal(make, MooreMachine("trace", ("a",), [1, 1], [{"a": 1}, {"a": 1}], [0]))
     assert unhashable(m)
+    assert repr(m).startswith("MooreMachine(semantics='trace', alphabet=('a',), values=[1, 0], ")
+    assert re.findall(r"(?:\(|, )(\w+)=", repr(m)) == list(MooreMachine._fields)
 
 
 def test_hkc_report_fields_and_equality():
@@ -152,6 +187,7 @@ def test_hkc_report_fields_and_equality():
     assert r.relation == [(frozenset({0}), frozenset({1}))]
     equal_and_unequal(make, HkcReport(False, [(0b1, 0b10)], 3, ("a",)))
     assert unhashable(r)
+    assert repr(r) == "HkcReport(equal=True, masks=[(1, 2)], pairs_processed=3, counterexample=None)"
 
 
 def test_lazy_reversal_fields_and_equality():
