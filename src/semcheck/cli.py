@@ -172,10 +172,11 @@ def cmd_gps_equiv(args) -> int:
     return EXIT_HOLDS if equal else EXIT_FAILS
 
 
+_FAMILIES = {"interleave": gen_interleave, "chain": gen_chain, "cycles": gen_cycles}
+
+
 def cmd_gen(args) -> int:
-    maker = {"interleave": gen_interleave, "chain": gen_chain,
-             "cycles": gen_cycles}[args.family]
-    sys.stdout.write(format_lts(maker(args.n)))
+    sys.stdout.write(format_lts(_FAMILIES[args.family](args.n)))
     return EXIT_HOLDS
 
 
@@ -248,6 +249,43 @@ def _positive_int(token: str) -> int:
     return value
 
 
+_CAP = (("--cap",), dict(type=_positive_int, default=DEFAULT_CAP,
+                         help="state/pair budget (default %(default)s)"))
+
+# Each subcommand's name, help and handler, then its arguments in order as
+# ``add_argument``'s names and options.
+_COMMANDS = (
+    ("equiv", "decide equivalence of two state sets", cmd_equiv, (
+        _CAP,
+        (("--sem",), dict(required=True, choices=SEMANTICS)),
+        (("--algo",), dict(default="hkc", choices=["naive", "hkc", "brzozowski"])),
+        (("file",), {}),
+        (("left",), dict(help="state or comma-separated state set")),
+        (("right",), dict(help="state or comma-separated state set")))),
+    ("preorder", "decide a testing preorder", cmd_preorder, (
+        _CAP,
+        (("--sem",), dict(required=True, choices=["may", "must"])),
+        (("file",), {}), (("left",), {}), (("right",), {}))),
+    ("minimize", "minimal Moore machine by double reversal", cmd_minimize, (
+        _CAP,
+        (("--sem",), dict(required=True, choices=SEMANTICS)),
+        (("--init",), dict(required=True, help="comma-separated initial state set")),
+        (("file",), {}))),
+    ("gps-equiv", "decide a probabilistic equivalence exactly", cmd_gps_equiv, (
+        (("--sem",), dict(required=True, choices=list(GPS_SEMANTICS))),
+        (("--with-trace",), dict(action="store_true", dest="with_trace",
+                                 help="additionally require probabilistic trace equality")),
+        (("file",), {}), (("left",), {}), (("right",), {}))),
+    ("gen", "emit a parametric benchmark family", cmd_gen, (
+        (("--family",), dict(required=True, choices=list(_FAMILIES))),
+        (("--n",), dict(type=int, required=True)))),
+    ("bench", "run the cross-check matrix", cmd_bench, (
+        (("--spec",), dict(help="JSON file describing cases to run")),
+        (("--format",), dict(default="json", choices=["json", "csv"])),
+        (("--out",), dict(help="write the report here instead of stdout")))),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="semcheck",
@@ -256,66 +294,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--debug", action="store_true",
                    help="re-raise errors with their traceback")
     sub = p.add_subparsers(dest="command", required=True)
-
-    capped = argparse.ArgumentParser(add_help=False)
-    cap = capped.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP,
-                              help="state/pair budget (default %(default)s)")
-
-    def add(command, *names, **kwargs) -> None:
-        """``command.add_argument``, its action also kept in ``command.table``
-        under its first name for ``_read``, with whether it is a flag."""
-        command.table[names[0]] = (command.add_argument(*names, **kwargs),
-                                   kwargs.get("action") == "store_true")
-
-    eq = sub.add_parser("equiv", parents=[capped],
-                        help="decide equivalence of two state sets")
-    eq.table = {"--cap": (cap, False)}
-    add(eq, "--sem", required=True, choices=SEMANTICS)
-    add(eq, "--algo", default="hkc", choices=["naive", "hkc", "brzozowski"])
-    add(eq, "file")
-    add(eq, "left", help="state or comma-separated state set")
-    add(eq, "right", help="state or comma-separated state set")
-    eq.set_defaults(fn=cmd_equiv)
-
-    po = sub.add_parser("preorder", parents=[capped], help="decide a testing preorder")
-    po.table = {"--cap": (cap, False)}
-    add(po, "--sem", required=True, choices=["may", "must"])
-    add(po, "file")
-    add(po, "left")
-    add(po, "right")
-    po.set_defaults(fn=cmd_preorder)
-
-    mi = sub.add_parser("minimize", parents=[capped],
-                        help="minimal Moore machine by double reversal")
-    mi.table = {"--cap": (cap, False)}
-    add(mi, "--sem", required=True, choices=SEMANTICS)
-    add(mi, "--init", required=True, help="comma-separated initial state set")
-    add(mi, "file")
-    mi.set_defaults(fn=cmd_minimize)
-
-    gq = sub.add_parser("gps-equiv",
-                        help="decide a probabilistic equivalence exactly")
-    gq.table = {}
-    add(gq, "--sem", required=True, choices=list(GPS_SEMANTICS))
-    add(gq, "--with-trace", action="store_true", dest="with_trace",
-        help="additionally require probabilistic trace equality")
-    add(gq, "file")
-    add(gq, "left")
-    add(gq, "right")
-    gq.set_defaults(fn=cmd_gps_equiv)
-
-    ge = sub.add_parser("gen", help="emit a parametric benchmark family")
-    ge.table = {}
-    add(ge, "--family", required=True, choices=["interleave", "chain", "cycles"])
-    add(ge, "--n", type=int, required=True)
-    ge.set_defaults(fn=cmd_gen)
-
-    be = sub.add_parser("bench", help="run the cross-check matrix")
-    be.table = {}
-    add(be, "--spec", help="JSON file describing cases to run")
-    add(be, "--format", default="json", choices=["json", "csv"])
-    add(be, "--out", help="write the report here instead of stdout")
-    be.set_defaults(fn=cmd_bench)
+    for name, summary, fn, arguments in _COMMANDS:
+        command = sub.add_parser(name, help=summary)
+        # each action under its first name, for ``_read``
+        command.table = {names[0]: command.add_argument(*names, **options)
+                         for names, options in arguments}
+        command.set_defaults(fn=fn)
     p.commands = sub.choices  # each subcommand's own parser, read by main
     return p
 
@@ -335,10 +319,10 @@ def _read(command: argparse.ArgumentParser,
         if token[:1] != "-" or token == "-":
             positionals.append(token)
             continue
-        action, flag = table.get(token, (None, False))
+        action = table.get(token)
         if action is None or token in seen:
             return None
-        if flag:
+        if action.nargs == 0:  # a flag
             seen[token] = True
             continue
         value = next(tokens, "-")  # a missing value declines as an option would
@@ -354,7 +338,7 @@ def _read(command: argparse.ArgumentParser,
         seen[token] = value
     args = argparse.Namespace(fn=command.get_default("fn"))
     positionals = iter(positionals)
-    for name, (action, _) in table.items():
+    for name, action in table.items():
         if not action.option_strings:
             value = next(positionals, None)
             if value is None:
@@ -363,8 +347,6 @@ def _read(command: argparse.ArgumentParser,
             value = seen[name]
         elif action.required:
             return None
-        elif action.default is argparse.SUPPRESS:
-            continue
         else:
             value = action.default
         setattr(args, action.dest, value)

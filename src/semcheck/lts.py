@@ -189,9 +189,9 @@ class Lts(_NamedStates):
 
     The layers read the edge store instead: ``_edges[label][x]`` is ``x``'s
     non-zero successor mask, with a dict for each visible label and tau.
-    :func:`parse_lts` builds only the store, and ``__getattr__`` decodes
-    ``transitions`` from it on first use; a constructor-built system derives
-    the store.  ``_rows``, ``_enabled`` and ``_tau`` are its cached views.
+    :func:`parse_lts` builds only the store, and ``transitions`` is decoded
+    from it on first use; a constructor-built system derives the store.
+    ``_rows``, ``_enabled`` and ``_tau`` are its cached views.
     """
 
     _fields = ("n_states", "alphabet", "transitions", "finals", "names")
@@ -203,12 +203,9 @@ class Lts(_NamedStates):
         self.transitions = {} if transitions is None else transitions
         self.finals, self.names = finals, names
 
-    def __getattr__(self, name: str):
-        if name != "transitions":
-            raise AttributeError(name)
-        self.transitions = {(x, a): mask_states(m)
-                            for a, row in self._edges.items() for x, m in row.items()}
-        return self.transitions
+    @cached_property
+    def transitions(self) -> Dict[Tuple[int, str], StateSet]:
+        return {(x, a): mask_states(m) for a, row in self._edges.items() for x, m in row.items()}
 
     @classmethod
     def _of_edges(cls, n_states, alphabet, edges, finals, names) -> "Lts":
@@ -382,8 +379,8 @@ class Gps(_NamedStates):
 
     ``transitions`` maps ``(state, label)`` to ``{succ: Fraction}``;
     :func:`parse_gps` builds the integer form ``_scaled`` instead, whose
-    rows are ``{succ: weight}`` dicts, and ``__getattr__`` derives
-    ``transitions`` from those rows on first use.
+    rows are ``{succ: weight}`` dicts, and ``transitions`` is derived from
+    those rows on first use.
 
     ``_blocks`` caches the coarsest lumping of ``_scaled`` as each state's
     block (see :func:`_lumped_gps`); it does not depend on the semantics.
@@ -400,13 +397,11 @@ class Gps(_NamedStates):
         self.transitions = {} if transitions is None else transitions
         self.names = names
 
-    def __getattr__(self, name: str):
-        if name != "transitions":
-            raise AttributeError(name)
+    @cached_property
+    def transitions(self) -> Dict[Tuple[int, str], Dict[int, Fraction]]:
         denom, rows = self._scaled.denom, self._scaled.rows
-        self.transitions = {(x, a): {y: Fraction(w, denom) for y, w in row[x].items()}
-                            for a, row in rows.items() for x in range(self.n_states) if row[x]}
-        return self.transitions
+        return {(x, a): {y: Fraction(w, denom) for y, w in row[x].items()}
+                for a, row in rows.items() for x in range(self.n_states) if row[x]}
 
     def row(self, x: int, label: str) -> Dict[int, Fraction]:
         return self.transitions.get((x, label), {})
