@@ -1,6 +1,7 @@
 """The package's record classes: construction by position with their
-defaults, field reads, value equality and hashing, ``repr(Output)``,
-``Distribution``'s checks, and the bench report's JSON and CSV layout."""
+defaults, field reads, value equality and hashing, reprs, copies and pickles
+of parsed systems, ``Distribution``'s checks, and the bench report's JSON
+and CSV layout."""
 
 from __future__ import annotations
 
