@@ -20,7 +20,8 @@ from pathlib import Path
 import pytest
 
 import semcheck
-from semcheck import DEFAULT_CAP, GPS_SEMANTICS, SEMANTICS, cli, disjoint_union, format_lts
+from semcheck import (DEFAULT_CAP, GPS_SEMANTICS, SEMANTICS, cli, disjoint_union, format_lts,
+                      parse_gps, parse_lts)
 from semcheck.cli import main
 
 from conftest import FIXTURES, kth_lts, perm2r_lts
@@ -430,6 +431,38 @@ def test_comma_in_a_state_name_is_exit_two(capsys, tmp_path):
     code, out, err = run_cli(capsys, "equiv", "--sem", "trace", str(bad), "p,q", "r")
     assert (code, out) == (2, "")
     assert err == "semcheck: error: line 3: state name 'p,q' contains ','\n"
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+@pytest.mark.parametrize("name, parse, argv", [
+    ("must-xy", parse_lts, ["equiv", "--sem", "must", "FILE", "x", "y"]),
+    ("rtrace-pq", parse_lts, ["minimize", "--sem", "rtrace", "--init", "p0", "FILE"]),
+    ("gps-pu", parse_gps, ["gps-equiv", "--sem", "g_ready", "FILE", "p", "u"]),
+], ids=["equiv", "minimize", "gps-equiv"])
+def test_crlf_and_cr_texts_read_as_their_lf_text(capsys, tmp_path, newline, name,
+                                                 parse, argv):
+    # the fixtures hold comment lines, so a comment's line end is read too
+    text = (FIXTURES / f"{name}.lts").read_text()
+    assert "#" in text and "\r" not in text
+    path = tmp_path / f"{name}.lts"
+    path.write_bytes(text.replace("\n", newline).encode())
+    assert parse(cli._read_source(str(path))) == parse(text)
+    lf, other = (_outcome(capsys, lambda: main([file if a == "FILE" else a for a in argv]))
+                 for file in (fx(name), str(path)))
+    assert lf == other
+    assert lf[0] in (("returned", 0), ("returned", 1))
+
+
+@pytest.mark.parametrize("tail, message", [
+    (b"0 a \xff1\n", "can't decode byte 0xff in position 21: invalid start byte"),
+    (b"0 a 1\n\xe2\x82", "can't decode bytes in position 23-24: unexpected end of data"),
+], ids=["invalid-start", "truncated"])
+def test_invalid_utf8_is_exit_two(capsys, tmp_path, tail, message):
+    bad = tmp_path / "bad.lts"
+    bad.write_bytes(b"lts 2\nalphabet a\n" + tail)
+    code, out, err = run_cli(capsys, "equiv", "--sem", "trace", str(bad), "0", "1")
+    assert (code, out) == (2, "")
+    assert err == f"semcheck: error: 'utf-8' codec {message}\n"
 
 
 def _limit_address_space():

@@ -7,17 +7,27 @@ families, divergent τ-systems under must (so TOP shows in witnesses), texts
 with and without a ``names`` line, and equal and unequal verdicts, so any
 change to a relation, a witness's rendering, a pair count or a
 counterexample shows up here.
+
+A second digest pins the raw stdout bytes, ``time_ms`` masked, of the same
+queries plus ``minimize`` (pair labels such as ``<a,{b}>``) and
+``gps-equiv`` reports (a counterexample, and ``[]`` for a pair whose start
+vectors differ).  The first digest re-dumps each parsed report with sorted
+keys, so only the second pins the layout and the key order.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 
 from semcheck import TAU, Lts, disjoint_union, format_lts, gen_cycles, gen_interleave
 from semcheck.cli import main
 
+from conftest import FIXTURES
+
 PINNED_SHA256 = "f17c8866d0879cf0def96cab238578ccff6ce6b3a83d4bde058c562df48d616f"
+RAW_SHA256 = "fc49bc76ee978bb379b5f343731d5878f4e1a0a901ad7436957762ee5b6a0d48"
 
 
 def _numbered(lts: Lts) -> Lts:
@@ -83,7 +93,9 @@ def _cases():
         ]
 
 
-def _report_lines(tmp_path, capsys):
+def _queries(tmp_path):
+    """Each query of ``_cases`` as a head line (its case number and argv
+    without the path) and its argv."""
     for i, (text, queries) in enumerate(_cases()):
         path = tmp_path / f"case{i}.lts"
         path.write_text(text)
@@ -92,11 +104,37 @@ def _report_lines(tmp_path, capsys):
                 argv = ["preorder", "--sem", sem, str(path), left, right]
             else:
                 argv = ["equiv", "--sem", sem, "--algo", algo, str(path), left, right]
-            code = main(argv)
-            report = json.loads(capsys.readouterr().out)
-            del report["stats"]["time_ms"]
-            yield code, f"{i} {' '.join(argv[:-3])} {left} {right} {code} " + json.dumps(
-                report, sort_keys=True)
+            yield f"{i} {' '.join(argv[:-3])} {left} {right}", argv
+
+
+def _more_queries(tmp_path):
+    """``minimize`` and ``gps-equiv`` queries as ``_queries`` gives them,
+    with the file's name in the head line."""
+    for sem, init, name in (("rtrace", "p0", "rtrace-pq"), ("must", "x1", "brz-must"),
+                            ("failure", "p0,q0", "fail-pq"), ("trace", "w0", "ct-w")):
+        argv = ["minimize", "--sem", sem, "--init", init, str(FIXTURES / f"{name}.lts")]
+        yield f"{name} {' '.join(argv[:-1])}", argv
+    cycles = tmp_path / "cycles.lts"
+    cycles.write_text(format_lts(gen_cycles(4)))
+    argv = ["minimize", "--sem", "ready", "--init", "0,1,3,6", str(cycles)]
+    yield f"cycles {' '.join(argv[:-1])}", argv
+    cex = tmp_path / "cex.gps"
+    # 0 and 2 differ after a b; 0 and 1 already differ at their start vectors
+    cex.write_text("gps 4\nalphabet a b\n0 a 1/2 1\n1 b 1/2 1\n2 a 1/2 3\n3 b 1/3 3\n")
+    for path, sem, left, right in (
+            *((FIXTURES / "gps-pu.lts", g, "p", "u") for g in ("g_ready", "g_trace", "g_mtrace")),
+            (cex, "g_ready", "0", "2"), (cex, "g_ready", "0", "1"),
+            (cex, "g_trace", "0", "2"), (cex, "g_failure", "3", "1")):
+        yield (f"{path.stem} gps-equiv --sem {sem} {left} {right}",
+               ["gps-equiv", "--sem", sem, str(path), left, right])
+
+
+def _report_lines(tmp_path, capsys):
+    for head, argv in _queries(tmp_path):
+        code = main(argv)
+        report = json.loads(capsys.readouterr().out)
+        del report["stats"]["time_ms"]
+        yield code, f"{head} {code} " + json.dumps(report, sort_keys=True)
 
 
 def test_cli_reports_match_pinned_digest(tmp_path, capsys):
@@ -106,3 +144,19 @@ def test_cli_reports_match_pinned_digest(tmp_path, capsys):
     assert set(codes) == {0, 1}
     assert '"TOP"' in text
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SHA256
+
+
+def test_cli_stdout_bytes_match_pinned_digest(tmp_path, capsysbinary):
+    queries = [*_queries(tmp_path), *_more_queries(tmp_path)]
+    chunks = []
+    for head, argv in queries:
+        code = main(argv)
+        out = re.sub(rb'"time_ms": [0-9.e+-]+', b'"time_ms": 0', capsysbinary.readouterr().out)
+        chunks.append(f"{head} {code}\n".encode() + out)
+    raw = b"".join(chunks)
+    assert raw.count(b'"time_ms": 0\n') == len(queries)
+    # minimize's pair labels, a GPS counterexample and an empty one
+    for shown in (b'"<a,{a}>": 1', b'"counterexample": [\n    "a",\n    "b"\n  ]',
+                  b'"counterexample": []'):
+        assert shown in raw
+    assert hashlib.sha256(raw).hexdigest() == RAW_SHA256
