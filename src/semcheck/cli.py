@@ -15,6 +15,8 @@ import argparse
 import json
 import sys
 import time
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _quote
 from typing import List, Optional, Sequence
 
 from .bench import (ALGORITHMS, BenchCase, decide, default_cases, gen_chain,
@@ -30,10 +32,15 @@ EXIT_HOLDS, EXIT_FAILS, EXIT_ERROR = 0, 1, 2
 
 
 def _read_source(path: str) -> str:
+    """The text of a file, or of stdin for ``-``, with every line end read
+    as ``\\n``, as text mode reads it."""
     if path == "-":
         return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    with open(path, "rb", buffering=0) as fh:
+        text = fh.read().decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def _resolve_set(system, tokens: str, what: str) -> frozenset:
@@ -75,6 +82,59 @@ def _timed(fn, *args):
     return result, (time.perf_counter() - t0) * 1000.0
 
 
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _layout(value, indent: str) -> str:
+    """``value`` as ``json.dumps(value, indent=2)`` writes it on a line
+    indented by ``indent``: a str, bool, int, float or None, or a dict with
+    str keys or a list of these."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return repr(value)
+    if isinstance(value, float):
+        text = repr(value)
+        return _NONFINITE.get(text, text)
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [_quote(k) + ": " + _layout(v, inner) for k, v in value.items()]
+        brackets = "{}"
+    else:
+        items = [_layout(v, inner) for v in value]
+        brackets = "[]"
+    return (brackets[0] + "\n" + inner + (",\n" + inner).join(items)
+            + "\n" + indent + brackets[1])
+
+
+def _report_text(report: dict) -> str:
+    """``json.dumps(report, indent=2)`` for a report as ``_emit`` builds it.
+    A ``counterexample`` (a list of str) and a ``witness`` (a list of pairs
+    of str) are each written by one ``map`` of the C string encoder and C
+    joins; every other value is written by ``_layout``."""
+    fields = []
+    for key, value in report.items():
+        if not value or key not in ("counterexample", "witness"):
+            text = _layout(value, "  ")
+        elif key == "counterexample":
+            text = "[\n    " + ",\n    ".join(map(_quote, value)) + "\n  ]"
+        else:
+            sides = map(_quote, chain.from_iterable(value))
+            text = ("[\n    [\n      "
+                    + "\n    ],\n    [\n      ".join(map(",\n      ".join, zip(sides, sides)))
+                    + "\n    ]\n  ]")
+        fields.append(_quote(key) + ": " + text)
+    return "{\n  " + ",\n  ".join(fields) + "\n}"
+
+
 def _emit(args, result, algorithm: str, ms: float, summary: str,
           states: Optional[int] = None, pairs: Optional[int] = None,
           **extra) -> None:
@@ -86,7 +146,7 @@ def _emit(args, result, algorithm: str, ms: float, summary: str,
         "stats": {"states": states, "pairs": pairs, "time_ms": ms},
     }
     report.update((k, v) for k, v in extra.items() if v is not None)
-    print(json.dumps(report, indent=2))
+    print(_report_text(report))
     print(summary, file=sys.stderr)
 
 

@@ -51,22 +51,27 @@ class Generators:
     list of one of its premise states, at first the highest; a rule with an
     empty premise sits under -1, which a saturation visits while it holds
     rules.  A saturation that meets a rule of a pair no longer live parks the
-    rule on the pair until the pair is added again.  A rule with a TOP
-    premise fires only from TOP, where nothing is left to add, and a rule
-    whose conclusion lies inside its premise adds nothing, so neither is
-    indexed.  A TOP conclusion makes the saturated set TOP."""
+    rule under the pair until the pair is added again.  The parked rules are
+    kept apart from the pair's cell, which every rule of the pair holds, so
+    no reference cycle forms and a check's index is freed as soon as it is
+    dropped.  A rule with a TOP premise fires only from TOP, where nothing is
+    left to add, and a rule whose conclusion lies inside its premise adds
+    nothing, so neither is indexed.  A TOP conclusion makes the saturated
+    set TOP."""
 
     def __init__(self, pairs: Iterable[Pair] = ()):
-        # pair -> [multiplicity, parked rules], the cell of the pair's rules
+        # pair -> [multiplicity, pair], the cell of the pair's rules
         self._live: Dict[Pair, list] = {}
         self._watch: Dict[int, List[tuple]] = defaultdict(list)
+        # pair -> the rules a closure parked while the pair was dead
+        self._parked: Dict[Pair, List[tuple]] = defaultdict(list)
         for pair in pairs:
             self.add(pair)
 
     def add(self, pair: Pair) -> None:
         cell = self._live.get(pair)
         if cell is None:
-            self._live[pair] = cell = [1, []]
+            self._live[pair] = cell = [1, pair]
             u, v = pair
             if u is not TOP and (v is TOP or v & ~u):
                 self._watch[u.bit_length() - 1].append((u, v, cell))
@@ -77,9 +82,8 @@ class Generators:
         else:
             # back to life: index the rules a closure parked while it was dead
             cell[0] = 1
-            for rule in cell[1]:
+            for rule in self._parked.pop(pair, ()):
                 self._watch[rule[0].bit_length() - 1].append(rule)
-            cell[1].clear()
 
     def remove(self, pair: Pair) -> bool:
         cell = self._live[pair]
@@ -98,7 +102,7 @@ class Generators:
         # 0 never stops the walk early: an empty goal is covered before it
         wanted = 0 if goal is None or goal is TOP else goal
         acc = z
-        watch = self._watch
+        watch, parked = self._watch, self._parked
         queue = mask_bits(z)
         if watch.get(-1):
             queue.append(-1)
@@ -110,7 +114,7 @@ class Generators:
             for i, rule in enumerate(rules):
                 premise, conclusion, cell = rule
                 if not cell[0]:
-                    cell[1].append(rule)   # parked until the pair is added again
+                    parked[cell[1]].append(rule)   # until the pair is added again
                     continue
                 missing = premise & ~acc
                 if missing:

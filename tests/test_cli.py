@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import gc
 import io
 import json
 import os
@@ -624,6 +625,84 @@ def test_installed_entry_point_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"] is True
+
+
+# -- memory ------------------------------------------------------------------
+
+_GPS_CEX = "gps 4\nalphabet a b\n0 a 1/2 1\n1 b 1/2 1\n2 a 1/2 3\n3 b 1/3 3\n"
+
+
+@pytest.mark.parametrize("argv", [
+    *(["equiv", "--sem", "trace", "--algo", a, fx("must-xy"), "x", "y"]
+      for a in ("naive", "hkc", "brzozowski")),
+    # the closure parks a rule on a pair that is dead for a while
+    ["equiv", "--sem", "must", "--algo", "hkc", fx("must-xy"), "x", "y"],
+    ["preorder", "--sem", "may", fx("ct-w"), "w1", "w0"],
+    ["preorder", "--sem", "must", fx("must-xy"), "y1", "y"],
+    ["minimize", "--sem", "rtrace", "--init", "p0", fx("rtrace-pq")],
+    ["gps-equiv", "--sem", "g_ready", "GPS_CEX", "0", "2"],
+], ids=["naive", "hkc", "brzozowski", "hkc-parked", "may", "must", "minimize", "gps-equiv"])
+def test_a_query_leaves_no_reference_cycle(capsys, tmp_path, argv):
+    """A query frees everything it allocates by reference counting, so the
+    cycle collector has nothing to find after it."""
+    path = tmp_path / "cex.gps"
+    path.write_text(_GPS_CEX)
+    argv = [str(path) if a == "GPS_CEX" else a for a in argv]
+    main(argv)  # the parser and anything else built on first use
+    capsys.readouterr()
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        code = main(argv)
+        found = gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+    assert code in (0, 1)
+    assert found == 0
+
+
+# -- the report writer -------------------------------------------------------
+
+# names that need escaping, non-ASCII names (one outside the BMP) and names
+# that look like a rendered set
+_NAMES = ['say "hi"', "back\\slash", "tab\tnew\nline\r", "\x00\x07\x1f\x7f", "naïve",
+          "日本", "\U0001f600", "\u2028", "{x}", "{", "}{,}", "TOP", ""]
+
+
+def _adversarial_reports():
+    stats = [{"states": None, "pairs": None, "time_ms": 0.0},
+             {"states": 7, "pairs": None, "time_ms": 1e-05},
+             {"states": None, "pairs": 0, "time_ms": 12.25},
+             {"states": 2 ** 70, "pairs": 3, "time_ms": 1e16},
+             {"states": 1, "pairs": 1, "time_ms": 0.1 + 0.2},
+             {"states": 0, "pairs": 0, "time_ms": float("inf")}]
+    witnesses = [[], [["TOP", "TOP"]], [["{" + n + "}", "TOP"] for n in _NAMES],
+                 [[n, m] for n, m in zip(_NAMES, reversed(_NAMES))]]
+    machines = [{"states": 2, "intermediate_states": 3, "init": 0, "alphabet": _NAMES,
+                 "outputs": ["{}", "{{a}}", *_NAMES],
+                 "steps": [{n: i for i, n in enumerate(_NAMES)}, {}]},
+                {"states": 1, "intermediate_states": 1, "init": 0, "alphabet": [],
+                 "outputs": ["{{}}"], "steps": [{}]}]
+    for st in stats:
+        for sem in ("must", *_NAMES[:3]):
+            base = {"schema": 1, "result": True, "semantics": sem, "algorithm": "hkc",
+                    "stats": st}
+            yield base
+            yield from ({**base, "witness": w} for w in witnesses)
+            yield from ({**base, "result": False, "counterexample": c}
+                        for c in ([], ["a"], _NAMES))
+            yield {**base, "result": False, "algorithm": "span", "counterexample": _NAMES,
+                   "witness": witnesses[2]}
+            yield from ({**base, "result": m, "algorithm": "brzozowski"} for m in machines)
+
+
+def test_report_writer_writes_what_json_dumps_writes():
+    reports = list(_adversarial_reports())
+    assert len(reports) == 264
+    for report in reports:
+        assert cli._report_text(report) == json.dumps(report, indent=2), report
 
 
 # -- parser reuse ------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import math
 import random
@@ -362,3 +363,21 @@ def test_hkc_work_counts_are_pinned(monkeypatch):
         got[name] = (rep.equal, calls, rep.pairs_processed,
                      hashlib.sha256(text.encode()).hexdigest(), rep.counterexample)
     assert got == PINNED_WORK
+
+
+@pytest.mark.parametrize("name", PINNED_WORK)
+def test_hkc_check_leaves_no_reference_cycle(name):
+    """Everything a check allocates is freed by reference counting: a rule
+    the closure parks on a dead pair is not held by that pair's own cell
+    (interleave50-must parks rules)."""
+    run = dict(_hkc_runs())[name]
+    run()
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        run()
+        assert gc.collect() == 0, name
+    finally:
+        if enabled:
+            gc.enable()
