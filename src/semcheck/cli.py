@@ -82,13 +82,10 @@ def _timed(fn, *args):
     return result, (time.perf_counter() - t0) * 1000.0
 
 
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
 def _layout(value, indent: str) -> str:
     """``value`` as ``json.dumps(value, indent=2)`` writes it on a line
-    indented by ``indent``: a str, bool, int, float or None, or a dict with
-    str keys or a list of these."""
+    indented by ``indent``: a str, bool, int, finite float or None, or a
+    dict with str keys or a list of these."""
     if isinstance(value, str):
         return _quote(value)
     if value is None:
@@ -97,11 +94,8 @@ def _layout(value, indent: str) -> str:
         return "true"
     if value is False:
         return "false"
-    if isinstance(value, int):
+    if isinstance(value, (int, float)):
         return repr(value)
-    if isinstance(value, float):
-        text = repr(value)
-        return _NONFINITE.get(text, text)
     if not value:
         return "{}" if isinstance(value, dict) else "[]"
     inner = indent + "  "
