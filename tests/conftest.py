@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import random
 from pathlib import Path
 
@@ -48,6 +49,20 @@ def perm2r_lts(k: int) -> Lts:
         for i in loops:
             t[(base + i, "c")] = frozenset({base + i})
     return Lts(2 * k, ("a", "b", "c"), t)
+
+
+def cycles_left(run) -> int:
+    """What ``gc.collect()`` finds after ``run()`` with the collector off:
+    the objects ``run`` left in reference cycles."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        run()
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @pytest.fixture

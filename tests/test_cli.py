@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import gc
 import io
 import json
 import os
@@ -25,7 +24,7 @@ from semcheck import (DEFAULT_CAP, GPS_SEMANTICS, SEMANTICS, cli, disjoint_union
                       parse_gps, parse_lts)
 from semcheck.cli import main
 
-from conftest import FIXTURES, kth_lts, perm2r_lts
+from conftest import FIXTURES, cycles_left, kth_lts, perm2r_lts
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -648,19 +647,9 @@ def test_a_query_leaves_no_reference_cycle(capsys, tmp_path, argv):
     path = tmp_path / "cex.gps"
     path.write_text(_GPS_CEX)
     argv = [str(path) if a == "GPS_CEX" else a for a in argv]
-    main(argv)  # the parser and anything else built on first use
-    capsys.readouterr()
-    gc.collect()
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        code = main(argv)
-        found = gc.collect()
-    finally:
-        if enabled:
-            gc.enable()
-    assert code in (0, 1)
-    assert found == 0
+    # the first call builds the parser and anything else built on first use
+    assert main(argv) in (0, 1)
+    assert cycles_left(lambda: main(argv)) == 0
 
 
 # -- the report writer -------------------------------------------------------

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import gc
 import hashlib
 import math
 import random
@@ -29,7 +28,7 @@ import semcheck.hkc
 from semcheck.hkc import product_walk
 from semcheck.moore import to_mask, to_stateset
 
-from conftest import load_lts
+from conftest import cycles_left, load_lts
 
 
 def s(*xs):
@@ -372,12 +371,4 @@ def test_hkc_check_leaves_no_reference_cycle(name):
     (interleave50-must parks rules)."""
     run = dict(_hkc_runs())[name]
     run()
-    gc.collect()
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        run()
-        assert gc.collect() == 0, name
-    finally:
-        if enabled:
-            gc.enable()
+    assert cycles_left(run) == 0
