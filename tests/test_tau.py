@@ -13,6 +13,8 @@ import hashlib
 import itertools
 import random
 
+import pytest
+
 from semcheck import (
     TAU,
     TOP,
@@ -20,6 +22,8 @@ from semcheck import (
     converges_on,
     decorate,
     divergent_states,
+    format_lts,
+    parse_lts,
     preorder_check,
     random_lts,
     render_output,
@@ -141,6 +145,76 @@ def test_tau_free_roots_are_components_of_their_own():
         assert tau.closure == tuple(1 << x for x in range(lts.n_states))
         assert tau.weak == lts._rows
         assert tau.divergent == 0
+
+
+# -- the walk over tau-moving states -----------------------------------------
+
+
+def test_tau_layer_matches_reference_on_random_systems():
+    for lts in map(tau_rich_lts, range(1000)):
+        _assert_tau_layer_matches_reference(lts)
+    for lts in map(random_lts, range(300)):
+        _assert_tau_layer_matches_reference(lts)
+
+
+def test_tau_layer_matches_reference_on_shapes():
+    shapes = {
+        # 3 has no tau edge and is reached only from 1 and 2, which move
+        "tau-free-below-movers": Lts(4, ("a",), {
+            (0, TAU): frozenset({1, 2}), (1, TAU): frozenset({3}),
+            (2, TAU): frozenset({3}), (3, "a"): frozenset({0})}),
+        # the cycle {0, 1} reaches the cycle {2, 3, 4}, which leaves by tau
+        # to 5, which has no tau edge
+        "cycle-into-cycle": Lts(6, ("a", "b"), {
+            (0, TAU): frozenset({1}), (1, TAU): frozenset({0, 2}),
+            (2, TAU): frozenset({3}), (3, TAU): frozenset({4}),
+            (4, TAU): frozenset({2, 5}), (0, "a"): frozenset({3}),
+            (3, "b"): frozenset({5}), (5, "a"): frozenset({0, 5})}),
+        # 0 loops on tau and heads the chain 0 -> 1 -> 2 -> 3
+        "self-loop-head": Lts(4, ("a",), {
+            (0, TAU): frozenset({0, 1}), (1, TAU): frozenset({2}),
+            (2, TAU): frozenset({3}), (1, "a"): frozenset({0}),
+            (3, "a"): frozenset({3})}),
+    }
+    for lts in shapes.values():
+        _assert_tau_layer_matches_reference(lts)
+    assert divergent_states(shapes["tau-free-below-movers"]) == frozenset()
+    assert divergent_states(shapes["cycle-into-cycle"]) == frozenset({0, 1, 2, 3, 4})
+    assert divergent_states(shapes["self-loop-head"]) == frozenset({0})
+
+
+def test_tau_layer_does_not_follow_the_order_of_the_tau_lines():
+    # A parsed system's tau rows are stored in the order of its lines, so
+    # shuffled lines start the walk from states out of index order.
+    out_of_order = 0
+    for seed in range(300):
+        lts = tau_rich_lts(seed)
+        text = format_lts(lts).splitlines(keepends=True)
+        header, lines = text[:2], text[2:]   # the lts and alphabet lines
+        random.Random(seed).shuffle(lines)
+        parsed = parse_lts("".join(header + lines))
+        movers = list(parsed._edges[TAU])
+        out_of_order += movers != sorted(movers)
+        _assert_tau_layer_matches_reference(parsed)
+        assert parsed._tau == lts._tau, seed
+    assert out_of_order > 100
+
+
+@pytest.mark.parametrize("semantics", ["may", "must"])
+def test_100000_state_tau_chain_decorates(semantics):
+    # 0 -> 1 -> ... -> n-2 -> 0 is one tau-cycle, n-2 also steps by tau to
+    # n-1, which has no tau edge.  The walk goes n-1 states deep.
+    n = 100_000
+    lines = [f"lts {n}", "alphabet a"]
+    lines += [f"{i} tau {i + 1}" for i in range(n - 2)]
+    lines += [f"{n - 2} tau 0", f"{n - 2} tau {n - 1}", f"0 a {n - 1}", f"{n - 1} a {n - 1}"]
+    lts = parse_lts("\n".join(lines) + "\n")
+    d = decorate(lts, semantics)
+    assert tau_closure(lts, 0) == frozenset(range(n))
+    assert divergent_states(lts) == frozenset(range(n - 1))
+    assert weak_successors(lts, n - 3, "a") == frozenset({n - 1})
+    assert d.row(n - 1, "a") == frozenset({n - 1})
+    assert d.row(0, "a") == (TOP if semantics == "must" else frozenset({n - 1}))
 
 
 def _weak_reach(lts: Lts, x: int, word) -> frozenset:
