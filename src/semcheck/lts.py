@@ -669,12 +669,11 @@ def disjoint_union(a: Lts, b: Lts) -> Lts:
 # ---------------------------------------------------------------------------
 # tau-aware primitives
 #
-# Every tau-derived fact comes from one Tarjan walk over the tau graph, run
-# once per system and cached on it.  Tarjan finishes each strongly connected
-# component after every component it tau-reaches, so a component's closure,
-# divergence and weak rows are joins over components already finished.  The
-# pass keeps every set of states as an int mask; the functions that return
-# frozensets build them from the masks on each call.
+# Every tau-derived fact comes from one Tarjan walk over the states with a tau
+# edge, run once per system and cached on it.  A component finishes after the
+# components it tau-reaches, so closures and divergence are set as components
+# finish, and each label's weak rows come from one sweep over the finish
+# order.  Sets of states are int masks; the frozenset API builds its sets.
 # ---------------------------------------------------------------------------
 
 class TauPass(NamedTuple):
@@ -690,32 +689,19 @@ class TauPass(NamedTuple):
 
 
 def _tau_pass(lts: Lts) -> TauPass:
-    """The tau layer of ``lts`` from one Tarjan walk.  A root with no tau
-    successor skips the work stack: it is a finished component of its own
-    (closure itself, not divergent, nothing below), and finishing it first
-    keeps the component order valid, because it reaches nothing."""
-    n, edges = lts.n_states, lts._edges
-    succ: List[Iterable[int]] = [()] * n
-    for x, m in edges[TAU].items():
+    """The tau layer of ``lts`` from one Tarjan walk rooted at its tau-moving
+    states.  A tau-free state the walk meets is closed at once, off the work
+    stack; one it never meets keeps ``1 << x``.  ``order`` lists the finished
+    components: (state, tau-successors, ()), or (root, tau-successors, members)."""
+    n, edges, moves = lts.n_states, lts._edges, lts._edges[TAU]
+    succ: List[Sequence[int]] = [()] * n
+    for x, m in moves.items():
         succ[x] = [m.bit_length() - 1] if m & (m - 1) == 0 else mask_bits(m)
-    index = [-1] * n
-    low = [0] * n
-    counter = 0
-    stack: List[int] = []
-    comp_of = [-1] * n           # -1 while a state is on the Tarjan stack
-    below: List[set] = []        # each component's tau-successor components
-    closure: List[int] = []      # in the order Tarjan finishes the components
-    divergent: List[bool] = []
-
-    for root in range(n):
-        if index[root] >= 0:
-            continue
-        if not succ[root]:
-            index[root] = counter
-            comp_of[root] = len(closure)
-            below.append(())
-            closure.append(1 << root)
-            divergent.append(False)
+    closure, index, low = [0] * n, [-1] * n, [0] * n   # closure 0: not closed yet
+    counter = divergent = 0
+    stack, order = [], []  # the Tarjan stack; the finished components
+    for root in moves:
+        if closure[root]:
             continue
         index[root] = low[root] = counter
         counter += 1
@@ -724,56 +710,66 @@ def _tau_pass(lts: Lts) -> TauPass:
         while work:
             v, todo = work[-1]
             for w in todo:
-                if index[w] < 0:
+                if closure[w]:
+                    continue
+                if index[w] >= 0:  # on the Tarjan stack
+                    if index[w] < low[v]:
+                        low[v] = index[w]
+                elif succ[w]:
                     index[w] = low[w] = counter
                     counter += 1
                     stack.append(w)
                     work.append((w, iter(succ[w])))
                     break
-                if comp_of[w] < 0 and index[w] < low[v]:
-                    low[v] = index[w]
+                else:
+                    closure[w] = 1 << w
             else:
                 work.pop()
-                if work and low[v] < low[work[-1][0]]:
-                    low[work[-1][0]] = low[v]
-                if low[v] == index[v]:
-                    c = len(closure)
-                    comp: List[int] = []
-                    reach = 0
-                    while not comp or comp[-1] != v:
-                        w = stack.pop()
-                        comp.append(w)
-                        comp_of[w] = c
-                        reach |= 1 << w
-                    succs = {comp_of[y] for w in comp for y in succ[w]}
-                    succs.discard(c)
-                    below.append(succs)
-                    # a tau-cycle: size >= 2, or a tau self-loop
-                    div = len(comp) >= 2 or v in succ[v]
-                    for d in succs:
-                        reach |= closure[d]
-                        div = div or divergent[d]
-                    closure.append(reach)
-                    divergent.append(div)
+                if low[v] < index[v]:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[v])
+                elif stack[-1] == v:
+                    stack.pop()
+                    reach = 1 << v
+                    for y in succ[v]:
+                        reach |= closure[y]
+                    closure[v] = reach
+                    if reach & divergent or moves[v] >> v & 1:  # or a tau self-loop
+                        divergent |= 1 << v
+                    order.append((v, succ[v], ()))
+                else:  # a tau-cycle: every member diverges
+                    comp = [stack.pop()]
+                    while comp[-1] != v:
+                        comp.append(stack.pop())
+                    outs = [y for w in comp for y in succ[w]]
+                    members = state_mask(comp)
+                    reach = members | join_at(closure, outs)
+                    for w in comp:
+                        closure[w] = reach
+                    divergent |= members
+                    order.append((v, outs, comp))
 
-    # A component's weak row joins the closures of its members' strong
-    # successors, which may lie in components finished later, with the weak
-    # rows of the components it tau-reaches, which are finished earlier.
-    own = tuple(closure[c] for c in comp_of)
-    moves = state_mask(edges[TAU])
-    weak: Dict[str, Tuple[int, ...]] = {}
-    for a in lts.alphabet:
-        rows = [0] * len(closure)
+    # A weak row joins its strong successors' closures and its tau-successors'
+    # weak rows, finished earlier or tau-free.  An unused label keeps zeros.
+    movers = state_mask(moves)
+    weak: Dict[str, Tuple[int, ...]] = dict.fromkeys(lts.alphabet, (0,) * n)
+    for a in filter(edges.get, lts.alphabet):
+        rows = [0] * n
         for x, m in edges[a].items():
-            t = m & moves   # the successors with tau edges; the rest are their own closure
+            t = m & movers   # the successors with tau edges; the rest are their own closure
             if t:
-                m |= own[t.bit_length() - 1] if t & (t - 1) == 0 else join_at(own, mask_bits(t))
-            rows[comp_of[x]] |= m
-        for c, succs in enumerate(below):
-            for d in succs:
-                rows[c] |= rows[d]
-        weak[a] = tuple(rows[c] for c in comp_of)
-    return TauPass(own, weak, state_mask(x for x, c in enumerate(comp_of) if divergent[c]))
+                m |= closure[t.bit_length() - 1] if t & (t - 1) == 0 else join_at(closure, mask_bits(t))
+            rows[x] = m
+        for v, ys, comp in order:
+            m = join_at(rows, comp) if comp else rows[v]
+            for y in ys:
+                m |= rows[y]
+            rows[v] = m
+            for w in comp:
+                rows[w] = m
+        weak[a] = tuple(rows)
+    if 0 in closure:
+        closure = [c or 1 << x for x, c in enumerate(closure)]
+    return TauPass(tuple(closure), weak, divergent)
 
 
 def tau_closure(lts: Lts, x: int) -> StateSet:
@@ -793,10 +789,8 @@ def weak_successors(lts: Lts, x: int, label: str) -> StateSet:
 
 
 def divergent_states(lts: Lts) -> StateSet:
-    """States that admit an infinite tau run: those that tau-reach a tau-cycle.
-
-    tau-cycles are found as strongly connected components of the tau graph
-    that contain a tau edge (size >= 2, or a tau self-loop)."""
+    """States that admit an infinite tau run: those that tau-reach a tau-cycle,
+    a strongly connected component of two or more states, or a tau self-loop."""
     return mask_states(lts._tau.divergent)
 
 
