@@ -772,9 +772,15 @@ def _tau_pass(lts: Lts) -> TauPass:
     return TauPass(tuple(closure), weak, divergent)
 
 
+def _state(lts: Lts, x: int) -> int:
+    if not 0 <= x < lts.n_states:
+        raise ValueError(f"unknown state {x!r}")
+    return x
+
+
 def tau_closure(lts: Lts, x: int) -> StateSet:
     """States reachable from ``x`` by zero or more tau steps."""
-    return mask_states(lts._tau.closure[x])
+    return mask_states(lts._tau.closure[_state(lts, x)])
 
 
 def _weak_row(lts: Lts, label: str) -> Tuple[int, ...]:
@@ -785,7 +791,7 @@ def _weak_row(lts: Lts, label: str) -> Tuple[int, ...]:
 
 def weak_successors(lts: Lts, x: int, label: str) -> StateSet:
     """Weak transition targets: tau* label tau* from ``x``."""
-    return mask_states(_weak_row(lts, label)[x])
+    return mask_states(_weak_row(lts, label)[_state(lts, x)])
 
 
 def divergent_states(lts: Lts) -> StateSet:
@@ -796,7 +802,7 @@ def divergent_states(lts: Lts) -> StateSet:
 
 def diverges(lts: Lts, x: int) -> bool:
     """True iff ``x`` admits an infinite run of tau steps."""
-    return bool(lts._tau.divergent >> x & 1)
+    return bool(lts._tau.divergent >> _state(lts, x) & 1)
 
 
 def converges_on(lts: Lts, x: int, word: Iterable[str]) -> bool:
@@ -804,7 +810,7 @@ def converges_on(lts: Lts, x: int, word: Iterable[str]) -> bool:
     it does not diverge, and on ``a w`` iff it converges on the empty word and
     every weak a-successor converges on ``w``."""
     div = lts._tau.divergent
-    frontier = 1 << x
+    frontier = 1 << _state(lts, x)
     for a in word:
         if frontier & div:
             return False
@@ -815,7 +821,7 @@ def converges_on(lts: Lts, x: int, word: Iterable[str]) -> bool:
 
 def initial_actions(lts: Lts, x: int) -> int:
     """Bitmask of visible labels enabled at ``x`` (strong transitions)."""
-    return lts._enabled[x]
+    return lts._enabled[_state(lts, x)]
 
 
 def fail_sets(lts: Lts, x: int) -> FrozenSet[int]:

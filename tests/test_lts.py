@@ -642,6 +642,22 @@ def test_converges_on_long_word():
     assert converges_on(lts, 0, "a" * 5000)
 
 
+@pytest.mark.parametrize("x", [-1, -4, 4, 5, 2 ** 70])
+def test_tau_primitives_reject_unknown_states(x):
+    # A negative index used to read a state from the end, and one past the
+    # last state raised IndexError or a negative shift count.
+    lts = parse_lts("lts 4\nalphabet a\n0 tau 1\n1 a 2\n2 tau 2\n")
+    calls = [lambda: tau_closure(lts, x), lambda: weak_successors(lts, x, "a"),
+             lambda: diverges(lts, x), lambda: converges_on(lts, x, "a"),
+             lambda: initial_actions(lts, x), lambda: fail_sets(lts, x)]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^unknown state {x}$"):
+            call()
+    assert tau_closure(lts, 0) == frozenset({0, 1})
+    assert weak_successors(lts, 3, "a") == frozenset()
+    assert diverges(lts, 2) and not diverges(lts, 3)
+
+
 # -- readiness and refusal ---------------------------------------------------
 
 
