@@ -677,11 +677,11 @@ def disjoint_union(a: Lts, b: Lts) -> Lts:
 # ---------------------------------------------------------------------------
 
 class TauPass(NamedTuple):
-    """The tau layer as state masks (bit ``x`` stands for state ``x``):
-    ``closure[x]`` is ``x``'s tau-closure, ``weak[a][x]`` its weak
-    ``a``-successors, and ``divergent`` the states that admit an infinite
-    tau run.  Members of one tau strongly connected component share their
-    closure and weak rows."""
+    """The tau layer as state masks (bit ``x`` stands for state ``x``), set
+    per state by :func:`_tau_pass`: ``closure[x]`` is ``x``'s tau-closure,
+    ``weak[a][x]`` its weak ``a``-successors, and ``divergent`` the states
+    that admit an infinite tau run.  The members of one tau strongly
+    connected component share one closure and one weak row per label."""
 
     closure: Tuple[int, ...]
     weak: Dict[str, Tuple[int, ...]]
