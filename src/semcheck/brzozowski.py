@@ -31,7 +31,7 @@ from .decorations import (
     compact_output,  # noqa: F401  not called; perfbench counts brzozowski.compact_output
     join_outputs,  # noqa: F401  not called; perfbench counts brzozowski.join_outputs
 )
-from .lts import StateSet, join_at, mask_bits, mask_flags
+from .lts import StateSet, join_at, mask_bits, mask_flags, root_bits
 from .moore import DEFAULT_CAP, MooreMachine, explore, to_mask
 
 #: A reversal state: one raw output value per (reachable) base state.
@@ -82,8 +82,13 @@ def reverse_determinize(d: DecoratedLts, inits: StateSet) -> LazyReversal:
     preserves the realised behaviour).  The initial vector is the output
     decoration itself; a step joins each coordinate's successor coordinates,
     with TOP rows forcing the top output.  Each label's rows are resolved to
-    coordinate positions once, through the row's :func:`mask_flags` (rows of
-    reachable states reach only reachable states)."""
+    coordinate positions once, at the members :func:`root_bits` keeps under
+    the decoration's ``cover`` (rows of reachable states reach only reachable
+    states).  That is exact because every vector the pass reaches is
+    monotone along the cover, as the initial vector is: if ``y`` is in
+    ``cover[x]``, ``y``'s row lies below ``x``'s (or ``x``'s is TOP), so
+    after a step ``y``'s coordinate still lies below ``x``'s, and a dropped
+    successor adds nothing to a join that reads a kept one."""
     inits = to_mask(inits)
     domain = mask_bits(_forward_reachable(d, inits))
     pos = [0] * d.n_states
@@ -91,11 +96,12 @@ def reverse_determinize(d: DecoratedLts, inits: StateSet) -> LazyReversal:
         pos[x] = i
     initial = tuple(d.values[x] for x in domain)
     init_pos = tuple(compress(pos, mask_flags(inits)))
+    at, cover = pos.__getitem__, d.cover
     rows: Dict[EffLabel, Tuple[object, ...]] = {}
     for label in d.eff_alphabet:
         label_rows = d.masks[label]
-        rows[label] = tuple(TOP if label_rows[x] is TOP
-                            else tuple(compress(pos, mask_flags(label_rows[x])))
+        rows[label] = tuple(TOP if (row := label_rows[x]) is TOP
+                            else tuple(map(at, root_bits(row, cover)))
                             for x in domain)
 
     def step(state: FunctionState, label: EffLabel) -> FunctionState:

@@ -28,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import inf
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 from .lts import (
     TAU,
@@ -215,7 +215,18 @@ class DecoratedLts(Record):
     rtrace, a maximal refusal under failure, ftrace and must, where a value
     holds every atom its family contains, a trace class under pfutures).
     Values join with ``|`` and are equal exactly when their outputs are;
-    :meth:`decode` counts a family's members against ``cap``."""
+    :meth:`decode` counts a family's members against ``cap``.
+
+    ``cover``, when set, is a state-indexed table of masks (``cover[x]``
+    holds ``x``) along which rows and values are monotone: for ``y`` in
+    ``cover[x]``, ``x``'s value and every row of ``x`` lie above ``y``'s
+    (TOP above everything).  A join over a set of states may then read only
+    its members :func:`semcheck.lts.root_bits` keeps.  :func:`decorate`
+    gives a may or must decoration of a system with tau edges its
+    tau-closures: a weak row holds the weak rows of the closure's members,
+    a must value joins the closure's stable refusals, and a state that
+    reaches a divergent one is TOP itself.  ``cover`` is not one of the
+    ``_fields``, so equality and the repr ignore it."""
 
     _fields = ("semantics", "n_states", "alphabet", "eff_alphabet", "values", "atoms",
                "masks", "cap")
@@ -223,10 +234,10 @@ class DecoratedLts(Record):
     def __init__(self, semantics: str, n_states: int, alphabet: Tuple[str, ...],
                  eff_alphabet: Tuple[EffLabel, ...], values: Tuple[Value, ...],
                  atoms: Tuple[int, ...], masks: Dict[EffLabel, Tuple[Row, ...]],
-                 cap: int = DEFAULT_CAP):
+                 cap: int = DEFAULT_CAP, cover: Optional[Tuple[int, ...]] = None):
         self.semantics, self.n_states, self.alphabet = semantics, n_states, alphabet
         self.eff_alphabet, self.values, self.atoms = eff_alphabet, values, atoms
-        self.masks, self.cap = masks, cap
+        self.masks, self.cap, self.cover = masks, cap, cover
 
     @property
     def output_kind(self) -> str:
@@ -427,8 +438,10 @@ def decorate(lts: Lts, semantics: str, cap: int = DEFAULT_CAP) -> DecoratedLts:
             TOP if div >> x & 1 else join_at(own, mask_bits(tau.closure[x] & stable))
             for x in states]
 
+    # a tau-free system's closures are its singletons, which drop no member
+    cover = tau.closure if tau is not None and lts._edges[TAU] else None
     return DecoratedLts(semantics, lts.n_states, alphabet, eff_alphabet,
-                        tuple(values), atoms, masks, cap)
+                        tuple(values), atoms, masks, cap, cover)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from functools import cached_property
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from .decorations import TOP, DecoratedLts, EffLabel, Value
-from .lts import Record, join_at, mask_bits
+from .lts import Record, join_at, mask_bits, root_bits
 from .moore import DEFAULT_CAP, CapExceeded, DetState, to_mask, to_stateset
 from .moore import det_output  # noqa: F401  not called; perfbench counts hkc.det_output
 from .moore import det_step  # noqa: F401  not called; perfbench counts hkc.det_step
@@ -183,7 +183,10 @@ def product_walk(d: DecoratedLts, left: DetState, right: DetState, cap: float,
     States are masks (or TOP), and so are the pairs the walk hands to
     ``prune`` and returns.  A processed pair's states are read once each:
     one pass over a state's members gives its raw output and its successor
-    under every label.  Outputs are compared as raw values, which are equal
+    under every label.  With a decoration's ``cover``, the pass reads only
+    the members :func:`semcheck.lts.root_bits` keeps: a member in a kept
+    member's cover has its value and rows below that member's, so it adds
+    nothing to either join.  Outputs are compared as raw values, which are equal
     exactly when the outputs are.  Pairs are dequeued first-in-first-out.  A
     pair for which ``prune(pair, relation, todo, qi)`` holds is skipped
     (``todo[qi:]`` are the pairs still waiting); any other must agree on its
@@ -194,14 +197,14 @@ def product_walk(d: DecoratedLts, left: DetState, right: DetState, cap: float,
     pairs would be discovered."""
     alphabet = d.eff_alphabet
     tables = [d.masks[label] for label in alphabet]
-    values = d.values
+    values, cover = d.values, d.cover
     top = (TOP, [TOP] * len(tables))
 
     def expand(state: DetState) -> Tuple[Value, List[DetState]]:
         """A state's raw output and its successor under each label."""
         if state is TOP:
             return top
-        members = mask_bits(state)
+        members = root_bits(state, cover)
         return join_at(values, members), [join_at(rows, members) for rows in tables]
 
     todo: List[Pair] = [(left, right)]

@@ -109,6 +109,24 @@ def mask_bits(mask: int) -> List[int]:
     return out
 
 
+def root_bits(mask: int, cover: Optional[Sequence[int]]) -> List[int]:
+    """The members of ``mask`` a join over it reads, ascending: the lowest
+    member is kept, every member of its ``cover`` entry (which holds the
+    member itself) is dropped, and so on.  Each dropped member lies in a kept
+    member's cover, so over a table whose entry for ``y`` lies below the
+    entry for ``x`` whenever ``y`` is in ``cover[x]``, :func:`join_at` over
+    the kept members equals the join over all of them.  Without a cover,
+    every member is kept (:func:`mask_bits`)."""
+    if cover is None:
+        return mask_bits(mask)
+    out = []
+    while mask:
+        x = (mask & -mask).bit_length() - 1
+        out.append(x)
+        mask ^= mask & cover[x]
+    return out
+
+
 def mask_states(mask: int) -> StateSet:
     """The set of states a state mask stands for."""
     return frozenset(mask_bits(mask))
@@ -809,13 +827,13 @@ def converges_on(lts: Lts, x: int, word: Iterable[str]) -> bool:
     """Convergence along a visible word: ``x`` converges on the empty word iff
     it does not diverge, and on ``a w`` iff it converges on the empty word and
     every weak a-successor converges on ``w``."""
-    div = lts._tau.divergent
+    div, closure = lts._tau.divergent, lts._tau.closure
     frontier = 1 << _state(lts, x)
     for a in word:
         if frontier & div:
             return False
-        if frontier:
-            frontier = join_at(_weak_row(lts, a), mask_bits(frontier))
+        if frontier:   # a weak row holds the weak rows of the closure's members
+            frontier = join_at(_weak_row(lts, a), root_bits(frontier, closure))
     return not frontier & div
 
 

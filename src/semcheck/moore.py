@@ -9,8 +9,9 @@ machines, and partition refinement to the coarsest quotient.
 
 A set of base states is an int mask, bit ``x`` standing for state ``x``, and
 an output is a raw value, so ``det_step`` and ``det_value`` are one join,
-:func:`semcheck.lts.join_at` over the set's members: of their row masks and
-of their raw values.  Frozensets and :class:`Output` values are boundary views:
+:func:`semcheck.lts.join_at` over the set's members (those
+:func:`semcheck.lts.root_bits` keeps under the decoration's ``cover``): of
+their row masks and of their raw values.  Frozensets and :class:`Output` values are boundary views:
 ``det_step`` answers a frozenset in kind, ``det_output`` and ``behavior``
 decode, and so do a machine's ``outputs`` and ``state_keys``.
 """
@@ -37,7 +38,7 @@ from .decorations import (
     antichain_to_downset,
     join_outputs,  # noqa: F401  not called; perfbench counts moore.join_outputs
 )
-from .lts import Record, StateSet, full_mask, join_at, mask_bits, mask_states, state_mask
+from .lts import Record, StateSet, full_mask, join_at, mask_states, root_bits, state_mask
 
 #: A determinised state: the mask of a set of base states, or the absorbing
 #: top element (must testing only).  Probabilistic systems determinise into
@@ -64,7 +65,8 @@ def det_value(d: DecoratedLts, state: Union[DetState, StateSet]) -> Value:
     """The raw output of a determinised state: its members' values ORed."""
     if state is TOP:
         return TOP
-    return join_at(d.values, mask_bits(state if type(state) is int else state_mask(state)))
+    return join_at(d.values, root_bits(state if type(state) is int else state_mask(state),
+                                       d.cover))
 
 
 def det_output(d: DecoratedLts, state: Union[DetState, StateSet]) -> Output:
@@ -86,7 +88,7 @@ def det_step(d: DecoratedLts, state: Union[DetState, StateSet],
         return TOP
     if type(state) is not int:
         return to_stateset(det_step(d, state_mask(state), label))
-    return join_at(rows, mask_bits(state))
+    return join_at(rows, root_bits(state, d.cover))
 
 
 def behavior(d: DecoratedLts, state: DetState, word: Iterable[EffLabel]) -> Output:

@@ -1,12 +1,14 @@
-"""Guard for the may/must joins over sets of states.
+"""The may/must joins over sets of states, read at their tau-roots.
 
 Under may and must every determinised state is read by joining its members'
-rows and values.  This test runs the pair walks (hkc, naive, both
-preorders), the forward subset construction and both passes of the double
-reversal on seeded tau-rich systems from seeded start sets, reduces
-everything they build to one canonical text and pins its sha256.  A join
-that reads fewer members of a set than it needs shows here even where no
-verdict moves.
+rows and values, and a member another member tau-reaches adds nothing to
+either join, so the joins read only the members ``root_bits`` keeps.  The
+digest test runs the pair walks (hkc, naive, both preorders), the forward
+subset construction and both passes of the double reversal on seeded
+tau-rich systems from seeded start sets, reduces everything they build to
+one canonical text and pins its sha256, which was taken while every join
+still read every member.  A join that reads fewer members of a set than it
+needs shows there even where no verdict moves.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from semcheck import (
     random_lts,
     reachable_machine,
 )
-from semcheck.lts import mask_states
+from semcheck.lts import join_at, mask_bits, mask_states, root_bits
 
 from test_tau import tau_rich_lts
 
@@ -79,3 +81,51 @@ def _lines(name: str, lts):
 def test_may_must_joins_match_pinned_digest():
     text = "\n".join(line for name, lts in _corpus() for line in _lines(name, lts))
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SHA256
+
+
+# -- the read itself ---------------------------------------------------------
+
+
+def test_root_bits_keeps_a_cover_of_the_set():
+    for name, lts in _corpus():
+        rng = random.Random(name)
+        closure = lts._tau.closure
+        for sem in ("may", "must"):
+            d = decorate(lts, sem)
+            assert d.cover == (closure if lts._edges["tau"] else None), name
+            for _ in range(4):
+                mask = rng.getrandbits(lts.n_states)
+                kept = root_bits(mask, closure)
+                assert kept == sorted(set(kept)), (name, mask)
+                assert all(mask >> x & 1 for x in kept), (name, mask)
+                covered = join_at(closure, kept)
+                assert not mask & ~covered, (name, mask)
+                members = mask_bits(mask)
+                assert join_at(d.values, kept) == join_at(d.values, members), (name, sem, mask)
+                for rows in d.masks.values():
+                    assert join_at(rows, kept) == join_at(rows, members), (name, sem, mask)
+
+
+def test_root_bits_without_a_cover_reads_every_member():
+    rng = random.Random(0)
+    for width in (1, 8, 9, 64, 300):
+        mask = rng.getrandbits(width)
+        assert root_bits(mask, None) == mask_bits(mask)
+
+
+def test_root_bits_keeps_one_state_of_a_tau_chain():
+    # 0 -tau-> 1 -tau-> ... -> 9: the lowest member's closure holds the rest
+    closure = tuple(((1 << 10) - 1) ^ ((1 << x) - 1) for x in range(10))
+    assert root_bits(0b1011010100, closure) == [2]
+    # numbered backwards (9 -tau-> 8 ... -> 0), every member is kept
+    backwards = tuple((1 << x + 1) - 1 for x in range(10))
+    assert root_bits(0b1011010100, backwards) == [2, 4, 6, 7, 9]
+
+
+def test_the_cover_is_not_a_field():
+    lts = tau_rich_lts(3)
+    d = decorate(lts, "must")
+    assert d.cover is not None
+    bare = type(d)(*(getattr(d, f) for f in d._fields))
+    assert bare.cover is None
+    assert bare == d and repr(bare) == repr(d)
