@@ -115,22 +115,46 @@ def test_equiv_must_on_long_tau_chain(capsys, tmp_path):
     assert payload["result"] is True
 
 
-@pytest.mark.parametrize("sem", ["may", "must"])
-def test_equiv_on_5000_state_tau_chain(capsys, tmp_path, sem):
-    # x_0 -tau-> x_1 -tau-> ... -> x_4999, every state with an a-self-loop:
-    # x_0 and the last state both weakly offer a forever, and neither
-    # diverges.  The tau closures are Theta(n^2) states in total.
+def _tau_chain_5000(tmp_path, state) -> Path:
+    """x_0 -tau-> x_1 -tau-> ... -> x_4999, every state with an a-self-loop,
+    x_i numbered ``state[i]``."""
     n = 5000
     lines = [f"lts {n}", "alphabet a"]
-    lines += [f"{i} tau {i + 1}" for i in range(n - 1)]
-    lines += [f"{i} a {i}" for i in range(n)]
+    lines += [f"{state[i]} tau {state[i + 1]}" for i in range(n - 1)]
+    lines += [f"{state[i]} a {state[i]}" for i in range(n)]
     f = tmp_path / "tau-chain-5000.lts"
     f.write_text("\n".join(lines) + "\n")
-    code, payload, err = run_cli(capsys, "equiv", "--sem", sem, "--algo", "hkc",
-                                 str(f), "0", str(n - 1))
-    assert code == 0
-    assert payload["result"] is True
-    assert f"equivalent under {sem}" in err
+    return f
+
+
+def _assert_chain_ends_equivalent(capsys, f, sem, first, last):
+    for algo in ("hkc", "brzozowski"):
+        code, payload, err = run_cli(capsys, "equiv", "--sem", sem, "--algo", algo,
+                                     str(f), str(first), str(last))
+        assert code == 0, algo
+        assert payload["result"] is True, algo
+        assert f"equivalent under {sem} ({algo}," in err
+
+
+@pytest.mark.parametrize("sem", ["may", "must"])
+def test_equiv_on_5000_state_tau_chain(capsys, tmp_path, sem):
+    # x_0 and the last state both weakly offer a forever, and neither
+    # diverges.  The tau closures are Theta(n^2) states in total, and each
+    # weak a-row holds the rest of the chain: reversal pass 1 reads a row
+    # at its tau-roots, here the row's first state.
+    f = _tau_chain_5000(tmp_path, range(5000))
+    _assert_chain_ends_equivalent(capsys, f, sem, 0, 4999)
+
+
+@pytest.mark.parametrize("sem", ["may", "must"])
+def test_equiv_on_5000_state_shuffled_tau_chain(capsys, tmp_path, sem):
+    # The same chain with its states numbered by a seeded shuffle: a row's
+    # lowest state is no longer its first along the chain, so the read keeps
+    # a few tau-roots a row instead of one.
+    state = list(range(5000))
+    random.Random(5000).shuffle(state)
+    f = _tau_chain_5000(tmp_path, state)
+    _assert_chain_ends_equivalent(capsys, f, sem, state[0], state[-1])
 
 
 def test_equiv_cap_bounds_pfutures_decoration(capsys):
