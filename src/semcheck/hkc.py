@@ -186,15 +186,15 @@ def product_walk(d: DecoratedLts, left: DetState, right: DetState, cap: float,
     under every label.  With a decoration's ``cover``, the pass reads only
     the members :func:`semcheck.lts.root_bits` keeps: a member in a kept
     member's cover has its value and rows below that member's, so it adds
-    nothing to either join.  Outputs are compared as raw values, which are equal
-    exactly when the outputs are.  Pairs are dequeued first-in-first-out.  A
-    pair for which ``prune(pair, relation, todo, qi)`` holds is skipped
-    (``todo[qi:]`` are the pairs still waiting); any other must agree on its
-    output, joins the relation and pushes its successor pairs in alphabet
-    order.  Returns ``(equal, relation, pairs_processed, counterexample)``;
-    the counterexample is the discovery path of the first pair found to
-    disagree.  Raises :class:`CapExceeded` once more than ``cap`` distinct
-    pairs would be discovered."""
+    nothing to either join.  Outputs are compared as raw values, which are
+    equal exactly when the outputs are.  Pairs are dequeued
+    first-in-first-out.  A pair for which ``prune(pair, relation, todo,
+    qi)`` holds is skipped (``todo[qi:]`` are the pairs still waiting); any
+    other must agree on its output, joins the relation and pushes its
+    successor pairs in alphabet order.  Returns ``(equal, relation,
+    pairs_processed, counterexample)``; the counterexample is the discovery
+    path of the first pair found to disagree.  Raises :class:`CapExceeded`
+    once more than ``cap`` distinct pairs would be discovered."""
     alphabet = d.eff_alphabet
     tables = [d.masks[label] for label in alphabet]
     values, cover = d.values, d.cover

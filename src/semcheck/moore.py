@@ -11,9 +11,10 @@ A set of base states is an int mask, bit ``x`` standing for state ``x``, and
 an output is a raw value, so ``det_step`` and ``det_value`` are one join,
 :func:`semcheck.lts.join_at` over the set's members (those
 :func:`semcheck.lts.root_bits` keeps under the decoration's ``cover``): of
-their row masks and of their raw values.  Frozensets and :class:`Output` values are boundary views:
-``det_step`` answers a frozenset in kind, ``det_output`` and ``behavior``
-decode, and so do a machine's ``outputs`` and ``state_keys``.
+their row masks and of their raw values.  Frozensets and :class:`Output`
+values are boundary views: ``det_step`` answers a frozenset in kind,
+``det_output`` and ``behavior`` decode, and so do a machine's ``outputs``
+and ``state_keys``.
 """
 
 from __future__ import annotations
@@ -65,8 +66,8 @@ def det_value(d: DecoratedLts, state: Union[DetState, StateSet]) -> Value:
     """The raw output of a determinised state: its members' values ORed."""
     if state is TOP:
         return TOP
-    return join_at(d.values, root_bits(state if type(state) is int else state_mask(state),
-                                       d.cover))
+    mask = state if type(state) is int else state_mask(state)
+    return join_at(d.values, root_bits(mask, d.cover))
 
 
 def det_output(d: DecoratedLts, state: Union[DetState, StateSet]) -> Output:

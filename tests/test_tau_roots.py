@@ -92,7 +92,8 @@ def test_root_bits_keeps_a_cover_of_the_set():
         closure = lts._tau.closure
         for sem in ("may", "must"):
             d = decorate(lts, sem)
-            assert d.cover == (closure if lts._edges["tau"] else None), name
+            wide = any(c != 1 << x for x, c in enumerate(closure))
+            assert d.cover == (closure if wide else None), name
             for _ in range(4):
                 mask = rng.getrandbits(lts.n_states)
                 kept = root_bits(mask, closure)
