@@ -83,8 +83,8 @@ def reverse_determinize(d: DecoratedLts, inits: StateSet) -> LazyReversal:
     decoration itself; a step joins each coordinate's successor coordinates,
     with TOP rows forcing the top output.  Each label's rows are resolved to
     coordinate positions once, at the members :func:`root_bits` keeps under
-    the decoration's ``cover`` (rows of reachable states reach only reachable
-    states).  That is exact because every vector the pass reaches is
+    the decoration's ``cover``, or through the row's :func:`mask_flags` where
+    it keeps none (rows of reachable states reach only reachable states).  That is exact because every vector the pass reaches is
     monotone along the cover, as the initial vector is: if ``y`` is in
     ``cover[x]``, ``y``'s row lies below ``x``'s (or ``x``'s is TOP), so
     after a step ``y``'s coordinate still lies below ``x``'s, and a dropped
@@ -97,11 +97,15 @@ def reverse_determinize(d: DecoratedLts, inits: StateSet) -> LazyReversal:
     initial = tuple(d.values[x] for x in domain)
     init_pos = tuple(compress(pos, mask_flags(inits)))
     at, cover = pos.__getitem__, d.cover
+
+    def resolve(row: int) -> Tuple[int, ...]:
+        kept = root_bits(row, cover)
+        return tuple(map(at, kept)) if kept else tuple(compress(pos, mask_flags(row)))
+
     rows: Dict[EffLabel, Tuple[object, ...]] = {}
     for label in d.eff_alphabet:
         label_rows = d.masks[label]
-        rows[label] = tuple(TOP if (row := label_rows[x]) is TOP
-                            else tuple(map(at, root_bits(row, cover)))
+        rows[label] = tuple(TOP if (row := label_rows[x]) is TOP else resolve(row)
                             for x in domain)
 
     def step(state: FunctionState, label: EffLabel) -> FunctionState:

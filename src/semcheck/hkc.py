@@ -184,7 +184,8 @@ def product_walk(d: DecoratedLts, left: DetState, right: DetState, cap: float,
     ``prune`` and returns.  A processed pair's states are read once each:
     one pass over a state's members gives its raw output and its successor
     under every label.  With a decoration's ``cover``, the pass reads only
-    the members :func:`semcheck.lts.root_bits` keeps: a member in a kept
+    the members :func:`semcheck.lts.root_bits` keeps (every member where it
+    gives up): a member in a kept
     member's cover has its value and rows below that member's, so it adds
     nothing to either join.  Outputs are compared as raw values, which are
     equal exactly when the outputs are.  Pairs are dequeued
@@ -204,7 +205,7 @@ def product_walk(d: DecoratedLts, left: DetState, right: DetState, cap: float,
         """A state's raw output and its successor under each label."""
         if state is TOP:
             return top
-        members = root_bits(state, cover)
+        members = root_bits(state, cover) or mask_bits(state)
         return join_at(values, members), [join_at(rows, members) for rows in tables]
 
     todo: List[Pair] = [(left, right)]

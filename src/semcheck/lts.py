@@ -85,6 +85,11 @@ def state_mask(states: Iterable[int]) -> int:
 
 _BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
+#: The most members :func:`root_bits` keeps before it gives a set up to a
+#: full read.  On a tau-chain numbered at random, a set of k states keeps
+#: about ln(k) + 0.6 (the left-to-right minima of a random order): 9 of 5000.
+ROOT_WALK = 16
+
 
 def mask_flags(mask: int) -> bytes:
     """One byte per bit of ``mask``, lowest bit first: 1 where it is set, so
@@ -109,18 +114,24 @@ def mask_bits(mask: int) -> List[int]:
     return out
 
 
-def root_bits(mask: int, cover: Optional[Sequence[int]]) -> List[int]:
-    """The members of ``mask`` a join over it reads, ascending: the lowest
-    member is kept, every member of its ``cover`` entry (which holds the
-    member itself) is dropped, and so on.  Each dropped member lies in a kept
-    member's cover, so over a table whose entry for ``y`` lies below the
-    entry for ``x`` whenever ``y`` is in ``cover[x]``, :func:`join_at` over
-    the kept members equals the join over all of them.  Without a cover,
-    every member is kept (:func:`mask_bits`)."""
+def root_bits(mask: int, cover: Optional[Sequence[int]]) -> Optional[List[int]]:
+    """The members of ``mask`` a join over it reads, ascending, or None when
+    the join reads every member (so a caller reads ``root_bits(m, cover) or
+    mask_bits(m)``).  The lowest member is kept, every member of its
+    ``cover`` entry (which holds the member itself) is dropped, and so on.
+    Each dropped member lies in a kept member's cover, so over a table whose
+    entry for ``y`` lies below the entry for ``x`` whenever ``y`` is in
+    ``cover[x]``, :func:`join_at` over the kept members equals the join over
+    all of them.  Each kept member costs time in the width of the mask, and
+    a numbering against the cover keeps every member (a tau-chain numbered
+    from its end), so the walk gives up after ``ROOT_WALK`` kept members.
+    Without a cover there is no walk."""
     if cover is None:
-        return mask_bits(mask)
+        return None
     out = []
     while mask:
+        if len(out) == ROOT_WALK:
+            return None
         x = (mask & -mask).bit_length() - 1
         out.append(x)
         mask ^= mask & cover[x]
@@ -833,7 +844,8 @@ def converges_on(lts: Lts, x: int, word: Iterable[str]) -> bool:
         if frontier & div:
             return False
         if frontier:   # a weak row holds the weak rows of the closure's members
-            frontier = join_at(_weak_row(lts, a), root_bits(frontier, closure))
+            frontier = join_at(_weak_row(lts, a),
+                               root_bits(frontier, closure) or mask_bits(frontier))
     return not frontier & div
 
 

@@ -39,7 +39,8 @@ from .decorations import (
     antichain_to_downset,
     join_outputs,  # noqa: F401  not called; perfbench counts moore.join_outputs
 )
-from .lts import Record, StateSet, full_mask, join_at, mask_states, root_bits, state_mask
+from .lts import (Record, StateSet, full_mask, join_at, mask_bits, mask_states, root_bits,
+                  state_mask)
 
 #: A determinised state: the mask of a set of base states, or the absorbing
 #: top element (must testing only).  Probabilistic systems determinise into
@@ -67,7 +68,7 @@ def det_value(d: DecoratedLts, state: Union[DetState, StateSet]) -> Value:
     if state is TOP:
         return TOP
     mask = state if type(state) is int else state_mask(state)
-    return join_at(d.values, root_bits(mask, d.cover))
+    return join_at(d.values, root_bits(mask, d.cover) or mask_bits(mask))
 
 
 def det_output(d: DecoratedLts, state: Union[DetState, StateSet]) -> Output:
@@ -89,7 +90,7 @@ def det_step(d: DecoratedLts, state: Union[DetState, StateSet],
         return TOP
     if type(state) is not int:
         return to_stateset(det_step(d, state_mask(state), label))
-    return join_at(rows, root_bits(state, d.cover))
+    return join_at(rows, root_bits(state, d.cover) or mask_bits(state))
 
 
 def behavior(d: DecoratedLts, state: DetState, word: Iterable[EffLabel]) -> Output:

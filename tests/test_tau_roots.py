@@ -17,16 +17,21 @@ import hashlib
 import random
 
 from semcheck import (
+    TAU,
     TOP,
+    Lts,
     brzozowski_minimize,
+    converges_on,
     decorate,
+    divergent_states,
     hkc_check,
     naive_bisim,
     preorder_check,
     random_lts,
     reachable_machine,
+    weak_successors,
 )
-from semcheck.lts import join_at, mask_bits, mask_states, root_bits
+from semcheck.lts import ROOT_WALK, join_at, mask_bits, mask_states, root_bits
 
 from test_tau import tau_rich_lts
 
@@ -86,6 +91,16 @@ def test_may_must_joins_match_pinned_digest():
 # -- the read itself ---------------------------------------------------------
 
 
+def _walk(mask, cover):
+    """Every member the lowest-first walk keeps, with no bound on the walk."""
+    out = []
+    while mask:
+        x = (mask & -mask).bit_length() - 1
+        out.append(x)
+        mask &= ~cover[x]
+    return out
+
+
 def test_root_bits_keeps_a_cover_of_the_set():
     for name, lts in _corpus():
         rng = random.Random(name)
@@ -96,7 +111,8 @@ def test_root_bits_keeps_a_cover_of_the_set():
             assert d.cover == (closure if wide else None), name
             for _ in range(4):
                 mask = rng.getrandbits(lts.n_states)
-                kept = root_bits(mask, closure)
+                kept = _walk(mask, closure)
+                assert root_bits(mask, closure) == (kept if len(kept) <= ROOT_WALK else None)
                 assert kept == sorted(set(kept)), (name, mask)
                 assert all(mask >> x & 1 for x in kept), (name, mask)
                 covered = join_at(closure, kept)
@@ -110,8 +126,7 @@ def test_root_bits_keeps_a_cover_of_the_set():
 def test_root_bits_without_a_cover_reads_every_member():
     rng = random.Random(0)
     for width in (1, 8, 9, 64, 300):
-        mask = rng.getrandbits(width)
-        assert root_bits(mask, None) == mask_bits(mask)
+        assert root_bits(rng.getrandbits(width), None) is None
 
 
 def test_root_bits_keeps_one_state_of_a_tau_chain():
@@ -123,6 +138,17 @@ def test_root_bits_keeps_one_state_of_a_tau_chain():
     assert root_bits(0b1011010100, backwards) == [2, 4, 6, 7, 9]
 
 
+def test_root_bits_gives_up_a_walk_that_keeps_too_many():
+    # 40 -tau-> 39 ... -> 0: the walk keeps every member it meets, so past
+    # ROOT_WALK kept members it hands the set to a full read
+    backwards = tuple((1 << x + 1) - 1 for x in range(41))
+    assert root_bits((1 << ROOT_WALK) - 1, backwards) == list(range(ROOT_WALK))
+    assert root_bits((1 << ROOT_WALK + 1) - 1, backwards) is None
+    # forwards, the lowest member covers the rest however many there are
+    forwards = tuple(((1 << 41) - 1) ^ ((1 << x) - 1) for x in range(41))
+    assert root_bits((1 << 41) - 1, forwards) == [0]
+
+
 def test_the_cover_is_not_a_field():
     lts = tau_rich_lts(3)
     d = decorate(lts, "must")
@@ -130,3 +156,62 @@ def test_the_cover_is_not_a_field():
     bare = type(d)(*(getattr(d, f) for f in d._fields))
     assert bare.cover is None
     assert bare == d and repr(bare) == repr(d)
+
+
+def _tau_chains(order):
+    """Two copies of order[0] -tau-> order[1] -tau-> ..., the second shifted
+    by len(order) + 2: every chain state has an a-self-loop, and each head
+    has a b-edge to a divergent state (a tau-self-loop) and a tau-edge to a
+    stuck state, numbered after the chain.  So only a set holding a head
+    offers b, and under must only a head's value refuses a."""
+    n, t = len(order), {}
+    for shift in (0, n + 2):
+        chain, sink, stuck = [x + shift for x in order], n + shift, n + 1 + shift
+        t.update({(x, TAU): frozenset({y}) for x, y in zip(chain, chain[1:])})
+        t.update({(x, "a"): frozenset({x}) for x in chain})
+        t[(chain[0], "b")] = t[(sink, TAU)] = frozenset({sink})
+        t[(chain[0], TAU)] = frozenset({chain[1], stuck})
+    return Lts(2 * n + 4, ("a", "b"), t)
+
+
+def _converges(lts, x, word) -> bool:
+    """``converges_on`` from the weak successors of every member."""
+    div, frontier = divergent_states(lts), {x}
+    for a in word:
+        if frontier & div:
+            return False
+        frontier = {z for y in frontier for z in weak_successors(lts, y, a)}
+    return not frontier & div
+
+
+def test_reads_that_give_up_build_what_full_reads_build():
+    # Two 60-state tau-chains numbered forwards (one state kept a set), from
+    # their ends (every state kept, so each wide set goes to a full read) and
+    # at random: the walks, both reversal passes and ``converges_on`` read
+    # through the cover, and a decoration without one reads every member.
+    # The walks between the two heads are equal and expand every wide set.
+    n = 60
+    shuffled = list(range(n))
+    random.Random(60).shuffle(shuffled)
+    for order in (list(range(n)), list(range(n - 1, -1, -1)), shuffled):
+        lts = _tau_chains(order)
+        for sem in ("may", "must"):
+            d = decorate(lts, sem)
+            bare = type(d)(*(getattr(d, f) for f in d._fields))
+            assert d.cover is not None and bare.cover is None
+            first, last, twin = 1 << order[0], 1 << order[-1], 1 << order[0] + n + 2
+            assert _machine(reachable_machine(d, [first, last])) == \
+                _machine(reachable_machine(bare, [first, last]))
+            for walk in (lambda e: hkc_check(e, first, twin),
+                         lambda e: hkc_check(e, first, last),
+                         lambda e: preorder_check(e, sem, order[0] + n + 2, order[0])):
+                rep, full = walk(d), walk(bare)
+                assert (rep.equal, rep.masks, rep.pairs_processed) == \
+                    (full.equal, full.masks, full.pairs_processed)
+            for inits in (first, last, first | last):
+                got = brzozowski_minimize(d, mask_states(inits))
+                want = brzozowski_minimize(bare, mask_states(inits))
+                assert [_machine(m) for m in got] == [_machine(m) for m in want]
+        for x in (order[0], order[-1]):
+            for word in ("", "a", "b", "ab", "aab", "ba"):
+                assert converges_on(lts, x, word) == _converges(lts, x, word), (x, word)
