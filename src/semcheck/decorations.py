@@ -222,11 +222,11 @@ class DecoratedLts(Record):
     ``cover[x]``, ``x``'s value and every row of ``x`` lie above ``y``'s
     (TOP above everything).  A join over a set of states may then read only
     its members :func:`semcheck.lts.root_bits` keeps.  :func:`decorate`
-    gives a may or must decoration of a system with a tau edge between two
-    states its tau-closures: a weak row holds the weak rows of the closure's members,
-    a must value joins the closure's stable refusals, and a state that
-    reaches a divergent one is TOP itself.  ``cover`` is not one of the
-    ``_fields``, so equality and the repr ignore it."""
+    gives a may or must decoration its tau-closures: a weak row holds the
+    weak rows of the closure's members, a must value joins the closure's
+    stable refusals, and a state that reaches a divergent one is TOP itself.
+    ``cover`` is not one of the ``_fields``, so equality and the repr
+    ignore it."""
 
     _fields = ("semantics", "n_states", "alphabet", "eff_alphabet", "values", "atoms",
                "masks", "cap")
@@ -438,10 +438,7 @@ def decorate(lts: Lts, semantics: str, cap: int = DEFAULT_CAP) -> DecoratedLts:
             TOP if div >> x & 1 else join_at(own, mask_bits(tau.closure[x] & stable))
             for x in states]
 
-    # without a tau edge to another state the closures are singletons, which
-    # drop no member
-    cover = tau.closure if tau is not None and any(
-        m != 1 << x for x, m in lts._edges[TAU].items()) else None
+    cover = tau.closure if tau is not None else None
     return DecoratedLts(semantics, lts.n_states, alphabet, eff_alphabet,
                         tuple(values), atoms, masks, cap, cover)
 
