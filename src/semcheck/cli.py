@@ -85,8 +85,7 @@ def _timed(fn, *args):
 def _layout(value, indent: str) -> str:
     """``value`` as ``json.dumps(value, indent=2)`` writes it on a line
     indented by ``indent``: a str, bool, int, finite float or None, or a
-    dict with str keys or a list of these.  A list of str only is written
-    by one ``map`` of the C string encoder, and an int in a dict inline."""
+    dict with str keys or a list of these."""
     if isinstance(value, str):
         return _quote(value)
     if value is None:
@@ -101,12 +100,10 @@ def _layout(value, indent: str) -> str:
         return "{}" if isinstance(value, dict) else "[]"
     inner = indent + "  "
     if isinstance(value, dict):
-        items = [_quote(k) + ": " + (repr(v) if type(v) is int else _layout(v, inner))
-                 for k, v in value.items()]
+        items = [_quote(k) + ": " + _layout(v, inner) for k, v in value.items()]
         brackets = "{}"
     else:
-        items = (list(map(_quote, value)) if all(type(v) is str for v in value)
-                 else [_layout(v, inner) for v in value])
+        items = [_layout(v, inner) for v in value]
         brackets = "[]"
     return (brackets[0] + "\n" + inner + (",\n" + inner).join(items)
             + "\n" + indent + brackets[1])
