@@ -147,6 +147,16 @@ def test_equiv_on_5000_state_tau_chain(capsys, tmp_path, sem):
 
 
 @pytest.mark.parametrize("sem", ["may", "must"])
+def test_equiv_on_5000_state_tau_chain_numbered_from_its_end(capsys, tmp_path, sem):
+    # x_i numbered 4999 - i: a row's lowest state is its last along the
+    # chain and covers no other, so the tau-root read gives every wide row
+    # up to a full read after ROOT_WALK kept states
+    state = list(range(4999, -1, -1))
+    f = _tau_chain_5000(tmp_path, state)
+    _assert_chain_ends_equivalent(capsys, f, sem, state[0], state[-1])
+
+
+@pytest.mark.parametrize("sem", ["may", "must"])
 def test_equiv_on_5000_state_shuffled_tau_chain(capsys, tmp_path, sem):
     # The same chain with its states numbered by a seeded shuffle: a row's
     # lowest state is no longer its first along the chain, so the read keeps
@@ -309,16 +319,18 @@ def test_gps_equiv_on_5000_state_chain(tmp_path):
     # the next; x and its copy are equal.  The span search inserts 2500 basis
     # vectors of two entries each: sparse vectors, and a parent index rather
     # than a word per queued vector, keep that small, where dense vectors
-    # would queue |A| * n^2 ints.  Memory is read off the child.
+    # would queue |A| * n^2 ints.  Memory is read off the child: its own
+    # high-water mark (VmHWM), since ru_maxrss keeps the peak of the pytest
+    # process that spawned it across the exec.
     n = 2500
     lines = [f"gps {2 * n}", "alphabet a b"]
     for x in (*range(n - 1), *range(n, 2 * n - 1)):
         lines += [f"{x} a 1/2 {x + 1}", f"{x} b 1/3 {x + 1}"]
     f = tmp_path / "gps-chain-5000.lts"
     f.write_text("\n".join(lines) + "\n")
-    child = ("import resource, sys\nfrom semcheck.cli import main\ncode = main(sys.argv[1:])\n"
-             "print('maxrss_kb', resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,"
-             " file=sys.stderr)\nsys.exit(code)\n")
+    child = ("import sys\nfrom semcheck.cli import main\ncode = main(sys.argv[1:])\n"
+             "hwm = next(l for l in open('/proc/self/status') if l.startswith('VmHWM:'))\n"
+             "print('maxrss_kb', hwm.split()[1], file=sys.stderr)\nsys.exit(code)\n")
     src = str(Path(semcheck.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", child, "gps-equiv", "--sem", "g_ready",
