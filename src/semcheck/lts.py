@@ -88,6 +88,12 @@ _BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
 #: The most members :func:`root_bits` keeps before it gives a set up to a
 #: full read.  On a tau-chain numbered at random, a set of k states keeps
 #: about ln(k) + 0.6 (the left-to-right minima of a random order): 9 of 5000.
+#: 16 is the least power of two at which no read gives up, on the shuffled
+#: 5000-state chain of tests/test_cli.py (double reversal 33 ms in process;
+#: 300 ms at 8) or in perfbench's seed-49 passes (24 of tau-heavy's 1,438
+#: covered reads give up at 8).  Numbered from its end the chain gives up
+#: every wide read: 0.59-0.61 s from 4 to 32, 5.4 s unbounded (Python 3.11,
+#: BENCH_37.json ``in_process.root_walk``).
 ROOT_WALK = 16
 
 
