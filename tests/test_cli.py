@@ -147,22 +147,18 @@ def test_equiv_on_5000_state_tau_chain(capsys, tmp_path, sem):
 
 
 @pytest.mark.parametrize("sem", ["may", "must"])
-def test_equiv_on_5000_state_tau_chain_numbered_from_its_end(capsys, tmp_path, sem):
-    # x_i numbered 4999 - i: a row's lowest state is its last along the
-    # chain and covers no other, so the tau-root read gives every wide row
-    # up to a full read after ROOT_WALK kept states
-    state = list(range(4999, -1, -1))
-    f = _tau_chain_5000(tmp_path, state)
-    _assert_chain_ends_equivalent(capsys, f, sem, state[0], state[-1])
-
-
-@pytest.mark.parametrize("sem", ["may", "must"])
-def test_equiv_on_5000_state_shuffled_tau_chain(capsys, tmp_path, sem):
-    # The same chain with its states numbered by a seeded shuffle: a row's
-    # lowest state is no longer its first along the chain, so the read keeps
-    # a few tau-roots a row instead of one.
+@pytest.mark.parametrize("numbering", ["shuffled", "from-its-end"])
+def test_equiv_on_5000_state_renumbered_tau_chain(capsys, tmp_path, numbering, sem):
+    # The same chain with its states renumbered.  By a seeded shuffle, a
+    # row's lowest state is no longer its first along the chain, so the read
+    # keeps a few tau-roots a row instead of one.  From its end (x_i numbered
+    # 4999 - i), a row's lowest state is its last and covers no other, so
+    # every wide read gives up to a full read after ROOT_WALK kept states.
     state = list(range(5000))
-    random.Random(5000).shuffle(state)
+    if numbering == "shuffled":
+        random.Random(5000).shuffle(state)
+    else:
+        state.reverse()
     f = _tau_chain_5000(tmp_path, state)
     _assert_chain_ends_equivalent(capsys, f, sem, state[0], state[-1])
 
