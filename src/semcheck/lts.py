@@ -92,7 +92,7 @@ _BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
 #: 5000-state chain of tests/test_cli.py (double reversal 33 ms in process;
 #: 300 ms at 8) or in perfbench's seed-49 passes (24 of tau-heavy's 1,438
 #: covered reads give up at 8).  Numbered from its end the chain gives up
-#: every wide read: 0.59-0.61 s from 4 to 32, 5.4 s unbounded (Python 3.11,
+#: every wide read: 0.57-0.62 s from 4 to 32, 5.4-5.8 s unbounded (Python 3.11,
 #: BENCH_37.json ``in_process.root_walk``).
 ROOT_WALK = 16
 
