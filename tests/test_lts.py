@@ -642,6 +642,19 @@ def test_converges_on_long_word():
     assert converges_on(lts, 0, "a" * 5000)
 
 
+@pytest.mark.parametrize("text, x, word", [
+    ("lts 2\nalphabet a\n0 a 1\n1 tau 1\n", 0, "q"),
+    ("lts 2\nalphabet a\n0 a 1\n1 tau 1\n", 1, "q"),
+    ("lts 2\nalphabet a\n0 a 1\n1 tau 1\n", 0, ["a", "tau"]),
+    ("lts 2\nalphabet a\n0 a 1\n", 1, "aq"),
+], ids=["unknown-first", "unknown-at-divergent", "tau-after-divergent", "unknown-after-empty"])
+def test_converges_on_checks_every_label(text, x, word):
+    # A label used to be checked only when the walk reached it with a
+    # non-empty frontier that does not diverge.
+    with pytest.raises(ValueError, match="not in the visible alphabet"):
+        converges_on(parse_lts(text), x, word)
+
+
 @pytest.mark.parametrize("x", [-1, -4, 4, 5, 2 ** 70])
 def test_tau_primitives_reject_unknown_states(x):
     # A negative index used to read a state from the end, and one past the
