@@ -843,15 +843,15 @@ def diverges(lts: Lts, x: int) -> bool:
 def converges_on(lts: Lts, x: int, word: Iterable[str]) -> bool:
     """Convergence along a visible word: ``x`` converges on the empty word iff
     it does not diverge, and on ``a w`` iff it converges on the empty word and
-    every weak a-successor converges on ``w``."""
+    every weak a-successor converges on ``w``.  Every label of ``word`` is
+    checked, wherever it stands."""
     div, closure = lts._tau.divergent, lts._tau.closure
     frontier = 1 << _state(lts, x)
-    for a in word:
+    for row in [_weak_row(lts, a) for a in word]:
         if frontier & div:
             return False
-        if frontier:   # a weak row holds the weak rows of the closure's members
-            frontier = join_at(_weak_row(lts, a),
-                               root_bits(frontier, closure) or mask_bits(frontier))
+        # a weak row holds the weak rows of the closure's members
+        frontier = join_at(row, root_bits(frontier, closure) or mask_bits(frontier))
     return not frontier & div
 
 
