@@ -21,7 +21,7 @@ from . import brzozowski
 from .decorations import DecoratedLts, decorate
 from .hkc import hkc_check, naive_bisim
 from .lts import TAU, Lts, Record, StateSet
-from .moore import DEFAULT_CAP, CapExceeded, MooreMachine, reachable_machine
+from .moore import DEFAULT_CAP, CapExceeded, MooreMachine, reachable_machine, to_mask
 
 ALGORITHMS = ("oracle", "naive", "hkc", "brzozowski")
 
@@ -208,6 +208,7 @@ class BenchReport(Record):
 def decide(d: DecoratedLts, algorithm: str, left: StateSet, right: StateSet,
            cap: int = DEFAULT_CAP) -> Tuple[bool, Optional[int], Optional[int]]:
     """Run one algorithm; returns (equal, states, pairs) where applicable."""
+    left, right = to_mask(left), to_mask(right)
     if algorithm == "oracle":
         m = reachable_machine(d, [left, right], cap)
         return _words_agree(m), m.n_states, None

@@ -25,7 +25,7 @@ from .brzozowski import brzozowski_minimize
 from .decorations import SEMANTICS, TOP, decorate, render_eff_label, render_output
 from .gps import GPS_SEMANTICS, gps_equiv
 from .hkc import hkc_check, naive_bisim, preorder_check
-from .lts import FormatError, Lts, format_lts, mask_bits, parse_gps, parse_lts
+from .lts import FormatError, Lts, format_lts, mask_bits, parse_gps, parse_lts, state_mask
 from .moore import DEFAULT_CAP, CapExceeded
 
 EXIT_HOLDS, EXIT_FAILS, EXIT_ERROR = 0, 1, 2
@@ -43,13 +43,13 @@ def _read_source(path: str) -> str:
     return text
 
 
-def _resolve_set(system, tokens: str, what: str) -> frozenset:
-    """The states named by a comma-separated argument; ``what`` names the
-    argument in the error raised when it names none."""
-    states = frozenset(system.resolve_state(t) for t in tokens.split(",") if t)
-    if not states:
+def _resolve_set(system, tokens: str, what: str) -> int:
+    """The mask of the states a comma-separated argument names; ``what``
+    names the argument in the error raised when it names none."""
+    mask = state_mask(system.resolve_state(t) for t in tokens.split(",") if t)
+    if not mask:
         raise ValueError(f"{what} needs at least one state")
-    return states
+    return mask
 
 
 def _resolve_state(system, token: str, what: str) -> int:
@@ -58,18 +58,17 @@ def _resolve_state(system, token: str, what: str) -> int:
     return system.resolve_state(token)
 
 
-def _witness(relation, members, lts: Lts) -> List[List[str]]:
-    """A relation rendered pair by pair, each set (or TOP) as its members by
-    name; ``members`` lists a set's members in ascending order: ``mask_bits``
-    for masks, ``sorted`` for frozensets.  Each distinct set is rendered
-    once, however many pairs hold it."""
+def _witness(relation, lts: Lts) -> List[List[str]]:
+    """A relation of masks rendered pair by pair, each set (or TOP) as its
+    members by name in ascending order.  Each distinct set is rendered once,
+    however many pairs hold it."""
     name = lts.names.__getitem__ if lts.names else str
     rendered = {TOP: "TOP"}
 
     def render(state) -> str:
         text = rendered.get(state)
         if text is None:
-            text = rendered[state] = "{" + ",".join(map(name, members(state))) + "}"
+            text = rendered[state] = "{" + ",".join(map(name, mask_bits(state))) + "}"
         return text
 
     return [[render(l), render(r)] for l, r in relation]
@@ -157,15 +156,13 @@ def cmd_equiv(args) -> int:
     if args.algo == "naive":
         (equal, payload), ms = _timed(naive_bisim, d, left, right, args.cap)
         relation, counterexample = (payload, None) if equal else (None, payload)
-        members = sorted
     elif args.algo == "hkc":
         rep, ms = _timed(hkc_check, d, left, right, args.cap)
         equal, relation, counterexample = rep.equal, rep.masks, rep.counterexample
-        members = mask_bits
     else:  # brzozowski
         (equal, states, _), ms = _timed(decide, d, "brzozowski", left, right, args.cap)
     if equal and relation is not None:
-        witness = _witness(relation, members, lts)
+        witness = _witness(relation, lts)
     verdict = "equivalent" if equal else "not equivalent"
     _emit(args, equal, args.algo, ms,
           f"{verdict} under {args.sem} ({args.algo}, {ms:.1f} ms)",

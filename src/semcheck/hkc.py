@@ -7,8 +7,8 @@ related.  The congruence check skips pairs that already lie in the
 congruence closure of the pairs collected so far, which prunes the search
 exponentially on systems whose subset construction blows up.  The walk
 handles masks only: the public functions convert their start states on
-entry, and the congruence check's relation is decoded to frozensets only
-when the report's ``relation`` is read.
+entry, naive's relation comes back in kind, and the congruence check's is
+decoded to frozensets only when the report's ``relation`` is read.
 
 The closure is Horn-clause propagation (Dowling & Gallier 1984): each pair
 ``(u, v)`` is the two rules ``u => v`` and ``v => u``, and saturating a set
@@ -243,9 +243,9 @@ def naive_bisim(d: DecoratedLts, left: DetState, right: DetState,
     """Breadth-first bisimulation on the determinised machine.
 
     Returns ``(True, relation)`` where ``relation`` lists the processed state
-    pairs in discovery order, as frozensets (or TOP), or ``(False, word)``
-    with a distinguishing word.  At most ``cap`` distinct pairs are
-    discovered."""
+    pairs in discovery order, as masks (or TOP) for two mask states and as
+    frozensets (or TOP) otherwise, or ``(False, word)`` with a
+    distinguishing word.  At most ``cap`` distinct pairs are discovered."""
     seen: Set[Pair] = set()
 
     def already_related(pair: Pair, relation, todo, qi) -> bool:
@@ -256,7 +256,9 @@ def naive_bisim(d: DecoratedLts, left: DetState, right: DetState,
 
     equal, relation, _, word = product_walk(d, to_mask(left), to_mask(right), cap,
                                             already_related)
-    return (True, _stateset_pairs(relation)) if equal else (False, word)
+    if not equal:
+        return False, word
+    return True, relation if type(left) is type(right) is int else _stateset_pairs(relation)
 
 
 def _stateset_pairs(relation: List[Pair]) -> list:

@@ -188,7 +188,8 @@ def test_reads_that_give_up_build_what_full_reads_build():
     # their ends (every state kept, so each wide set goes to a full read) and
     # at random: the walks, both reversal passes and ``converges_on`` read
     # through the cover, and a decoration without one reads every member.
-    # The walks between the two heads are equal and expand every wide set.
+    # The walks between the two heads are equal and expand every wide set;
+    # each walk gives the same relation (naive's as masks) or word either way.
     n = 60
     shuffled = list(range(n))
     random.Random(60).shuffle(shuffled)
@@ -201,12 +202,11 @@ def test_reads_that_give_up_build_what_full_reads_build():
             first, last, twin = 1 << order[0], 1 << order[-1], 1 << order[0] + n + 2
             assert _machine(reachable_machine(d, [first, last])) == \
                 _machine(reachable_machine(bare, [first, last]))
-            for walk in (lambda e: hkc_check(e, first, twin),
+            for walk in (lambda e: naive_bisim(e, first, twin),
+                         lambda e: hkc_check(e, first, twin),
                          lambda e: hkc_check(e, first, last),
                          lambda e: preorder_check(e, sem, order[0] + n + 2, order[0])):
-                rep, full = walk(d), walk(bare)
-                assert (rep.equal, rep.masks, rep.pairs_processed) == \
-                    (full.equal, full.masks, full.pairs_processed)
+                assert walk(d) == walk(bare)
             for inits in (first, last, first | last):
                 got = brzozowski_minimize(d, mask_states(inits))
                 want = brzozowski_minimize(bare, mask_states(inits))
