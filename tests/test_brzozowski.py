@@ -5,11 +5,14 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 from semcheck import (
+    DEFAULT_CAP,
     SEMANTICS,
+    TOP,
     CapExceeded,
     MooreMachine,
     Output,
@@ -32,6 +35,8 @@ from semcheck import (
     reverse_determinize,
     submasks,
 )
+from semcheck.lts import join_at, mask_bits, root_bits
+from semcheck.moore import explore
 
 from conftest import load_lts
 
@@ -132,6 +137,70 @@ def test_reversal_behaviour_is_reversed_behaviour():
     for n in range(4):
         for word in itertools.product(lts.alphabet, repeat=n):
             assert lazy.behavior(word) == behavior(d, s(0), tuple(reversed(word)))
+
+
+# -- guard: pass 1 against a step written here --------------------------------
+
+
+def _reference_pass1(d, inits, kinds):
+    """Pass 1 from ``inits`` (a mask), stepped here: each coordinate is the
+    join of the vector at its row's resolved members (those ``root_bits``
+    keeps, or all of them), or TOP for a TOP row.  Coordinates are the
+    states forward-reachable from ``inits``, ascending.  Counts each row read
+    into ``kinds`` by how many members it resolves to."""
+    seen = frontier = inits
+    while frontier:
+        succ = 0
+        for x in mask_bits(frontier):
+            for rows in d.masks.values():
+                if rows[x] is not TOP:
+                    succ |= rows[x]
+        frontier = succ & ~seen
+        seen |= frontier
+    domain = mask_bits(seen)
+    pos = {x: i for i, x in enumerate(domain)}
+    if len(domain) == 1:
+        kinds["one-coordinate domain"] += 1
+
+    def coordinate(state, row):
+        if row is TOP:
+            kinds["top"] += 1
+            return TOP
+        members = [pos[y] for y in root_bits(row, d.cover) or mask_bits(row)]
+        kinds[("empty", "one", "wide")[min(len(members), 2)]] += 1
+        return join_at(state, members)
+
+    def step(state, label):
+        return tuple(coordinate(state, d.masks[label][x]) for x in domain)
+
+    initial = tuple(d.values[x] for x in domain)
+    states, steps, _ = explore([initial], step, d.eff_alphabet, DEFAULT_CAP, "reference")
+    start = [pos[x] for x in mask_bits(inits)]
+    return states, steps, [join_at(state, start) for state in states]
+
+
+def _pass1_systems():
+    """Seeded systems (τ-cycles make TOP rows under must) and two one-state
+    systems, a divergent one and a looping one."""
+    for seed in range(120):
+        yield random_lts(seed)
+    yield parse_lts("lts 1\nalphabet a\n0 tau 0\n")
+    yield parse_lts("lts 1\nalphabet a\n0 a 0\n")
+
+
+def test_reverse_determinize_matches_reference_step():
+    kinds = {tag: Counter() for tag in SEMANTICS}
+    for lts in _pass1_systems():
+        for tag, d in _decorations(lts):
+            for inits in {1, 3, (1 << lts.n_states) - 1}:
+                if inits >> lts.n_states:
+                    continue
+                m = explicit_reversal(reverse_determinize(d, inits), DEFAULT_CAP,
+                                      "reverse pass 1")
+                keys, steps, values = _reference_pass1(d, inits, kinds[tag])
+                assert (m.keys, m.steps, m.values) == (keys, steps, values), (lts, tag, inits)
+    for kind in ("top", "empty", "one", "wide", "one-coordinate domain"):
+        assert kinds["must"][kind], kinds["must"]
 
 
 def test_explicit_reversal_cap_names_stage():

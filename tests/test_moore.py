@@ -30,7 +30,7 @@ from semcheck import (
     saturate,
 )
 from semcheck.lts import mask_states, state_mask
-from semcheck.moore import det_value, to_mask
+from semcheck.moore import det_value, explore, to_mask
 
 from conftest import load_lts
 
@@ -233,6 +233,20 @@ def test_reachable_machine_cap():
         reachable_machine(d, [frozenset({0})], cap=3)
     assert exc.value.states_built == 3
     assert "determinisation" in str(exc.value)
+
+
+def test_explore_budget_counts_distinct_states():
+    # from 0 and 0 again: a adds 1 and b doubles, mod 5, so all 5 are found
+    def step(s, label):
+        return (s + 1) % 5 if label == "a" else 2 * s % 5
+
+    states, steps, init_idx = explore([0, 0], step, ("a", "b"), 5, "budget")
+    assert states == [0, 1, 2, 3, 4] and init_idx == [0, 0]
+    assert steps[3] == {"a": 4, "b": 1}
+    with pytest.raises(CapExceeded) as exc:
+        explore([0, 0], step, ("a", "b"), 4, "budget")
+    assert exc.value.states_built == 4
+    assert "budget" in str(exc.value)
 
 
 # -- naive product walk ------------------------------------------------------
