@@ -200,7 +200,7 @@ def cmd_minimize(args) -> int:
                   for row in minimal.steps],
     }
     _emit(args, machine, "brzozowski", ms,
-          f"minimal machine: {minimal.n_states} states "
+          f"minimal machine: {minimal.n_states} state{'' if minimal.n_states == 1 else 's'} "
           f"(intermediate {intermediate.n_states}, {ms:.1f} ms)",
           states=minimal.n_states)
     return EXIT_HOLDS

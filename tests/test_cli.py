@@ -281,6 +281,14 @@ def test_minimize_reports_machine(capsys):
     assert "minimal machine: 5 states" in err
 
 
+def test_minimize_summary_agrees_in_number(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("lts 1\nalphabet a\n0 tau 0\n"))
+    code, payload, err = run_cli(capsys, "minimize", "--sem", "must", "--init", "0", "-")
+    assert code == 0
+    assert payload["result"]["states"] == payload["result"]["intermediate_states"] == 1
+    assert "minimal machine: 1 state (intermediate 1, " in err
+
+
 def test_minimize_requires_initial_states(capsys):
     code, _, err = run_cli(
         capsys, "minimize", "--sem", "trace", "--init", "", fx("ct-w"))
