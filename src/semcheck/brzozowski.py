@@ -9,9 +9,11 @@ behaviour exactly when they are isomorphic, which equal canonical numberings
 by ``explore`` decide.
 
 Both passes run over raw output values: a reversal state is a tuple of
-ints (or TOP), one per coordinate, a step ORs them, and equal tuples are
-equal states.  :class:`Output` values are built only at the boundary, in
-``LazyReversal.output`` and the views of the machines built here.
+ints (or TOP), one per coordinate, and equal tuples are equal states.  A
+step is a gather, each coordinate taking one coordinate of the vector,
+except that in the first pass a coordinate whose row keeps two or more
+members ORs them.  :class:`Output` values are built only at the boundary,
+in ``LazyReversal.output`` and the views of the machines built here.
 """
 
 from __future__ import annotations
@@ -74,6 +76,20 @@ def _forward_reachable(d: DecoratedLts, inits: int) -> int:
     return seen
 
 
+def _gather(indices: Sequence[int]) -> Callable[[FunctionState], FunctionState]:
+    """The C-level map ``state -> tuple(state[i] for i in indices)``.
+    ``itemgetter`` with one index returns the item itself, so one index (or
+    none) is read as a slice, which a tuple answers with a tuple."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return itemgetter(slice(indices[0], indices[0] + 1) if indices else slice(0))
+
+
+#: appended to a pass-1 vector, so a gather reads an empty row's 0 and a TOP
+#: row's TOP at the two positions past its coordinates
+_SENTINELS = (0, TOP)
+
+
 def reverse_determinize(d: DecoratedLts, inits: StateSet) -> LazyReversal:
     """First reversal pass, straight off the decorated system.
 
@@ -88,7 +104,12 @@ def reverse_determinize(d: DecoratedLts, inits: StateSet) -> LazyReversal:
     monotone along the cover, as the initial vector is: if ``y`` is in
     ``cover[x]``, ``y``'s row lies below ``x``'s (or ``x``'s is TOP), so
     after a step ``y``'s coordinate still lies below ``x``'s, and a dropped
-    successor adds nothing to a join that reads a kept one."""
+    successor adds nothing to a join that reads a kept one.
+
+    A step is then one gather over the vector extended by ``_SENTINELS``:
+    each coordinate takes its row's first kept position, the 0 sentinel for
+    an empty row or the TOP one for a TOP row.  Only the coordinates whose
+    rows keep two or more positions are joined, over the vector itself."""
     inits = to_mask(inits)
     domain = mask_bits(_forward_reachable(d, inits))
     pos = [0] * d.n_states
@@ -97,19 +118,37 @@ def reverse_determinize(d: DecoratedLts, inits: StateSet) -> LazyReversal:
     initial = tuple(d.values[x] for x in domain)
     init_pos = tuple(compress(pos, mask_flags(inits)))
     at, cover = pos.__getitem__, d.cover
+    empty, top = len(domain), len(domain) + 1
 
     def resolve(row: int) -> Tuple[int, ...]:
         kept = root_bits(row, cover)
         return tuple(map(at, kept)) if kept else tuple(compress(pos, mask_flags(row)))
 
-    rows: Dict[EffLabel, Tuple[object, ...]] = {}
+    rows: Dict[EffLabel, Tuple[Callable[[FunctionState], FunctionState], list, list]] = {}
     for label in d.eff_alphabet:
         label_rows = d.masks[label]
-        rows[label] = tuple(TOP if (row := label_rows[x]) is TOP else resolve(row)
-                            for x in domain)
+        firsts, wide_at, wide_rows = [], [], []
+        for x in domain:
+            row = label_rows[x]
+            if row is TOP:
+                firsts.append(top)
+                continue
+            kept = resolve(row)
+            firsts.append(kept[0] if kept else empty)
+            if len(kept) > 1:
+                wide_at.append(at(x))
+                wide_rows.append(kept)
+        rows[label] = _gather(firsts), wide_at, wide_rows
 
     def step(state: FunctionState, label: EffLabel) -> FunctionState:
-        return tuple([TOP if row is TOP else join_at(state, row) for row in rows[label]])
+        gather, wide_at, wide_rows = rows[label]
+        out = gather(state + _SENTINELS)
+        if not wide_at:
+            return out
+        out = list(out)
+        for i, row in zip(wide_at, wide_rows):
+            out[i] = join_at(state, row)
+        return tuple(out)
 
     return LazyReversal(d.semantics, d.eff_alphabet, initial, partial(join_at, indices=init_pos),
                         step, d.decode)
@@ -120,13 +159,10 @@ def reverse_determinize_moore(m: MooreMachine, init: int) -> LazyReversal:
     the machine's states, the initial vector is its raw output assignment,
     and the reversal's output reads the coordinate of ``init``.  A step is a
     gather: coordinate ``q`` takes the coordinate of ``q``'s successor."""
-    gathers = {label: itemgetter(*(row[label] for row in m.steps)) for label in m.alphabet}
-    if m.n_states == 1:  # itemgetter with one index returns the item, not a tuple
-        def step(state: FunctionState, label: EffLabel) -> FunctionState:
-            return (gathers[label](state),)
-    else:
-        def step(state: FunctionState, label: EffLabel) -> FunctionState:
-            return gathers[label](state)
+    gathers = {label: _gather([row[label] for row in m.steps]) for label in m.alphabet}
+
+    def step(state: FunctionState, label: EffLabel) -> FunctionState:
+        return gathers[label](state)
 
     return LazyReversal(m.semantics, m.alphabet, tuple(m.values), itemgetter(init), step,
                         m.decode)

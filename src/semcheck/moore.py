@@ -146,21 +146,28 @@ def explore_steps(inits: Sequence[Hashable], step: Callable[[Hashable, EffLabel]
     state once its step row is stored.  Exhausted, the search is complete."""
     index: Dict[Hashable, int] = {}
     states: List[Hashable] = []
-
-    def intern(s: Hashable) -> int:
-        i = index.get(s)
-        if i is None:
-            if len(states) >= cap:
-                raise CapExceeded(stage, len(states))
-            i = index[s] = len(states)
-            states.append(s)
-        return i
-
-    init_idx = [intern(s) for s in inits]
+    init_idx: List[int] = []
     steps: List[Dict[EffLabel, int]] = []
+    # a state new to ``index`` takes the next number, ``len(states)``, and is
+    # stored, unless ``cap`` states are stored already
+    for s in inits:
+        i = index.setdefault(s, len(states))
+        if i == len(states):
+            if i >= cap:
+                raise CapExceeded(stage, i)
+            states.append(s)
+        init_idx.append(i)
     yield states, steps, init_idx
     for s in states:  # the list grows while it is walked: that is the queue
-        steps.append({label: intern(step(s, label)) for label in alphabet})
+        row = {}
+        for label in alphabet:
+            t = step(s, label)
+            i = row[label] = index.setdefault(t, len(states))
+            if i == len(states):
+                if i >= cap:
+                    raise CapExceeded(stage, i)
+                states.append(t)
+        steps.append(row)
         yield s
 
 
