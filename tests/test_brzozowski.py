@@ -192,7 +192,7 @@ def test_reverse_determinize_matches_reference_step():
     kinds = {tag: Counter() for tag in SEMANTICS}
     for lts in _pass1_systems():
         for tag, d in _decorations(lts):
-            for inits in {1, 3, (1 << lts.n_states) - 1}:
+            for inits in {0, 1, 3, (1 << lts.n_states) - 1}:
                 if inits >> lts.n_states:
                     continue
                 m = explicit_reversal(reverse_determinize(d, inits), DEFAULT_CAP,
