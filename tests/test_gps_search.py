@@ -258,6 +258,66 @@ def test_lumping_matches_round_based_refinement():
     assert merged > 250
 
 
+def test_constructor_transitions_survive_every_view():
+    """The integer rows of a constructor-built system are built on copies:
+    after ``_scaled``, ``_blocks``, ``transitions`` and ``gps_equiv`` under
+    every tag, the caller's mapping holds the same inner dicts with the same
+    ``Fraction`` values."""
+    for seed in range(40):
+        g = random_gps(seed)
+        trans = g.transitions
+        rows = {key: (row, dict(row)) for key, row in trans.items()}
+        g._scaled, g._blocks
+        assert g.transitions is trans
+        for sem in GPS_SEMANTICS:
+            for x, y in ((0, g.n_states - 1), (0, g.n_states // 2)):
+                gps_equiv(g, sem, x, y)
+        assert g.transitions is trans and trans.keys() == rows.keys(), seed
+        for key, (row, values) in rows.items():
+            assert trans[key] is row and row == values, (seed, key)
+            assert all(type(p) is Fraction for p in row.values()), (seed, key)
+
+
+def _heavy_gps(seed: int) -> Gps:
+    """A seeded constructor-built GPS whose states often emit more than 1,
+    which the constructor accepts and the parser refuses, next to a copy of
+    itself (states shifted by n)."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 6)
+    labels = ("a", "b", "c")[: rng.randint(1, 3)]
+    base: Dict[Tuple[int, str], Dict[int, Fraction]] = {}
+    for x in range(n):
+        for a in labels:
+            if rng.random() < 0.6:
+                d = rng.choice((1, 2, 3))
+                base[(x, a)] = {rng.randrange(n): Fraction(rng.randint(1, 3 * d), d)
+                                for _ in range(rng.randint(1, 3))}
+    trans = dict(base)
+    trans.update(((x + n, a), {y + n: p for y, p in row.items()})
+                 for (x, a), row in base.items())
+    return Gps(2 * n, labels, trans)
+
+
+def test_lumping_with_mass_over_one_matches_round_based_refinement():
+    """The constructor does not bound a state's mass by 1, and the lumping
+    must not assume it does: a state's weights under every label, packed
+    into one int, stay apart however large they are."""
+    two = {(0, "a"): {1: Fraction(1)}, (0, "b"): {1: Fraction(1)}}
+    # under a packing sized for weights of at most 1, 0's a-weight 2 would
+    # read as 1's b-weight 1
+    apart = {(0, "a"): {2: Fraction(2)}, (1, "b"): {2: Fraction(1)}}
+    systems = [Gps(2, ("a", "b"), two), Gps(3, ("a", "b"), apart)]
+    systems += map(_heavy_gps, range(80))
+    systems = [g for g in systems if max(map(g.emission_mass, range(g.n_states))) > 1]
+    assert len(systems) > 60
+    for i, g in enumerate(systems):
+        ids: Dict[int, int] = {}
+        block = g._blocks
+        assert tuple(ids.setdefault(b, len(ids)) for b in block) == _round_based_lumping(g), i
+        assert len(ids) == max(block) + 1, i
+    assert systems[1]._blocks[0] != systems[1]._blocks[1]
+
+
 def _lumping_lines():
     systems = list(_corpus())
     systems += [(f"twisted{n}", parse_gps(twisted_copy(n))) for n in (3, 6, 10)]
