@@ -289,9 +289,9 @@ class ScaledGps(NamedTuple):
     ``denom`` is the lcm of every transition probability's denominator,
     ``rows[label][x]`` maps each of ``x``'s ``label``-successors to its
     probability times ``denom`` (the dict its probabilities were read into,
-    empty when ``x`` does not emit ``label``), ``emission[x]`` is ``x``'s emission
-    mass times ``denom``, and bit i of ``enabled[x]`` is set when ``x`` emits
-    the i-th label."""
+    scaled in place, empty when ``x`` does not emit ``label``), ``emission[x]``
+    is ``x``'s emission mass times ``denom``, and bit i of ``enabled[x]`` is
+    set when ``x`` emits the i-th label."""
 
     denom: int
     rows: Dict[str, Tuple[Dict[int, int], ...]]
@@ -300,29 +300,44 @@ class ScaledGps(NamedTuple):
 
 
 def _scaled_gps(n: int, rows: Dict[str, Dict[int, Dict[int, object]]],
-                pqs: Dict[object, Tuple[int, int]]) -> ScaledGps:
-    """The integer form of a GPS of ``n`` states whose ``rows[label][x]``, for
-    the states that emit ``label``, map successors to keys of ``pqs``, each
-    an entry's probability as ``(p, q)``.  Weights are taken over the lcm of
-    every q, then divided by their gcd with it, which leaves ``denom`` the
-    lcm of the reduced denominators."""
+                pqs: Dict[object, Tuple[int, int]]
+                ) -> Tuple[ScaledGps, Tuple[List[List[Tuple[int, int]]], Dict[int, int]]]:
+    """The integer form of a GPS of ``n`` states and the lumping's inputs
+    (see :func:`_lumped_gps`), from one walk over the weights.  Each
+    ``rows[label][x]``, for the states that emit ``label``, maps successors
+    to keys of ``pqs``, each an entry's probability as ``(p, q)``, and is
+    scaled in place into the integer row.  Weights are taken over the lcm
+    of every q, then divided by their gcd with it, which leaves ``denom``
+    the lcm of the reduced denominators.  Labels are read in order and
+    states in ascending order, which fixes the lumping's block numbering."""
     denom = math.lcm(*(q for _, q in pqs.values()))
     weight = {t: p * (denom // q) for t, (p, q) in pqs.items()}
     common = math.gcd(denom, *weight.values())
     denom, weight = denom // common, {t: w // common for t, w in weight.items()}
-    emission, enabled, scaled = [0] * n, [0] * n, {}
+    # a state's weights into a set under every label, packed into one int:
+    # label i's weight sits at bit i * shift, and none reaches 1 << shift,
+    # whatever the state's mass (the constructor does not bound it by 1)
+    shift = (max(weight.values(), default=0) * n).bit_length()
+    emission, enabled, scaled, preds, into = [0] * n, [0] * n, {}, [[] for _ in range(n)], {}
     for i, (a, row) in enumerate(rows.items()):
-        full = [{} for _ in range(n)]
-        for x, r in row.items():
-            r = full[x] = {y: weight[t] for y, t in r.items()}
-            emission[x] += sum(r.values())
+        k, full = i * shift, [{} for _ in range(n)]
+        for x in sorted(row):
+            r = full[x] = row[x]
+            for y, t in r.items():
+                r[y] = w = weight[t]
+                preds[y].append((x, w << k))
+            emission[x] += (total := sum(r.values()))
+            into[x] = into.get(x, 0) + (total << k)
             enabled[x] |= 1 << i
         scaled[a] = tuple(full)
-    return ScaledGps(denom, scaled, tuple(emission), tuple(enabled))
+    return ScaledGps(denom, scaled, tuple(emission), tuple(enabled)), (preds, into)
 
 
-def _lumped_gps(scaled: ScaledGps) -> Tuple[int, ...]:
-    """The coarsest lumping of a scaled GPS, as each state's block.
+def _lumped_gps(preds: List[List[Tuple[int, int]]], into: Dict[int, int]) -> Tuple[int, ...]:
+    """The coarsest lumping of a scaled GPS, as each state's block, from the
+    inputs :func:`_scaled_gps` builds with its integer rows: ``preds[y]``
+    pairs each predecessor of ``y`` with its packed weights into ``y``, and
+    ``into`` maps each state that emits to its packed per-label totals.
 
     A lumping is a partition of the states in which every state of a block
     sends the same weight, under each label, into each block.
@@ -342,19 +357,7 @@ def _lumped_gps(scaled: ScaledGps) -> Tuple[int, ...]:
     split: they stay in block 0, which is never listed and never a splitter.
     When there are such states, the live block is queued in its place, and
     the per-state cost is that of a few C-level passes."""
-    n = len(scaled.emission)
-    # a state's weights into a set under every label, packed into one int:
-    # label i's weight sits at bit i * shift, and no weight reaches 1 << shift
-    shift = max(scaled.emission, default=0).bit_length()
-    preds: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
-    into: Dict[int, int] = {}  # weights into the splitter, first the whole set
-    for i, row in enumerate(scaled.rows.values()):
-        k = i * shift
-        for x in compress(range(n), row):
-            r = row[x]
-            into[x] = into.get(x, 0) + (sum(r.values()) << k)
-            for y, w in r.items():
-                preds[y].append((x, w << k))
+    n = len(preds)
     dead = len(into) < n  # some state emits nothing
     block = [0] * n
     members, size, waiting, queued = [set(into)], [len(into)], [], [False]
@@ -414,13 +417,16 @@ class Gps(_NamedStates):
 
     ``transitions`` maps ``(state, label)`` to ``{succ: Fraction}``;
     :func:`parse_gps` builds the integer form ``_scaled`` instead, whose
-    rows are ``{succ: weight}`` dicts, and ``transitions`` is derived from
-    those rows on first use.
+    rows are the parser's dicts scaled in place to ``{succ: weight}``, and
+    ``transitions`` is derived from those rows on first use.  A
+    constructor-built system scales copies of its rows, by the same builder.
 
     ``_blocks`` caches the coarsest lumping of ``_scaled`` as each state's
     block (see :func:`_lumped_gps`); it does not depend on the semantics.
     The first ``gps_equiv`` on the system computes it, and every search
-    across blocks reads each block at its least state.
+    across blocks reads each block at its least state.  The lumping starts
+    from the predecessor lists and first splitter built with ``_scaled``,
+    held in ``_lumping_inputs`` until ``_blocks`` takes them.
     """
 
     _fields = ("n_states", "alphabet", "transitions", "names")
@@ -446,13 +452,15 @@ class Gps(_NamedStates):
         rows = {a: {} for a in self.alphabet}
         for (x, a), row in self.transitions.items():
             if row:
-                rows[a][x] = row
+                rows[a][x] = dict(row)  # scaled in place, so a copy
         pqs = {p: p.as_integer_ratio() for r in self.transitions.values() for p in r.values()}
-        return _scaled_gps(self.n_states, rows, pqs)
+        scaled, self._lumping_inputs = _scaled_gps(self.n_states, rows, pqs)
+        return scaled
 
     @cached_property
     def _blocks(self) -> Tuple[int, ...]:
-        return _lumped_gps(self._scaled)
+        self._scaled  # a constructor-built system builds the inputs with it
+        return _lumped_gps(*vars(self).pop("_lumping_inputs"))
 
     def emission_mass(self, x: int) -> Fraction:
         return Fraction(self._scaled.emission[x], self._scaled.denom)
@@ -604,7 +612,8 @@ def _probability(token: str, ln: int) -> Tuple[int, int]:
 def parse_gps(text: str) -> Gps:
     """Parse the GPS text format.  Probabilities are exact rationals ``p/q``;
     each state's total emission mass must be at most 1.  The GPS is built in
-    its integer form, ``Gps._scaled``, from rows of probability tokens."""
+    its integer form, ``Gps._scaled``, from rows of probability tokens,
+    which :func:`_scaled_gps` scales in place."""
     lines, n, alphabet = _parse_header(text, "gps")
     # a text names fewer states than it has characters; _parse_state reads the rest
     index = {str(i): i for i in range(min(n, len(text)))}
@@ -638,12 +647,13 @@ def parse_gps(text: str) -> Gps:
             r[dst] = tok
     if summed:  # drop the keys that are no longer entries
         probs = {t: probs[t] for row in rows.values() for r in row.values() for t in r.values()}
-    scaled = _scaled_gps(n, rows, probs)
+    scaled, inputs = _scaled_gps(n, rows, probs)
     for x, e in enumerate(scaled.emission):
         if e > scaled.denom:
             raise FormatError(f"state {x} emits total mass {Fraction(e, scaled.denom)} > 1")
     g = Gps.__new__(Gps)
-    g.__dict__.update(n_states=n, alphabet=alphabet, names=names, _scaled=scaled)
+    g.__dict__.update(n_states=n, alphabet=alphabet, names=names, _scaled=scaled,
+                      _lumping_inputs=inputs)
     return g
 
 
