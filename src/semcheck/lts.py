@@ -314,9 +314,8 @@ def _scaled_gps(n: int, rows: Dict[str, Dict[int, Dict[int, object]]],
     weight = {t: p * (denom // q) for t, (p, q) in pqs.items()}
     common = math.gcd(denom, *weight.values())
     denom, weight = denom // common, {t: w // common for t, w in weight.items()}
-    # a state's weights into a set under every label, packed into one int:
-    # label i's weight sits at bit i * shift, and none reaches 1 << shift,
-    # whatever the state's mass (the constructor does not bound it by 1)
+    # a state's weights into a set under every label, packed into one int: label
+    # i's at bit i * shift, none reaching 1 << shift whatever the state's mass
     shift = (max(weight.values(), default=0) * n).bit_length()
     emission, enabled, scaled, preds, into = [0] * n, [0] * n, {}, [[] for _ in range(n)], {}
     for i, (a, row) in enumerate(rows.items()):
@@ -334,10 +333,10 @@ def _scaled_gps(n: int, rows: Dict[str, Dict[int, Dict[int, object]]],
 
 
 def _lumped_gps(preds: List[List[Tuple[int, int]]], into: Dict[int, int]) -> Tuple[int, ...]:
-    """The coarsest lumping of a scaled GPS, as each state's block, from the
-    inputs :func:`_scaled_gps` builds with its integer rows: ``preds[y]``
-    pairs each predecessor of ``y`` with its packed weights into ``y``, and
-    ``into`` maps each state that emits to its packed per-label totals.
+    """The coarsest lumping of a scaled GPS, as each state's block, from what
+    :func:`_scaled_gps` builds with its rows: ``preds[y]``, each predecessor
+    of ``y`` with its packed weights into ``y``, and ``into``, each emitting
+    state's packed per-label totals.
 
     A lumping is a partition of the states in which every state of a block
     sends the same weight, under each label, into each block.
